@@ -77,7 +77,8 @@ inline void Banner(const char* experiment, const char* paper_ref) {
   std::printf("%s  (reproduces %s)\n", experiment, paper_ref);
   std::printf("Synthetic data lake; scale via PEXESO_BENCH_SCALE "
               "(current %.2f). Shapes, not absolute numbers, are the\n"
-              "comparison target -- see EXPERIMENTS.md.\n",
+              "comparison target -- see the committed BENCH_*.json files\n"
+              "and README.md.\n",
               BenchProfiles::EnvScale());
   std::printf("==========================================================\n");
 }

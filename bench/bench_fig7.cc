@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "bench_common.h"
+#include "core/part_runner.h"
 #include "partition/partitioned_pexeso.h"
 
 namespace pexeso::bench {
@@ -84,7 +85,9 @@ void PartitioningExperiment(const VectorLakeOptions& profile) {
         sopts.thresholds = ft.Resolve(metric, profile.dim, q.size());
         double io = 0.0;
         Stopwatch w;
-        auto r = parts.value().SearchPartitions(BindQuery(q, sopts), nullptr, &io);
+        CollectSink sink;
+        PartRunner::RunParts(parts.value(), BindQuery(q, sopts), &sink,
+                             nullptr, &io);
         // Exclude disk I/O: the figure compares partition *quality* (how
         // well each part's pivots filter), not disk throughput.
         times[strategy] += w.ElapsedSeconds() - io;

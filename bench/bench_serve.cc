@@ -13,7 +13,7 @@
 //                 pinning), query-major — all loads are cache hits
 //
 // Results (queries/s and speedup vs cold, plus a determinism check against
-// the serial SearchPartitions oracle) go to stdout and BENCH_serve.json
+// the serial Execute oracle) go to stdout and BENCH_serve.json
 // ("BENCH_serve/v1") so successive PRs can track the trajectory.
 // Acceptance floor: warm >= 5x cold with >= 16 queries over >= 4
 // partitions.
@@ -131,10 +131,10 @@ void ServeExperiment(const VectorLakeOptions& profile) {
   const size_t threads = std::min<size_t>(
       4, std::max(1u, std::thread::hardware_concurrency()));
 
-  // The determinism oracle: serial SearchPartitions per query.
+  // The determinism oracle: the serial Execute per query.
   std::vector<std::vector<JoinableColumn>> oracle;
   for (const auto& q : queries) {
-    auto r = parts.SearchPartitions(BindQuery(q, sopts), nullptr);
+    auto r = ExecuteCollect(parts, BindQuery(q, sopts));
     if (!r.ok()) {
       std::fprintf(stderr, "oracle search failed: %s\n",
                    r.status().ToString().c_str());

@@ -186,18 +186,20 @@ void RunOutOfCore(const char* name, const VectorLakeOptions& profile,
         ept_dead = t_ept < 0;
       }
       if (!h_dead) {
+        parts.value().set_engine(PartitionedPexeso::Engine::kPexesoH);
         t_h = TimedOrBudget(queries, budget * 4, [&](const VectorStore& q) {
           JoinQuery sopts;
           sopts.thresholds = th;
-          parts.value().SearchPartitions(BindQuery(q, sopts), nullptr, nullptr, PartitionedPexeso::Engine::kPexesoH);
+          (void)ExecuteCollect(parts.value(), BindQuery(q, sopts));
         });
         h_dead = t_h < 0;
       }
+      parts.value().set_engine(PartitionedPexeso::Engine::kPexeso);
       const double t_px =
           TimedOrBudget(queries, budget * 4, [&](const VectorStore& q) {
             JoinQuery sopts;
             sopts.thresholds = th;
-            parts.value().SearchPartitions(BindQuery(q, sopts), nullptr);
+            (void)ExecuteCollect(parts.value(), BindQuery(q, sopts));
           });
       std::printf("%4d %4d", T, tau);
       PrintCell(t_ctree);

@@ -127,7 +127,8 @@ int main() {
   auto outcomes = session.Drain();
 
   // 5. Outcomes arrive in submission order with deterministic merged
-  // results (byte-identical to a serial SearchPartitions loop).
+  // results (byte-identical to the engine's serial Execute: the session
+  // runs each part through the same PartRunner).
   std::printf("\nserved %zu queries:\n", outcomes.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].status.ok()) {
@@ -154,9 +155,10 @@ int main() {
               static_cast<unsigned long long>(cs.misses));
   fs::remove_all(dir);
 
-  // 6. Degraded-mode serving: a live lake whose part base goes bad on disk
-  // keeps answering from the healthy parts, reporting exactly what is
-  // missing through ResultSink::OnPartStatus instead of failing the query.
+  // 6. Degraded-mode serving: a lake whose part base goes bad on disk keeps
+  // answering from the healthy parts, reporting exactly what is missing
+  // through ResultSink::OnPartStatus instead of failing the query — the
+  // same policy every partitioned entry point applies.
   std::printf("\ndegraded-mode serving (one part base corrupted on disk):\n");
   const std::string lake_dir =
       (fs::temp_directory_path() / "pexeso_example_lake").string();

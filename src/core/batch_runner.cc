@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/part_runner.h"
 
 namespace pexeso {
 
@@ -25,6 +26,7 @@ BatchResult BatchQueryRunner::Run(const std::vector<JoinQuery>& queries) const {
   BatchResult out;
   out.results.resize(queries.size());
   out.statuses.resize(queries.size());
+  out.part_statuses.resize(queries.size());
   Stopwatch watch;
   // One stats scratch slot per query: workers never share a slot, and the
   // serial input-order merge below keeps the floating-point sums identical
@@ -71,19 +73,13 @@ BatchResult BatchQueryRunner::Run(const std::vector<JoinQuery>& queries) const {
         parts->NumParts() > 1 && queries.size() > 1 &&
         !parts->PartsStayResident()));
 
-  // One request: checks the query's controls, executes, records status and
-  // (possibly partial) results into the query's own slots.
+  // One request: executes and records status, degraded parts and
+  // (possibly partial) results into the query's own slots. A query that is
+  // dead on arrival is stopped by the engine's own entry check.
   const auto execute_one = [&](size_t i) {
-    const JoinQuery& jq = (*effective)[i];
-    const Status live = jq.CheckLive();
-    if (!live.ok()) {
-      // Dead on arrival: never touches the engine or the pool's time.
-      ++scratch[i].deadline_expired;
-      out.statuses[i] = live;
-      return;
-    }
     CollectSink sink;
-    out.statuses[i] = engine_->Execute(jq, &sink, &scratch[i]);
+    out.statuses[i] = engine_->Execute((*effective)[i], &sink, &scratch[i]);
+    out.part_statuses[i] = sink.part_statuses();
     out.results[i] = std::move(sink).TakeColumns();
   };
 
@@ -110,35 +106,22 @@ void BatchQueryRunner::RunPartitionMajor(const PartitionedJoinEngine& parts,
   if (outer_threads > 1 && n > 1) {
     pool = std::make_unique<ThreadPool>(std::min(outer_threads, n));
   }
+  std::vector<std::unique_ptr<PartRunner>> runners;
+  runners.reserve(n);
+  for (const JoinQuery& jq : queries) {
+    runners.push_back(std::make_unique<PartRunner>(&parts, jq));
+  }
   double io = 0.0;
   for (size_t part = 0; part < parts.NumParts(); ++part) {
     // One load per partition per batch: the handle keeps the partition
-    // resident while every query of the wave searches it IO-free.
-    auto handle = parts.AcquirePart(part, &io);
-    // Same environment-fault doctrine as the legacy Search on a
-    // partitioned engine: files were validated at Build/Open time.
-    PEXESO_CHECK_MSG(handle.ok(), handle.status().ToString().c_str());
-    const PartHandle held = std::move(handle).ValueOrDie();
+    // resident while every query of the wave searches it IO-free. A failed
+    // load is that part's failure for every query of the wave.
+    const Result<PartHandle> held = parts.AcquirePart(part, &io);
     const auto search_one = [&](size_t i) {
-      // A query that already tripped (or failed) stops burning the pool:
-      // its remaining parts are skipped outright.
-      if (!out->statuses[i].ok()) return;
-      const Status live = queries[i].CheckLive();
-      if (!live.ok()) {
-        ++(*scratch)[i].deadline_expired;
-        out->statuses[i] = live;
-        return;
-      }
-      auto chunk =
-          parts.SearchPart(part, queries[i], &(*scratch)[i], nullptr, held);
-      if (!chunk.ok()) {
-        out->statuses[i] = chunk.status();
-        return;
-      }
-      auto results = std::move(chunk).ValueOrDie();
-      out->results[i].insert(out->results[i].end(),
-                             std::make_move_iterator(results.begin()),
-                             std::make_move_iterator(results.end()));
+      // A query that already stopped (interrupted, or failed outright)
+      // stops burning the pool: its remaining parts are skipped.
+      if (runners[i]->stopped()) return;
+      runners[i]->RunPart(part, &(*scratch)[i], nullptr, held);
     };
     if (pool != nullptr) {
       pool->ParallelFor(n, search_one);
@@ -146,11 +129,13 @@ void BatchQueryRunner::RunPartitionMajor(const PartitionedJoinEngine& parts,
       for (size_t i = 0; i < n; ++i) search_one(i);
     }
   }
-  // Chunks landed in partition order per query; one canonical mode-aware
-  // merge makes the output byte-identical to the query-major path (kTopK
-  // chunks are per-part local top-ks, re-ranked and truncated here).
+  // Each runner merges its chunks in partition order, so the output is
+  // byte-identical to the query-major path.
   for (size_t i = 0; i < n; ++i) {
-    FinishQueryMerge(queries[i], &out->results[i]);
+    CollectSink sink;
+    out->statuses[i] = runners[i]->Finish(&sink, &(*scratch)[i]);
+    out->part_statuses[i] = sink.part_statuses();
+    out->results[i] = std::move(sink).TakeColumns();
   }
   out->io_seconds = io;
 }

@@ -2,6 +2,7 @@
 #define PEXESO_CORE_BATCH_RUNNER_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -39,8 +40,13 @@ struct BatchResult {
   /// statuses[i] is queries[i]'s execution status: OK for a complete
   /// search, Cancelled/DeadlineExceeded when that query's controls tripped
   /// (results[i] then holds whatever completed — valid partial results),
-  /// or the failure of the part that broke it.
+  /// or the final status of the part failure policy (README "Failure model
+  /// & recovery").
   std::vector<Status> statuses;
+  /// part_statuses[i] lists queries[i]'s degraded parts in part order (what
+  /// ResultSink::OnPartStatus reports): an OK status with entries here
+  /// means partial results with exactly these parts missing.
+  std::vector<std::vector<std::pair<size_t, Status>>> part_statuses;
   /// Counters of every search, merged in input order: the counter fields
   /// are identical at any thread count (the *_seconds fields are wall-clock
   /// measurements and naturally vary run to run).
@@ -80,10 +86,11 @@ struct BatchResult {
 /// or hand every query an explicit shared intra_query_pool to keep the
 /// fan-out untouched.
 ///
-/// Deadline/cancellation: each query's controls are checked before its
-/// work is dispatched (and, partition-major, before every further part),
-/// so a cancelled or expired query stops consuming the pool immediately
-/// and its status records the interruption.
+/// Deadline/cancellation and part failures: partition-major, every query
+/// runs its parts through its own PartRunner, so its controls are checked
+/// before every part and a part that fails to load degrades that part for
+/// every query of the wave — the same policy as the engine's own Execute,
+/// which the query-major path calls.
 ///
 /// Determinism contract: results (and the stats counters) are identical
 /// for any `num_threads` and either partition mode, because (a) engines are

@@ -104,6 +104,18 @@ class PartitionedJoinEngine {
       size_t part, const JoinQuery& query, SearchStats* stats,
       double* io_seconds, const PartHandle& preloaded) const = 0;
 
+  /// SearchPart plus the part's degraded-serving notice: set non-OK when
+  /// the part answered, but knowingly incompletely (a lake part whose base
+  /// recovery quarantined). The notice describes the same snapshot the
+  /// search ran against. Default: SearchPart with an OK notice. This is the
+  /// call PartRunner makes.
+  virtual Result<std::vector<JoinableColumn>> SearchPartWithNotice(
+      size_t part, const JoinQuery& query, SearchStats* stats,
+      double* io_seconds, const PartHandle& preloaded, Status* notice) const {
+    *notice = Status::OK();
+    return SearchPart(part, query, stats, io_seconds, preloaded);
+  }
+
   /// True when per-part working sets are expected to stay resident across
   /// queries (an attached cache whose budget holds every part), making the
   /// query-major batch loop as IO-cheap as the partition-major one.

@@ -11,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/fs_util.h"
 #include "common/stopwatch.h"
+#include "core/part_runner.h"
 #include "lake/fsck.h"
 #include "lake/manifest.h"
 
@@ -562,84 +563,31 @@ Result<std::vector<JoinableColumn>> LakeManager::SearchSnapshot(
 Result<std::vector<JoinableColumn>> LakeManager::SearchPart(
     size_t part, const JoinQuery& query, SearchStats* stats,
     double* io_seconds, const PartHandle& preloaded) const {
-  if (preloaded != nullptr) {
-    const auto* held = static_cast<const LoadedPart*>(preloaded.get());
-    return SearchSnapshot(*held->snapshot, held->base, query, stats,
-                          io_seconds);
+  Status notice;
+  return SearchPartWithNotice(part, query, stats, io_seconds, preloaded,
+                              &notice);
+}
+
+Result<std::vector<JoinableColumn>> LakeManager::SearchPartWithNotice(
+    size_t part, const JoinQuery& query, SearchStats* stats,
+    double* io_seconds, const PartHandle& preloaded, Status* notice) const {
+  const auto* held = static_cast<const LoadedPart*>(preloaded.get());
+  const std::shared_ptr<const PartSnapshot> snap =
+      held != nullptr ? held->snapshot : Snapshot(part);
+  *notice = Status::OK();
+  if (snap->quarantined) {
+    // The part answers only from its deltas: its base was moved aside by
+    // recovery, so the answer is knowingly incomplete.
+    *notice = snap->health.ok() ? Status::Corruption("part base quarantined")
+                                : snap->health;
   }
-  auto snap = Snapshot(part);
-  return SearchSnapshot(*snap, nullptr, query, stats, io_seconds);
+  return SearchSnapshot(*snap, held != nullptr ? held->base : nullptr, query,
+                        stats, io_seconds);
 }
 
 Status LakeManager::Execute(const JoinQuery& jq, ResultSink* sink,
                             SearchStats* stats) const {
-  PEXESO_CHECK(jq.vectors != nullptr);
-  PEXESO_CHECK(sink != nullptr);
-  SearchStats local;
-  if (stats == nullptr) stats = &local;
-  const bool topk_mode = jq.mode == QueryMode::kTopK;
-
-  std::vector<JoinableColumn> merged;
-  // Cross-part kTopK pushdown over SURVIVING counts only: the floor a part
-  // establishes is what the next part's columns must beat to enter the
-  // final (post-mask) top-k.
-  TopKBound bound(jq.k, jq.topk_floor);
-  Status final_st;
-  size_t failed_parts = 0;
-  Status first_failure;
-  bool partial = false;
-  for (size_t part = 0; part < parts_.size(); ++part) {
-    Status live = jq.CheckLive();
-    if (!live.ok()) {
-      ++stats->deadline_expired;
-      final_st = live;
-      break;
-    }
-    JoinQuery part_jq = jq;
-    if (topk_mode) part_jq.topk_floor = bound.bound();
-    auto snap = Snapshot(part);
-    auto chunk = SearchSnapshot(*snap, nullptr, part_jq, stats, nullptr);
-    if (!chunk.ok()) {
-      if (chunk.status().interrupted()) {
-        // Interruption keeps completed parts' columns as partial results.
-        final_st = chunk.status();
-        break;
-      }
-      // Environment fault on THIS part (unloadable base): degraded-mode
-      // serving reports the gap per-part and keeps going — the other parts'
-      // answers are still worth returning.
-      ++failed_parts;
-      if (first_failure.ok()) first_failure = chunk.status();
-      sink->OnPartStatus(part, chunk.status());
-      partial = true;
-      continue;
-    }
-    if (snap->quarantined) {
-      // The part answered, but only from its deltas: its base was moved
-      // aside by recovery, so the answer is knowingly incomplete.
-      sink->OnPartStatus(part, snap->health.ok()
-                                   ? Status::Corruption("part base quarantined")
-                                   : snap->health);
-      partial = true;
-    }
-    auto results = std::move(chunk).ValueOrDie();
-    if (topk_mode) {
-      for (const auto& jc : results) bound.Offer(jc.match_count);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(results.begin()),
-                  std::make_move_iterator(results.end()));
-  }
-  if (partial) ++stats->partial_responses;
-  if (!parts_.empty() && failed_parts == parts_.size()) {
-    // Nothing answered: that is a failed query, not a partial one.
-    final_st = first_failure;
-    sink->OnDone(final_st);
-    return final_st;
-  }
-  FinishQueryMerge(jq, &merged);
-  for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  return PartRunner::RunParts(*this, jq, sink, stats);
 }
 
 bool LakeManager::PartsStayResident() const {

@@ -227,13 +227,12 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
   // ------------------------------------------------------ JoinSearchEngine
   const char* name() const override { return "lake"; }
 
-  /// Searches every part's base + deltas serially in part order with
-  /// tombstone masking, then the canonical mode-aware merge. Deadline /
-  /// cancel / kTopK cross-part floor semantics match PartitionedPexeso.
-  /// A part whose base cannot be loaded (or was quarantined) does not fail
-  /// the query: its Status goes to sink->OnPartStatus, the other parts'
-  /// results are delivered, and stats->partial_responses is bumped. The
-  /// query fails outright only when EVERY part failed.
+  /// Searches every part's base + deltas serially in part order
+  /// (PartRunner::RunParts) with tombstone masking, then the canonical
+  /// mode-aware merge. A part whose base cannot be loaded, or was
+  /// quarantined, does not fail the query: its Status goes to
+  /// sink->OnPartStatus and the other parts' results are delivered. The
+  /// query fails outright only when no part answered.
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -248,6 +247,11 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
   Result<std::vector<JoinableColumn>> SearchPart(
       size_t part, const JoinQuery& query, SearchStats* stats,
       double* io_seconds, const PartHandle& preloaded) const override;
+  /// The notice is non-OK when the searched snapshot's base is quarantined.
+  Result<std::vector<JoinableColumn>> SearchPartWithNotice(
+      size_t part, const JoinQuery& query, SearchStats* stats,
+      double* io_seconds, const PartHandle& preloaded,
+      Status* notice) const override;
   bool PartsStayResident() const override;
 
  private:

@@ -11,6 +11,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "core/part_runner.h"
+
 namespace pexeso::net {
 
 PexesoClient::~PexesoClient() { Close(); }
@@ -133,6 +135,9 @@ Status PexesoClient::ReadFrame(Frame* frame) {
 
 Result<uint64_t> PexesoClient::SendQuery(const JoinQuery& query) {
   if (fd_ < 0) return Status::InvalidArgument("not connected");
+  // A query that is already cancelled or past its deadline never goes on
+  // the wire (the token does not travel): same answer as a local Execute.
+  PEXESO_RETURN_NOT_OK(query.CheckLive());
   const uint64_t id = next_query_id_++;
   Pending& p = pending_[id];
   p.mode = query.mode;
@@ -172,12 +177,11 @@ Status PexesoClient::DispatchFrame(Frame&& frame, std::string* stats_text,
       Pending& p = it->second;
       if (p.part_columns.size() < msg.parts_total) {
         p.part_columns.resize(msg.parts_total);
+        p.part_status.resize(msg.parts_total);
       }
       if (msg.part < p.part_columns.size()) {
         p.part_columns[msg.part] = std::move(msg.columns);
-      }
-      if (!msg.status.ok()) {
-        p.part_statuses.emplace_back(msg.part, msg.status);
+        p.part_status[msg.part] = msg.status;
       }
       return Status::OK();
     }
@@ -228,10 +232,16 @@ ClientQueryResult PexesoClient::TakeResult(uint64_t query_id) {
   Pending& p = it->second;
   result.status = p.status;
   result.stats = p.stats;
-  result.part_statuses = std::move(p.part_statuses);
   // Part order is the deterministic reassembly order regardless of how the
-  // chunks raced on the wire; the merge then mirrors ServeSession's
-  // FinalizeLocked exactly.
+  // chunks raced on the wire; statuses and merge then mirror the server's
+  // PartRunner exactly (a request-class failure reports no parts).
+  for (size_t part = 0;
+       part < p.part_status.size() && !IsFatalStatus(result.status); ++part) {
+    const Status& st = p.part_status[part];
+    if (!st.ok() && !st.interrupted()) {
+      result.part_statuses.emplace_back(part, st);
+    }
+  }
   if (result.status.ok() || result.status.interrupted()) {
     for (auto& chunk : p.part_columns) {
       result.columns.insert(result.columns.end(),

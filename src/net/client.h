@@ -40,7 +40,8 @@ struct ClientQueryResult {
   Status status;  ///< the query's final status from the DONE frame
   std::vector<JoinableColumn> columns;
   SearchStats stats;  ///< server-side counters for this query
-  /// Parts that contributed a non-OK chunk (degraded/partial serving).
+  /// Degraded parts in part order (their chunk carried a failure or a
+  /// degraded-serving notice): the server-side part_statuses.
   std::vector<std::pair<size_t, Status>> part_statuses;
 };
 
@@ -113,7 +114,7 @@ class PexesoClient {
     QueryMode mode = QueryMode::kThreshold;
     size_t k = 0;
     std::vector<std::vector<JoinableColumn>> part_columns;
-    std::vector<std::pair<size_t, Status>> part_statuses;
+    std::vector<Status> part_status;  ///< each part's chunk status
     bool done = false;
     Status status;
     bool merge_parts = false;

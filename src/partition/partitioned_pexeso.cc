@@ -7,6 +7,7 @@
 #include "baseline/pexeso_h.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/part_runner.h"
 #include "serve/index_cache.h"
 
 namespace pexeso {
@@ -62,49 +63,7 @@ Result<PartitionedPexeso> PartitionedPexeso::Open(const std::string& dir,
 
 Status PartitionedPexeso::Execute(const JoinQuery& jq, ResultSink* sink,
                                   SearchStats* stats) const {
-  PEXESO_CHECK(jq.vectors != nullptr);
-  PEXESO_CHECK(sink != nullptr);
-  SearchStats local;
-  if (stats == nullptr) stats = &local;
-  const bool topk_mode = jq.mode == QueryMode::kTopK;
-
-  std::vector<JoinableColumn> merged;
-  // Cross-partition kTopK pushdown: the bound a part establishes becomes
-  // the floor the next part prunes against.
-  TopKBound bound(jq.k, jq.topk_floor);
-  Status final_st;
-  for (size_t part = 0; part < num_parts_; ++part) {
-    Status live = jq.CheckLive();
-    if (!live.ok()) {
-      ++stats->deadline_expired;
-      final_st = live;
-      break;
-    }
-    JoinQuery part_jq = jq;
-    if (topk_mode) part_jq.topk_floor = bound.bound();
-    auto chunk =
-        SearchOnePart(part, part_jq, stats, nullptr, engine_, nullptr);
-    if (!chunk.ok()) {
-      final_st = chunk.status();
-      // Interruption inside a part keeps the completed parts' columns as
-      // partial results; a real failure (environment fault) returns bare.
-      if (!final_st.interrupted()) {
-        sink->OnDone(final_st);
-        return final_st;
-      }
-      break;
-    }
-    auto results = std::move(chunk).ValueOrDie();
-    if (topk_mode) {
-      for (const auto& jc : results) bound.Offer(jc.match_count);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(results.begin()),
-                  std::make_move_iterator(results.end()));
-  }
-  FinishQueryMerge(jq, &merged);
-  for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  return PartRunner::RunParts(*this, jq, sink, stats);
 }
 
 Result<PartHandle> PartitionedPexeso::AcquirePart(size_t part,
@@ -142,28 +101,20 @@ Result<std::vector<JoinableColumn>> SearchIndexSnapshot(
   return results;
 }
 
-Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchOnePart(
+Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchPart(
     size_t part, const JoinQuery& query, SearchStats* stats,
-    double* io_seconds, Engine engine, const PexesoIndex* preloaded) const {
-  PartHandle held;
-  const PexesoIndex* index = preloaded;
-  if (index == nullptr) {
+    double* io_seconds, const PartHandle& preloaded) const {
+  PartHandle held = preloaded;
+  if (held == nullptr) {
     auto handle = AcquirePart(part, io_seconds);
     if (!handle.ok()) return handle.status();
     held = std::move(handle).ValueOrDie();
-    index = static_cast<const PexesoIndex*>(held.get());
   }
   // When uncached, the partition index dies with `held` at return: only one
   // partition is ever resident, which is the Section IV memory contract.
   // With a cache attached, residency is the cache's budgeted decision.
-  return SearchIndexSnapshot(*index, query, engine, stats);
-}
-
-Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchPart(
-    size_t part, const JoinQuery& query, SearchStats* stats,
-    double* io_seconds, const PartHandle& preloaded) const {
-  return SearchOnePart(part, query, stats, io_seconds, engine_,
-                       static_cast<const PexesoIndex*>(preloaded.get()));
+  return SearchIndexSnapshot(*static_cast<const PexesoIndex*>(held.get()),
+                             query, engine_, stats);
 }
 
 bool PartitionedPexeso::PartsStayResident() const {
@@ -171,28 +122,6 @@ bool PartitionedPexeso::PartsStayResident() const {
   // the serialized ones byte-for-byte plus container slack, so twice the
   // disk footprint bounds what the cache will be charged.
   return cache_ != nullptr && cache_->budget_bytes() >= DiskBytes() * 2;
-}
-
-Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchPartitions(
-    const JoinQuery& query, SearchStats* stats, double* io_seconds,
-    Engine engine) const {
-  std::vector<JoinableColumn> merged;
-  double io = 0.0;
-  for (size_t part = 0; part < num_parts_; ++part) {
-    auto results = SearchOnePart(part, query, stats, &io, engine, nullptr);
-    if (!results.ok()) {
-      // Keep the IO accounting on the error path: the caller still learns
-      // how long the failed load (and the successful ones before it) took.
-      if (io_seconds != nullptr) *io_seconds = io;
-      return results.status();
-    }
-    auto chunk = std::move(results).ValueOrDie();
-    merged.insert(merged.end(), std::make_move_iterator(chunk.begin()),
-                  std::make_move_iterator(chunk.end()));
-  }
-  FinishQueryMerge(query, &merged);
-  if (io_seconds != nullptr) *io_seconds = io;
-  return merged;
 }
 
 size_t PartitionedPexeso::DiskBytes() const {

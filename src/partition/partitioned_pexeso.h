@@ -48,30 +48,16 @@ class PartitionedPexeso : public JoinSearchEngine,
   /// both methods under the identical load-one-partition-at-a-time protocol.
   enum class Engine { kPexeso, kPexesoH };
 
-  /// Searches every partition, loading each from disk in turn. Results are
-  /// keyed by global column ids. `stats` (optional) accumulates across
-  /// partitions; `io_seconds` (optional) reports the disk-loading share —
-  /// including on the error path, so a failed partition load still accounts
-  /// the IO it burned before failing.
-  /// This is the status-returning workhorse behind Execute.
-  Result<std::vector<JoinableColumn>> SearchPartitions(
-      const JoinQuery& query, SearchStats* stats,
-      double* io_seconds = nullptr, Engine engine = Engine::kPexeso) const;
-
   const char* name() const override {
     return engine_ == Engine::kPexeso ? "pexeso-part" : "pexeso-h-part";
   }
 
   /// Engine-interface entry point: searches every partition with the
   /// per-partition engine selected by set_engine() (PEXESO by default),
-  /// serially in part order. kTopK requests carry the running k-th-best
-  /// bound ACROSS partitions: each part searches with the bound the
-  /// previous parts established (JoinQuery::topk_floor), so later parts
-  /// prune against everything already found. A deadline/cancel trip
-  /// between parts emits the completed parts' columns as partial results
-  /// with the interruption status; an I/O failure (an environment fault —
-  /// partition files were validated at Build/Open time) is returned as its
-  /// status with no columns.
+  /// serially in part order through PartRunner::RunParts — so kTopK
+  /// requests prune each part against the bound the previous parts
+  /// established, and deadlines, cancellation and part failures follow the
+  /// one failure policy (README "Failure model & recovery").
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -94,8 +80,10 @@ class PartitionedPexeso : public JoinSearchEngine,
   /// Path of partition `i`'s snapshot file (cache key / warm-up pinning).
   std::string PartPath(size_t i) const;
 
-  /// Which in-memory searcher the JoinSearchEngine entry point runs against
-  /// each loaded partition.
+  /// Which in-memory searcher runs against each loaded partition. SearchPart
+  /// ranks kTopK by part-LOCAL column ids, but the partitioner appends
+  /// columns to each part in ascending global id, so local order == global
+  /// order and the remap keeps the ranking's tie-breaks.
   void set_engine(Engine engine) { engine_ = engine; }
 
   size_t num_partitions() const { return num_parts_; }
@@ -106,17 +94,6 @@ class PartitionedPexeso : public JoinSearchEngine,
  private:
   PartitionedPexeso(std::string dir, const Metric* metric, size_t parts)
       : dir_(std::move(dir)), metric_(metric), num_parts_(parts) {}
-
-  /// Searches one partition with an explicit per-partition engine: acquires
-  /// the index (preloaded handle > cache > direct load), remaps results to
-  /// global column ids. `io_seconds` is incremented even when the load
-  /// fails. For kTopK the inner engine ranks by part-LOCAL column ids, but
-  /// the partitioner appends columns to each part in ascending global id,
-  /// so local order == global order and the remap preserves the ranking's
-  /// tie-breaks.
-  Result<std::vector<JoinableColumn>> SearchOnePart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, Engine engine, const PexesoIndex* preloaded) const;
 
   std::string dir_;
   const Metric* metric_;

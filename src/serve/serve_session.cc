@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/part_runner.h"
 
 namespace pexeso::serve {
 
@@ -16,30 +17,26 @@ struct ServeSession::QueryState {
   OutcomeCallback on_outcome;  ///< null unless push-notified streaming
   bool want_future = false;
   std::promise<QueryOutcome> promise;
-  /// kTopK: the running cross-part floor. A part that returns a full local
-  /// top-k raises it (its k-th local count lower-bounds the global k-th
-  /// best), so parts starting later prune harder. Monotone via CAS-max.
-  std::atomic<uint32_t> topk_floor{0};
-  /// Deadline-aware part scheduling: set the moment any part observes the
-  /// query interrupted (deadline expired / cancelled), so still-queued part
-  /// tasks of this query are dropped instead of dispatched — no engine
-  /// call, no partition IO, just the deadline_expired counter.
-  std::atomic<bool> dead{false};
+  /// The query's part loop, one task per part; null when the engine runs
+  /// as a single Execute task (in-memory engines, zero-part shards).
+  std::unique_ptr<PartRunner> runner;
 
   size_t parts_total = 1;
-  /// True for partitioned engines: results need the canonical global-column
-  /// ordering (SearchPartitions sorts even for a single part).
-  bool merge_parts = false;
-  /// Serializes chunk callbacks of this query and guards parts_done and the
-  /// finalize step. Per-part slots below are lock-free: each part task
-  /// writes only its own index, and the finalizer observes every write
-  /// through the parts_done increments under this mutex.
+  /// Serializes chunk callbacks of this query and guards parts_done,
+  /// failure and the finalize step. Per-part slots (here and in the runner)
+  /// are lock-free: each part task writes only its own index, and the
+  /// finalizer observes every write through the parts_done increments
+  /// under this mutex.
   std::mutex mu;
   size_t parts_done = 0;
-  std::vector<std::vector<JoinableColumn>> part_results;
   std::vector<SearchStats> part_stats;
   std::vector<double> part_io;
-  std::vector<Status> part_status;
+  /// The single Execute task's answer; the runner delivers here at
+  /// finalize.
+  CollectSink sink;
+  /// An exception escaped a search or a chunk callback: it fails the query
+  /// outright (first one wins).
+  Status failure;
 
   QueryOutcome outcome;  ///< valid once every part is done
 };
@@ -103,8 +100,6 @@ uint64_t ServeSession::Enqueue(JoinQuery query, ChunkCallback on_chunk,
   PEXESO_CHECK(query.vectors != nullptr);
   auto state = std::make_unique<QueryState>();
   state->query = std::move(query);
-  state->topk_floor.store(state->query.topk_floor,
-                          std::memory_order_relaxed);
   // Intra-query default: queries that carry no setting of their own inherit
   // the session's, and any intra-parallel query without a pool runs its
   // shards on the session's dedicated intra pool (when one exists) so part
@@ -121,13 +116,13 @@ uint64_t ServeSession::Enqueue(JoinQuery query, ChunkCallback on_chunk,
   state->on_outcome = std::move(on_outcome);
   state->want_future = want_future;
   if (want_future) *future_out = state->promise.get_future();
-  state->parts_total =
-      parts_ != nullptr ? std::max<size_t>(1, parts_->NumParts()) : 1;
-  state->merge_parts = parts_ != nullptr;
-  state->part_results.resize(state->parts_total);
+  const bool by_part = parts_ != nullptr && parts_->NumParts() > 0;
+  if (by_part) {
+    state->runner = std::make_unique<PartRunner>(parts_, state->query);
+  }
+  state->parts_total = by_part ? parts_->NumParts() : 1;
   state->part_stats.resize(state->parts_total);
   state->part_io.assign(state->parts_total, 0.0);
-  state->part_status.assign(state->parts_total, Status::OK());
 
   QueryState* raw = state.get();
   {
@@ -143,92 +138,23 @@ uint64_t ServeSession::Enqueue(JoinQuery query, ChunkCallback on_chunk,
 }
 
 void ServeSession::RunPart(QueryState* state, size_t part) const {
-  Status status = state->query.CheckLive();
-  if (!status.ok()) {
-    // The query tripped before this part started (at submit, or mid-search
-    // of a sibling part, which flagged the query dead the moment it saw the
-    // interruption): drop the still-queued part instead of dispatching it —
-    // no engine call, no partition IO, just the counter.
-    ++state->part_stats[part].deadline_expired;
-  } else if (state->dead.load(std::memory_order_relaxed)) {
-    // Narrow race: a sibling observed an interruption the clock/flag no
-    // longer reports here. Drop rather than dispatch work whose result the
-    // finalizer will pair with an interrupted status anyway.
-    status = Status::Cancelled("query interrupted by sibling part");
-    ++state->part_stats[part].deadline_expired;
-  } else {
-    try {
-      // A partitioned engine with zero parts (a shard that owns nothing
-      // under a shard map with more shards than parts) has no part 0 to
-      // search; its Execute path returns the correct empty answer.
-      if (parts_ != nullptr && parts_->NumParts() > 0) {
-        JoinQuery part_query = state->query;
-        if (part_query.mode == QueryMode::kTopK) {
-          uint32_t seed = state->topk_floor.load(std::memory_order_relaxed);
-          if (part_query.floor_link != nullptr) {
-            // A linked global floor (raised by sibling shards of a
-            // scatter-gather) can be ahead of this session's own cross-part
-            // floor; adopting it prunes harder and never changes results
-            // (strict-beat pruning).
-            const uint32_t ext = part_query.floor_link->load();
-            if (ext > seed) {
-              seed = ext;
-              ++state->part_stats[part].floor_updates_received;
-            }
-          }
-          part_query.topk_floor = seed;
-        }
-        auto chunk = parts_->SearchPart(part, part_query,
-                                        &state->part_stats[part],
-                                        &state->part_io[part],
-                                        /*preloaded=*/nullptr);
-        if (chunk.ok()) {
-          state->part_results[part] = std::move(chunk).ValueOrDie();
-          if (part_query.mode == QueryMode::kTopK &&
-              state->part_results[part].size() == part_query.k) {
-            // A full local top-k lower-bounds the global k-th best with its
-            // weakest member; publish it for parts that start later.
-            uint32_t floor = UINT32_MAX;
-            for (const auto& jc : state->part_results[part]) {
-              floor = std::min(floor, jc.match_count);
-            }
-            uint32_t seen =
-                state->topk_floor.load(std::memory_order_relaxed);
-            while (floor > seen &&
-                   !state->topk_floor.compare_exchange_weak(
-                       seen, floor, std::memory_order_relaxed)) {
-            }
-            // And outward: a raise of the linked global floor lets sibling
-            // shards (and their still-queued parts) prune against it too.
-            if (state->query.floor_link != nullptr &&
-                state->query.floor_link->RaiseTo(floor)) {
-              ++state->part_stats[part].floor_updates_sent;
-            }
-          }
-        } else {
-          status = chunk.status();
-        }
-      } else {
-        CollectSink sink;
-        status = engine_->Execute(state->query, &sink,
-                                  &state->part_stats[part]);
-        // Interruptions keep the engine's partial columns; real failures
-        // drop them (FinalizeLocked applies the same doctrine).
-        state->part_results[part] = std::move(sink).TakeColumns();
-      }
-    } catch (const std::exception& e) {
-      status =
-          Status::Internal(std::string("search task threw: ") + e.what());
-    } catch (...) {
-      status = Status::Internal("search task threw");
-    }
+  Status status;
+  Status thrown;
+  try {
+    // Partitioned engines: the runner checks liveness, shares the kTopK
+    // floor across this query's part tasks and records the part's slot.
+    // A single task: the engine's Execute does all of that itself.
+    status = state->runner != nullptr
+                 ? state->runner->RunPart(part, &state->part_stats[part],
+                                          &state->part_io[part])
+                 : engine_->Execute(state->query, &state->sink,
+                                    &state->part_stats[part]);
+  } catch (const std::exception& e) {
+    thrown = Status::Internal(std::string("search task threw: ") + e.what());
+  } catch (...) {
+    thrown = Status::Internal("search task threw");
   }
-  if (status.interrupted()) {
-    // Publish the interruption so sibling parts still queued behind other
-    // work are dropped at dispatch instead of searching a dead query.
-    state->dead.store(true, std::memory_order_relaxed);
-  }
-  state->part_status[part] = status;
+  if (!thrown.ok()) status = thrown;
 
   // Build the chunk before taking the lock: the slot is still this task's
   // private data (finalize cannot run until our parts_done increment), and
@@ -240,30 +166,31 @@ void ServeSession::RunPart(QueryState* state, size_t part) const {
     chunk.part = part;
     chunk.parts_total = state->parts_total;
     chunk.status = status;
-    chunk.results = state->part_results[part];
+    chunk.results = state->runner != nullptr ? state->runner->columns(part)
+                                             : state->sink.columns();
   }
 
   bool last = false;
   {
     std::lock_guard<std::mutex> lock(state->mu);
+    if (state->failure.ok()) state->failure = thrown;
     last = ++state->parts_done == state->parts_total;
     if (state->on_chunk != nullptr) {
       chunk.last = last;
       // A throwing consumer must not escape into the pool's error slot (it
-      // would surface from an unrelated Wait, or never): it marks this part
-      // — and therefore the query outcome — failed instead. Running the
-      // callback before finalize means even a last-chunk throw is folded in.
+      // would surface from an unrelated Wait, or never): it fails the query
+      // instead. Running the callback before finalize means even a
+      // last-chunk throw is folded in.
       try {
         state->on_chunk(chunk);
       } catch (const std::exception& e) {
-        if (state->part_status[part].ok()) {
-          state->part_status[part] =
-              Status::Internal(std::string("stream callback threw: ") +
-                               e.what());
+        if (state->failure.ok()) {
+          state->failure = Status::Internal(
+              std::string("stream callback threw: ") + e.what());
         }
       } catch (...) {
-        if (state->part_status[part].ok()) {
-          state->part_status[part] = Status::Internal("stream callback threw");
+        if (state->failure.ok()) {
+          state->failure = Status::Internal("stream callback threw");
         }
       }
     }
@@ -286,36 +213,24 @@ void ServeSession::RunPart(QueryState* state, size_t part) const {
 
 void ServeSession::FinalizeLocked(QueryState* state) {
   QueryOutcome& out = state->outcome;
-  // Status precedence: a real failure (environment fault) must not be
-  // masked by another part's cooperative interruption — the caller would
-  // otherwise retry with a bigger deadline instead of learning the index
-  // is broken. Among statuses of the same class, the first part wins.
-  Status first_interruption;
   for (size_t part = 0; part < state->parts_total; ++part) {
     out.stats += state->part_stats[part];
     out.io_seconds += state->part_io[part];
-    const Status& ps = state->part_status[part];
-    if (ps.ok()) continue;
-    if (ps.interrupted()) {
-      if (first_interruption.ok()) first_interruption = ps;
-    } else if (out.status.ok()) {
-      out.status = ps;
-    }
   }
-  if (out.status.ok()) out.status = first_interruption;
-  // Interruptions (cancel/deadline) are partial-result statuses: the parts
-  // that completed are merged and delivered alongside the status. Any
-  // other failure keeps the old empty-results contract.
-  if (out.status.ok() || out.status.interrupted()) {
-    for (auto& chunk : state->part_results) {
-      out.results.insert(out.results.end(),
-                         std::make_move_iterator(chunk.begin()),
-                         std::make_move_iterator(chunk.end()));
-    }
-    // In-memory engines return their own (already deterministic) order;
-    // per-part merges need the canonical mode-aware ordering (kTopK chunks
-    // are per-part local top-ks, re-ranked and truncated here).
-    if (state->merge_parts) FinishQueryMerge(state->query, &out.results);
+  CollectSink& sink = state->sink;
+  if (state->runner != nullptr) {
+    state->runner->Finish(&sink, &out.stats);
+    // Every part task is past its runner use; the session keeps the query
+    // state until Drain, so drop the per-part slots now.
+    state->runner.reset();
+  }
+  out.status = sink.status();
+  out.part_statuses = sink.part_statuses();
+  out.results = std::move(sink).TakeColumns();
+  if (!state->failure.ok()) {
+    out.status = state->failure;
+    out.results.clear();
+    out.part_statuses.clear();
   }
   if (state->want_future) state->promise.set_value(out);
 }

@@ -37,7 +37,9 @@ struct StreamChunk {
   size_t part = 0;           ///< which part produced this chunk
   size_t parts_total = 1;    ///< chunk count the query will emit
   bool last = false;         ///< true on the final chunk of the query
-  Status status;             ///< non-OK: this part failed to load/search
+  /// Non-OK: this part failed, was interrupted or dropped, or answered
+  /// degraded (the lake's quarantine notice; results are still valid).
+  Status status;
   /// This part's joinable columns (global column ids, unmerged/unsorted).
   std::vector<JoinableColumn> results;
 };
@@ -45,13 +47,17 @@ struct StreamChunk {
 /// \brief Final outcome of one submitted query.
 struct QueryOutcome {
   Status status;
-  /// Merged results. For a partitioned engine these are byte-identical to a
-  /// serial SearchPartitions call (concatenated in part order, then the
-  /// canonical mode-aware merge: global-column order for the threshold
-  /// modes, rank order for kTopK). When status is an interruption
+  /// Merged results. For a partitioned engine these are byte-identical to
+  /// the engine's serial Execute (PartRunner: concatenated in part order,
+  /// then the canonical mode-aware merge — global-column order for the
+  /// threshold modes, rank order for kTopK). When status is an interruption
   /// (Cancelled / DeadlineExceeded) this holds the completed parts'
-  /// columns — valid partial results; on any other failure it is empty.
+  /// columns — valid partial results; on a failure it is empty.
   std::vector<JoinableColumn> results;
+  /// Degraded parts in part order, exactly what the serial Execute reports
+  /// through ResultSink::OnPartStatus: an OK status with entries here means
+  /// "partial results, and this is what is missing".
+  std::vector<std::pair<size_t, Status>> part_statuses;
   /// Counters accumulated in part order — deterministic at any thread count.
   SearchStats stats;
   /// Time spent blocked on partition IO (0 for in-memory engines).
@@ -70,17 +76,18 @@ using OutcomeCallback = std::function<void(const QueryOutcome&)>;
 ///
 /// Queries are accepted without blocking (Submit returns a future,
 /// SubmitStreaming a ticket) and fan out across a ThreadPool. For an engine
-/// that also implements PartitionedJoinEngine, each query becomes one task
-/// per part, so a single query overlaps the IO and search of all its
-/// partitions — and with an IndexCache attached to the engine, concurrent
-/// queries share each part's single load. Other engines run as one task.
+/// that also implements PartitionedJoinEngine, each query becomes one
+/// PartRunner task per part, so a single query overlaps the IO and search
+/// of all its partitions — and with an IndexCache attached to the engine,
+/// concurrent queries share each part's single load. Other engines run as
+/// one task.
 ///
 /// Streaming: SubmitStreaming's callback fires once per part as that part
 /// completes (parts race, so chunk order is nondeterministic — consumers
 /// needing the deterministic merge read the drained outcome). Callbacks of
 /// one query are serialized; different queries' callbacks may run
-/// concurrently on pool threads. A callback that throws marks its query's
-/// outcome failed (Status::Internal) rather than leaking the exception
+/// concurrently on pool threads. A callback (or search) that throws fails
+/// its query's outcome (Status::Internal) rather than leaking the exception
 /// into the pool.
 ///
 /// Determinism contract (the BatchQueryRunner contract, extended): Drain()
@@ -105,13 +112,12 @@ class ServeSession {
 
   /// Submits a request; the future resolves when every part has completed.
   /// `query.vectors` is borrowed and must stay alive until the query
-  /// finishes. Deadline/cancel controls are honored per part task: a part
-  /// whose query tripped before it started is skipped outright (the pool
-  /// never burns time on a dead query) and the outcome carries the
-  /// interruption status with the completed parts as partial results.
-  /// kTopK requests share the running k-th-best bound across the query's
-  /// part tasks: each completed part raises the floor later-starting parts
-  /// prune against.
+  /// finishes. Each part task runs through the query's PartRunner, so
+  /// deadlines, cancellation, the kTopK floor and part failures follow the
+  /// same policy as the engine's serial Execute: a part whose query tripped
+  /// before it started is dropped (the pool never burns time on a dead
+  /// query), completed parts are kept as partial results, a failed part is
+  /// reported in part_statuses while the rest is served.
   std::future<QueryOutcome> Submit(JoinQuery query);
 
   /// Streaming submit: per-part chunks via `on_chunk` (local top-k
@@ -151,12 +157,12 @@ class ServeSession {
                    OutcomeCallback on_outcome, bool want_future,
                    std::future<QueryOutcome>* future_out);
 
-  /// Pool task: search one part of one query, emit its chunk, and finalize
+  /// Pool task: run one part of one query, emit its chunk, and finalize
   /// the query when this was the last outstanding part.
   void RunPart(QueryState* state, size_t part) const;
 
-  /// Merges per-part slots in part order into the outcome (determinism) and
-  /// fulfills the future. Caller holds state->mu.
+  /// Finishes the query's runner (part-order merge and failure policy) into
+  /// the outcome and fulfills the future. Caller holds state->mu.
   static void FinalizeLocked(QueryState* state);
 
   const JoinSearchEngine* engine_;

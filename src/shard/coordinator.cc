@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -10,19 +11,11 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/part_runner.h"
 
 namespace pexeso::shard {
 
 namespace {
-
-/// Request-class failures: retrying them on a replica would return the
-/// same answer (they describe the query, not the node), and degrading
-/// would mask a caller bug — they fail the whole query.
-bool IsFatalStatus(const Status& s) {
-  return s.code() == Status::Code::kInvalidArgument ||
-         s.code() == Status::Code::kNotSupported ||
-         s.code() == Status::Code::kNotFound;
-}
 
 /// What one shard's dispatch loop concluded.
 struct ShardResult {
@@ -224,61 +217,51 @@ Status ShardedEngine::Execute(const JoinQuery& query, ResultSink* sink,
   }
   for (std::thread& t : shard_threads) t.join();
 
-  // Request-class failures veto everything (first such shard in shard
-  // order), before any column or part status is emitted.
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    if (!results[shard].won && results[shard].fatal) {
-      const Status st = results[shard].last_error;
-      sink->OnDone(st);
-      return st;
-    }
-  }
-
-  // Deterministic gather in shard order: stats, degraded part statuses,
-  // first interruption, and the concatenated columns for the one canonical
+  // Deterministic gather in shard order into the one failure policy:
+  // request-class failures veto everything, dead shards degrade each of
+  // their parts, and shard columns are concatenated for the one canonical
   // merge.
-  std::vector<JoinableColumn> merged;
-  Status first_interruption;
-  bool any_degraded = false;
+  PartsOutcome outcome;
+  const uint64_t partial_before = stats->partial_responses;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     ShardResult& sr = results[shard];
     stats->scatters += sr.attempts;
     stats->hedged_requests += sr.hedges;
     stats->failovers += sr.failovers;
+    if (!sr.won && sr.fatal) {
+      if (outcome.fatal.ok()) outcome.fatal = sr.last_error;
+      continue;
+    }
     if (!sr.won) {
       // No replica healthy: the shard's whole part range is missing.
-      // Surface each owned part and keep serving the rest (degraded-mode
-      // contract, same as a quarantined lake part).
       ++stats->shards_degraded;
-      any_degraded = true;
-      const size_t owned = map.OwnedCount(shard);
-      for (size_t local = 0; local < owned; ++local) {
-        sink->OnPartStatus(map.GlobalPart(shard, local), sr.last_error);
+      for (size_t local = 0; local < map.OwnedCount(shard); ++local) {
+        outcome.degraded.emplace_back(map.GlobalPart(shard, local),
+                                      sr.last_error);
       }
       continue;
     }
     *stats += sr.outcome.stats;
     for (const auto& [local, st] : sr.outcome.part_statuses) {
-      sink->OnPartStatus(map.GlobalPart(shard, local), st);
+      outcome.degraded.emplace_back(map.GlobalPart(shard, local), st);
     }
-    if (sr.outcome.status.interrupted() && first_interruption.ok()) {
-      first_interruption = sr.outcome.status;
+    if (sr.outcome.status.interrupted()) {
+      if (outcome.interruption.ok()) outcome.interruption = sr.outcome.status;
+    } else if (map.OwnedCount(shard) > 0) {
+      outcome.answered = true;
     }
-    merged.insert(merged.end(),
-                  std::make_move_iterator(sr.outcome.columns.begin()),
-                  std::make_move_iterator(sr.outcome.columns.end()));
+    outcome.columns.insert(
+        outcome.columns.end(),
+        std::make_move_iterator(sr.outcome.columns.begin()),
+        std::make_move_iterator(sr.outcome.columns.end()));
   }
-  if (any_degraded) ++stats->partial_responses;
+  // Shards counted their own partial answers; the query counts once.
+  stats->partial_responses = partial_before;
   stats->floor_updates_sent += floor_sent.load(std::memory_order_relaxed);
   stats->floor_updates_received +=
       floor_received.load(std::memory_order_relaxed);
   stats->shard_bytes_moved += bytes_moved.load(std::memory_order_relaxed);
-
-  const Status final_st = first_interruption;  // OK when nothing tripped
-  FinishQueryMerge(query, &merged);
-  for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  return DeliverParts(query, std::move(outcome), sink, stats);
 }
 
 }  // namespace pexeso::shard

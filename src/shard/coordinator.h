@@ -31,13 +31,13 @@ struct ShardedOptions {
 /// Robustness: an attempt failing with a transient/environment status
 /// (IoError, Corruption, Internal, ResourceExhausted) fails over to the
 /// shard's next replica; when no replica is left the shard is served
-/// degraded — OnPartStatus for each of its parts, OK final status, partial
-/// results — mirroring the PR 7 degraded-lake contract. A request-class
-/// failure (InvalidArgument, NotSupported, NotFound) fails the whole query
-/// instead: a malformed query must not be masked as a degraded answer.
-/// Interruptions (Cancelled / DeadlineExceeded) follow the partitioned
-/// doctrine — first interrupted shard in shard order decides the final
-/// status, completed shards' columns are delivered as partial results.
+/// degraded — OnPartStatus for each of its parts. The gather then applies
+/// the same failure policy as every partitioned engine (DeliverParts in
+/// core/part_runner.h): a request-class failure (IsFatalStatus) fails the
+/// whole query, the first interrupted shard decides an interruption with
+/// completed shards' columns as partial results, degraded parts are
+/// reported in global part order, and the query fails with the first
+/// failure only when no part answered.
 ///
 /// Determinism: shard results are concatenated in shard order and merged
 /// with one FinishQueryMerge, so the output is byte-identical to the

@@ -1,10 +1,9 @@
 #include "shard/part_subset.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
+#include "core/part_runner.h"
 
 namespace pexeso::shard {
 
@@ -32,73 +31,21 @@ Result<std::vector<JoinableColumn>> PartSubsetEngine::SearchPart(
                                  preloaded);
 }
 
+Result<std::vector<JoinableColumn>> PartSubsetEngine::SearchPartWithNotice(
+    size_t part, const JoinQuery& query, SearchStats* stats,
+    double* io_seconds, const PartHandle& preloaded, Status* notice) const {
+  PEXESO_CHECK(part < owned_.size());
+  return base_parts_->SearchPartWithNotice(owned_[part], query, stats,
+                                           io_seconds, preloaded, notice);
+}
+
 bool PartSubsetEngine::PartsStayResident() const {
   return base_parts_->PartsStayResident();
 }
 
 Status PartSubsetEngine::Execute(const JoinQuery& jq, ResultSink* sink,
                                  SearchStats* stats) const {
-  PEXESO_CHECK(jq.vectors != nullptr);
-  PEXESO_CHECK(sink != nullptr);
-  SearchStats local;
-  if (stats == nullptr) stats = &local;
-  const bool topk_mode = jq.mode == QueryMode::kTopK;
-
-  std::vector<JoinableColumn> merged;
-  // Cross-part kTopK pushdown within the subset, exactly as the unsharded
-  // PartitionedPexeso::Execute runs it across all parts.
-  TopKBound bound(jq.k, jq.topk_floor);
-  Status final_st;
-  for (size_t part = 0; part < owned_.size(); ++part) {
-    Status live = jq.CheckLive();
-    if (!live.ok()) {
-      ++stats->deadline_expired;
-      final_st = live;
-      break;
-    }
-    JoinQuery part_jq = jq;
-    if (topk_mode) {
-      uint32_t seed = bound.bound();
-      if (jq.floor_link != nullptr) {
-        // Sibling shards may have raised the global floor past anything
-        // this subset has seen; prune against the max of both.
-        const uint32_t ext = jq.floor_link->load();
-        if (ext > seed) {
-          seed = ext;
-          ++stats->floor_updates_received;
-        }
-      }
-      part_jq.topk_floor = seed;
-    }
-    auto chunk = SearchPart(part, part_jq, stats, nullptr, nullptr);
-    if (!chunk.ok()) {
-      final_st = chunk.status();
-      // Interruption keeps completed parts as partial results; a real
-      // failure returns bare (the PartitionedPexeso doctrine).
-      if (!final_st.interrupted()) {
-        sink->OnDone(final_st);
-        return final_st;
-      }
-      break;
-    }
-    auto results = std::move(chunk).ValueOrDie();
-    if (topk_mode) {
-      for (const auto& jc : results) bound.Offer(jc.match_count);
-      if (jq.floor_link != nullptr && results.size() == jq.k) {
-        uint32_t floor = UINT32_MAX;
-        for (const auto& jc : results) {
-          floor = std::min(floor, jc.match_count);
-        }
-        if (jq.floor_link->RaiseTo(floor)) ++stats->floor_updates_sent;
-      }
-    }
-    merged.insert(merged.end(), std::make_move_iterator(results.begin()),
-                  std::make_move_iterator(results.end()));
-  }
-  FinishQueryMerge(jq, &merged);
-  for (auto& jc : merged) sink->OnColumn(std::move(jc));
-  sink->OnDone(final_st);
-  return final_st;
+  return PartRunner::RunParts(*this, jq, sink, stats);
 }
 
 }  // namespace pexeso::shard

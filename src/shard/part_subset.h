@@ -28,10 +28,9 @@ class PartSubsetEngine : public JoinSearchEngine, public PartitionedJoinEngine {
 
   const char* name() const override { return "part-subset"; }
 
-  /// Serial owned-part loop mirroring PartitionedPexeso::Execute exactly:
-  /// cross-part kTopK bound, partial results on interruption, bare status
-  /// on a real failure — plus the floor-link adoption/publication a shard
-  /// execution needs (JoinQuery::floor_link).
+  /// The serial owned-part loop, PartRunner::RunParts — the same loop,
+  /// floor rule and failure policy as the unsharded engine. Part ids in
+  /// OnPartStatus are LOCAL; the coordinator maps them to global ids.
   Status Execute(const JoinQuery& query, ResultSink* sink,
                  SearchStats* stats) const override;
 
@@ -42,6 +41,10 @@ class PartSubsetEngine : public JoinSearchEngine, public PartitionedJoinEngine {
   Result<std::vector<JoinableColumn>> SearchPart(
       size_t part, const JoinQuery& query, SearchStats* stats,
       double* io_seconds, const PartHandle& preloaded) const override;
+  Result<std::vector<JoinableColumn>> SearchPartWithNotice(
+      size_t part, const JoinQuery& query, SearchStats* stats,
+      double* io_seconds, const PartHandle& preloaded,
+      Status* notice) const override;
   bool PartsStayResident() const override;
 
   const std::vector<size_t>& owned_parts() const { return owned_; }

@@ -43,8 +43,8 @@ struct ShardAttemptOutcome {
   /// kTopK, its column-ordered results otherwise. Per-shard merging loses
   /// nothing — every global top-k member is in its own shard's local top-k.
   std::vector<JoinableColumn> columns;
-  /// Parts (LOCAL indices within the shard) that reported a non-OK chunk
-  /// status while the attempt itself stayed OK (lake degraded serving).
+  /// The shard's degraded parts (LOCAL indices within the shard): what its
+  /// own failure policy reported through OnPartStatus.
   std::vector<std::pair<size_t, Status>> part_statuses;
   /// The shard's execution counters for this attempt.
   SearchStats stats;

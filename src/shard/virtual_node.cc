@@ -1,7 +1,6 @@
 #include "shard/virtual_node.h"
 
 #include <algorithm>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -62,26 +61,10 @@ ShardAttemptOutcome VirtualShardRouter::RunAttempt(size_t shard,
     attempt.floor_link = ctx.floor;
   }
 
-  // Chunk callbacks of one query are serialized by the session, and the
-  // outcome callback fires strictly after the last one, so the plain
-  // vector needs no lock; RunAttempt blocks until the outcome callback, so
-  // the captured references outlive every callback.
-  std::vector<std::pair<size_t, Status>> part_statuses;
-  std::promise<serve::QueryOutcome> done;
-  auto future = done.get_future();
-  node.session->SubmitStreaming(
-      attempt,
-      [&part_statuses](const serve::StreamChunk& chunk) {
-        if (!chunk.status.ok()) {
-          part_statuses.emplace_back(chunk.part, chunk.status);
-        }
-      },
-      [&done](const serve::QueryOutcome& outcome) { done.set_value(outcome); });
-  serve::QueryOutcome outcome = future.get();
-
+  serve::QueryOutcome outcome = node.session->Submit(attempt).get();
   out.status = outcome.status;
   out.stats = outcome.stats;
-  out.part_statuses = std::move(part_statuses);
+  out.part_statuses = std::move(outcome.part_statuses);
   if (out.status.ok() || out.status.interrupted()) {
     out.columns = std::move(outcome.results);
   }

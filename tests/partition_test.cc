@@ -4,6 +4,7 @@
 #include <set>
 
 #include "baseline/naive_searcher.h"
+#include "core/part_runner.h"
 #include "partition/histogram.h"
 #include "partition/partitioned_pexeso.h"
 #include "partition/partitioner.h"
@@ -158,9 +159,11 @@ TEST(PartitionedPexesoTest, SearchEqualsInMemorySearch) {
   sopts.thresholds = th;
   double io = 0.0;
   SearchStats stats;
-  auto merged = built.value().SearchPartitions(BindQuery(query, sopts), &stats, &io);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(ResultColumns(merged.value()), expected);
+  CollectSink merged;
+  ASSERT_TRUE(PartRunner::RunParts(built.value(), BindQuery(query, sopts),
+                                   &merged, &stats, &io)
+                  .ok());
+  EXPECT_EQ(ResultColumns(merged.columns()), expected);
   EXPECT_GT(io, 0.0);
   fs::remove_all(dir);
 }

@@ -1,8 +1,8 @@
 // Serving-layer tests: IndexCache budget/LRU/pinning/single-flight
 // semantics, ServeSession streaming-vs-batch equivalence, and the
 // determinism acceptance contract — ServeSession and the partition-major
-// batch loop must be byte-identical to serial SearchPartitions at any
-// thread count and any cache budget.
+// batch loop must be byte-identical to the serial Execute at any thread
+// count and any cache budget, degraded parts included.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -14,7 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/batch_runner.h"
+#include "core/part_runner.h"
 #include "partition/partitioned_pexeso.h"
 #include "partition/partitioner.h"
 #include "serve/index_cache.h"
@@ -375,8 +377,9 @@ TEST_F(ServeTest, CorruptPartitionFileIsRejectedByChecksum) {
 
 TEST_F(ServeTest, FailedPartitionLoadStillReportsIoSeconds) {
   namespace fs = std::filesystem;
-  // A partition dir whose part-1 is truncated mid-payload: SearchPartitions
-  // fails, but the io accounting of the attempted loads must survive.
+  // A partition dir whose part-1 is truncated mid-payload: the query is
+  // served degraded (part 1 reported, part 0 answered), and the io
+  // accounting covers both the good load and the failed attempt.
   const std::string dir = ::testing::TempDir() + "/serve_broken";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -387,10 +390,16 @@ TEST_F(ServeTest, FailedPartitionLoadStillReportsIoSeconds) {
   auto opened = PartitionedPexeso::Open(dir, metric_);
   ASSERT_TRUE(opened.ok());
   VectorStore query = MakeClusteredQuery(9200, kDim, 12);
-  double io = -1.0;
+  double io = 0.0;
   SearchStats stats;
-  auto result = opened.value().SearchPartitions(BindQuery(query, MakeJoinQuery(query.size())), &stats, &io);
-  EXPECT_FALSE(result.ok());
+  CollectSink sink;
+  const Status st =
+      PartRunner::RunParts(opened.value(), BindQuery(query, MakeJoinQuery(query.size())),
+                           &sink, &stats, &io);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(sink.part_statuses().size(), 1u);
+  EXPECT_EQ(sink.part_statuses()[0].first, 1u);
+  EXPECT_EQ(stats.partial_responses, 1u);
   EXPECT_GT(io, 0.0);  // part-0's load plus the failed part-1 attempt
   fs::remove_all(dir);
 }
@@ -404,10 +413,8 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
   VectorStore query = MakeClusteredQuery(9300, kDim, 14);
   const JoinQuery sopts = MakeJoinQuery(query.size());
 
-  double io = 0.0;
   SearchStats serial_stats;
-  auto serial =
-      parts.SearchPartitions(BindQuery(query, sopts), &serial_stats, &io);
+  auto serial = ExecuteCollect(parts, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
@@ -445,8 +452,8 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
   }
 }
 
-// The acceptance contract: ServeSession output byte-identical to serial
-// SearchPartitions at any thread count and any cache budget — including a
+// The acceptance contract: ServeSession output byte-identical to the serial
+// Execute at any thread count and any cache budget — including a
 // budget too small to hold a single partition, and no cache at all.
 TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
   PartitionedPexeso oracle = OpenParts();
@@ -459,8 +466,8 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
   std::vector<SearchStats> expected_stats(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     sopts.push_back(MakeJoinQuery(queries[i].size()));
-    auto serial = oracle.SearchPartitions(BindQuery(queries[i], sopts[i]),
-                                          &expected_stats[i], nullptr);
+    auto serial = ExecuteCollect(oracle, BindQuery(queries[i], sopts[i]),
+                                 &expected_stats[i]);
     ASSERT_TRUE(serial.ok());
     expected.push_back(std::move(serial).ValueOrDie());
   }
@@ -506,12 +513,12 @@ TEST_F(ServeTest, IntraQueryShardsStayByteIdenticalInSessions) {
   // most one thread per partition. With intra_query_threads the session
   // shards the verification WITHIN each partition's search — and the
   // outcome (results and stats counters) must stay byte-identical to the
-  // serial SearchPartitions oracle.
+  // serial Execute oracle.
   PartitionedPexeso oracle = OpenParts();
   VectorStore query = MakeClusteredQuery(9700, kDim, 48);
   const JoinQuery sopts = MakeJoinQuery(query.size());
   SearchStats serial_stats;
-  auto serial = oracle.SearchPartitions(BindQuery(query, sopts), &serial_stats, nullptr);
+  auto serial = ExecuteCollect(oracle, BindQuery(query, sopts), &serial_stats);
   ASSERT_TRUE(serial.ok());
 
   for (size_t intra : {size_t{2}, size_t{4}}) {
@@ -597,7 +604,7 @@ TEST_F(ServeTest, SessionsShareOnePoolViaTaskGroups) {
   parts.AttachCache(&cache);
   VectorStore query = MakeClusteredQuery(9600, kDim, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
-  auto serial = parts.SearchPartitions(BindQuery(query, sopts), nullptr, nullptr);
+  auto serial = ExecuteCollect(parts, BindQuery(query, sopts));
   ASSERT_TRUE(serial.ok());
 
   ThreadPool pool(4);
@@ -622,6 +629,12 @@ TEST_F(ServeTest, SessionReportsPartFailuresAsStatus) {
   ASSERT_TRUE(opened.ok());
   VectorStore query = MakeClusteredQuery(9700, kDim, 12);
   const JoinQuery sopts = MakeJoinQuery(query.size());
+  // The degraded shape is the serial Execute's: part 1 reported, part 0's
+  // columns served, OK final status.
+  CollectSink serial;
+  ASSERT_TRUE(opened.value().Execute(BindQuery(query, sopts), &serial,
+                                     nullptr).ok());
+  ASSERT_EQ(serial.part_statuses().size(), 1u);
   ServeSession session(&opened.value(), {.num_threads = 2});
   std::mutex mu;
   size_t failed_chunks = 0;
@@ -631,8 +644,13 @@ TEST_F(ServeTest, SessionReportsPartFailuresAsStatus) {
   });
   auto outcomes = session.Drain();
   ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].status.ok());
-  EXPECT_TRUE(outcomes[0].results.empty());
+  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
+  ExpectIdenticalResults(outcomes[0].results, serial.columns());
+  ASSERT_EQ(outcomes[0].part_statuses.size(), 1u);
+  EXPECT_EQ(outcomes[0].part_statuses[0].first, 1u);
+  EXPECT_EQ(outcomes[0].part_statuses[0].second.code(),
+            serial.part_statuses()[0].second.code());
+  EXPECT_EQ(outcomes[0].stats.partial_responses, 1u);
   EXPECT_EQ(failed_chunks, 1u);
   EXPECT_GT(outcomes[0].io_seconds, 0.0);  // io accounted despite the error
   fs::remove_all(dir);
@@ -676,8 +694,8 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
   std::vector<std::vector<JoinableColumn>> serial;
   SearchStats serial_stats;
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto r = parts.SearchPartitions(BindQuery(queries[i], sopts[i]),
-                                    &serial_stats);
+    auto r = ExecuteCollect(parts, BindQuery(queries[i], sopts[i]),
+                            &serial_stats);
     ASSERT_TRUE(r.ok());
     serial.push_back(std::move(r).ValueOrDie());
   }
@@ -721,6 +739,55 @@ TEST_F(ServeTest, PartitionMajorWithCacheLoadsEachPartitionOncePerBatch) {
   ASSERT_EQ(batch.results.size(), queries.size());
   EXPECT_EQ(cache.stats().misses, kParts);
 }
+
+#ifndef PEXESO_NO_FAILPOINTS
+TEST_F(ServeTest, PartitionMajorLoadFailureDegradesEveryQueryOfTheWave) {
+  // Part 0's one shared load fails: every query of the wave must record
+  // part 0 as degraded and still get parts 1..3 — the serial Execute's
+  // answer under the same fault — instead of aborting the process.
+  PartitionedPexeso parts = OpenParts();
+  IndexCache cache({.budget_bytes = 0, .shard_bits = 0});
+  parts.AttachCache(&cache);
+  std::vector<VectorStore> queries;
+  std::vector<JoinQuery> jqs;
+  for (size_t i = 0; i < 6; ++i) {
+    queries.push_back(MakeClusteredQuery(9950 + i, kDim, 10));
+    JoinQuery jq = MakeJoinQuery(10);
+    if (i % 2 == 1) {
+      jq.mode = QueryMode::kTopK;
+      jq.k = 5;
+    }
+    jqs.push_back(jq);
+  }
+  std::vector<CollectSink> serial(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    FailpointRegistry::Instance().Arm("cache:load",
+                                      {FailAction::kIoError, 0, 1, 0});
+    ASSERT_TRUE(
+        parts.Execute(BindQuery(queries[i], jqs[i]), &serial[i], nullptr)
+            .ok());
+  }
+
+  FailpointRegistry::Instance().Arm("cache:load",
+                                    {FailAction::kIoError, 0, 1, 0});
+  BatchQueryRunner runner(
+      &parts, {.num_threads = 4,
+               .partition_mode = BatchPartitionMode::kPartitionMajor});
+  BatchResult batch = runner.Run(BindQueries(queries, jqs));
+  FailpointRegistry::Instance().DisarmAll();
+  ASSERT_EQ(batch.results.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query=" + std::to_string(i));
+    EXPECT_TRUE(batch.statuses[i].ok()) << batch.statuses[i].ToString();
+    ASSERT_EQ(batch.part_statuses[i].size(), 1u);
+    EXPECT_EQ(batch.part_statuses[i][0].first, 0u);
+    EXPECT_EQ(batch.part_statuses[i][0].second.code(),
+              Status::Code::kIoError);
+    ExpectIdenticalResults(batch.results[i], serial[i].columns());
+  }
+  EXPECT_EQ(batch.stats.partial_responses, queries.size());
+}
+#endif  // !PEXESO_NO_FAILPOINTS
 
 }  // namespace
 }  // namespace pexeso

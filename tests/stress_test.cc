@@ -131,11 +131,6 @@ TEST(PartitionedEngineTest, PexesoHEngineMatchesNaive) {
   ASSERT_TRUE(parts.ok());
   JoinQuery sopts;
   sopts.thresholds = th;
-  auto via_h = parts.value().SearchPartitions(BindQuery(query, sopts), nullptr, nullptr, PartitionedPexeso::Engine::kPexesoH);
-  ASSERT_TRUE(via_h.ok());
-  EXPECT_EQ(ResultColumns(via_h.value()), expected);
-
-  // The same variant through the unified engine interface.
   parts.value().set_engine(PartitionedPexeso::Engine::kPexesoH);
   const JoinSearchEngine& engine = parts.value();
   EXPECT_EQ(ResultColumns(MustSearch(engine, query, sopts, nullptr)), expected);

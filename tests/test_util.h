@@ -38,7 +38,7 @@ inline std::vector<JoinableColumn> MustSearch(const JoinSearchEngine& engine,
 }
 
 /// Returns `jq` with its vectors field pointed at `query` — the one-liner
-/// for APIs that take a fully-bound JoinQuery (SearchPartitions, Submit,
+/// for APIs that take a fully-bound JoinQuery (PartRunner::RunParts, Submit,
 /// SubmitStreaming). `query` must outlive the returned request.
 inline JoinQuery BindQuery(const VectorStore& query, JoinQuery jq) {
   jq.vectors = &query;

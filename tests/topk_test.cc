@@ -469,8 +469,8 @@ TEST_F(QueryApiEngineMatrixTest, ServeSessionReportsInterruptionAndRecovers) {
   ASSERT_TRUE(alive_outcome.status.ok());
   JoinQuery serial_jq;
   serial_jq.thresholds = thresholds_;
-  auto serial = partitioned_->SearchPartitions(
-      testing::BindQuery(query_, serial_jq), nullptr);
+  auto serial =
+      ExecuteCollect(*partitioned_, testing::BindQuery(query_, serial_jq));
   ASSERT_TRUE(serial.ok());
   ExpectByteIdentical(alive_outcome.results, serial.value(),
                       "serve after cancel");

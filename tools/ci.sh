@@ -262,12 +262,15 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # would hide, and the quant tier's int8 kernels run under UBSan here.
   # shard_test joins for the coordinator: hedge losers are cancelled and
   # joined while the winner's outcome is being moved out — exactly where a
-  # use-after-scope on the attempt frame would live.
+  # use-after-scope on the attempt frame would live. part_conformance_test
+  # joins for the truncated-snapshot matrix driven through every
+  # partitioned entry point, wire and shard paths included.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
-    topk_test lake_test fault_test net_test snapshot_test shard_test
+    topk_test lake_test fault_test net_test snapshot_test shard_test \
+    part_conformance_test
   ctest --test-dir "$SAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test)$'
+    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_conformance_test)$'
 fi
 
 if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
@@ -292,10 +295,13 @@ if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
   # updated across shard locks. shard_test joins for the scatter-gather
   # choreography: the CAS-max floor cell raised from every shard at once,
   # racing replica attempts committing to one HedgeState, and the gather
-  # loop's cancellation fan-out — the PR's new cross-thread surface.
+  # loop's cancellation fan-out. part_conformance_test joins for the
+  # PartRunner's shared per-query state: part tasks seeding and raising the
+  # kTopK bound concurrently and the stop flag read across pool threads.
   cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target pipeline_test batch_runner_test serve_test common_test \
-    topk_test lake_test net_test snapshot_test shard_test
+    topk_test lake_test net_test snapshot_test shard_test \
+    part_conformance_test
   ctest --test-dir "$TSAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(pipeline_test|batch_runner_test|serve_test|common_test|topk_test|lake_test|net_test|snapshot_test|shard_test)$'
+    -R '^(pipeline_test|batch_runner_test|serve_test|common_test|topk_test|lake_test|net_test|snapshot_test|shard_test|part_conformance_test)$'
 fi
