@@ -1,20 +1,18 @@
-// bench_snapshot: what snapshot format v2 (flat, mmap) and the int8
-// quantized pre-filter tier buy.
+// bench_snapshot: what the flat mmap snapshot format and the int8
+// quantized pre-filter tier cost and buy.
 //
-//   cold load     wall time of PexesoIndex::Load on a cold cache entry:
-//                 v1 = legacy streamed snapshot (full deserialization into
-//                 heap structures + quant rebuild), v2 = flat snapshot
-//                 (CRC pass + mmap + pointer fixup). Acceptance: v2 >= 3x
-//                 faster.
-//   residency     bytes the IndexCache charges per loaded snapshot, split
-//                 into private heap vs kernel-reclaimable mapped pages.
+//   cold load     wall time of PexesoIndex::Load on a cold cache entry
+//                 (mmap + CRC pass + section validation + view binding).
+//   residency     file size, and the bytes the IndexCache charges per
+//                 loaded snapshot, split into private heap vs
+//                 kernel-reclaimable mapped pages.
 //   quant tier    float distance computations with the pre-filter off vs
 //                 on, over one threshold-query workload. The reduction is
 //                 a counter ratio, not wall time, so it is stable on the
 //                 single-core CI box. Acceptance: >= 30% of float
 //                 distances skipped, results identical.
 //
-// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v1").
+// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v2").
 
 #include <cstdlib>
 #include <filesystem>
@@ -29,13 +27,10 @@ namespace pexeso::bench {
 namespace {
 
 struct SnapshotNumbers {
-  double v1_load_seconds = 0.0;
-  double v2_load_seconds = 0.0;
-  size_t v1_file_bytes = 0;
-  size_t v2_file_bytes = 0;
-  size_t v1_resident_bytes = 0;
-  size_t v2_resident_bytes = 0;
-  size_t v2_mapped_bytes = 0;
+  double load_seconds = 0.0;
+  size_t file_bytes = 0;
+  size_t resident_bytes = 0;
+  size_t mapped_bytes = 0;
   uint64_t dc_off = 0;   ///< float distance computations, quant off
   uint64_t dc_on = 0;    ///< float distance computations, quant on
   uint64_t skips_on = 0; ///< quant-proven skips, quant on
@@ -52,29 +47,23 @@ void WriteSnapshotBenchJson(const VectorLakeOptions& profile, size_t loads,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  const double speedup =
-      n.v1_load_seconds / std::max(n.v2_load_seconds, 1e-9);
   const double reduction =
       n.dc_off == 0 ? 0.0
                     : static_cast<double>(n.skips_on) /
                           static_cast<double>(n.dc_off);
-  std::fprintf(f, "{\n  \"schema\": \"BENCH_snapshot/v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"BENCH_snapshot/v2\",\n");
   std::fprintf(f, "  \"hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"columns\": %u,\n  \"dim\": %u,\n",
                profile.num_columns, profile.dim);
   std::fprintf(f, "  \"cold_loads\": %zu,\n  \"queries\": %zu,\n", loads,
                queries);
+  std::fprintf(f, "  \"cold_load\": {\"seconds\": %.6f},\n",
+               n.load_seconds);
   std::fprintf(f,
-               "  \"cold_load\": {\"v1_seconds\": %.6f, \"v2_seconds\": "
-               "%.6f, \"v2_speedup\": %.2f},\n",
-               n.v1_load_seconds, n.v2_load_seconds, speedup);
-  std::fprintf(f,
-               "  \"bytes\": {\"v1_file\": %zu, \"v2_file\": %zu, "
-               "\"v1_resident\": %zu, \"v2_resident\": %zu, "
-               "\"v2_mapped\": %zu},\n",
-               n.v1_file_bytes, n.v2_file_bytes, n.v1_resident_bytes,
-               n.v2_resident_bytes, n.v2_mapped_bytes);
+               "  \"bytes\": {\"file\": %zu, \"resident\": %zu, "
+               "\"mapped\": %zu},\n",
+               n.file_bytes, n.resident_bytes, n.mapped_bytes);
   std::fprintf(f,
                "  \"quant_prefilter\": {\"distance_computations_off\": "
                "%llu, \"distance_computations_on\": %llu, "
@@ -113,53 +102,38 @@ void SnapshotExperiment(const VectorLakeOptions& profile) {
       (fs::temp_directory_path() / "pexeso_bench_snapshot").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
-  const std::string v1_path = dir + "/legacy.pxso";
-  const std::string v2_path = dir + "/flat.pxso";
+  const std::string path = dir + "/flat.pxso";
 
   L2Metric metric;
   PexesoOptions opts;
   opts.num_pivots = 5;
   opts.levels = 5;
   PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, opts);
-  PEXESO_CHECK(index.SaveLegacy(v1_path).ok());
-  PEXESO_CHECK(index.Save(v2_path).ok());
+  PEXESO_CHECK(index.Save(path).ok());
 
   SnapshotNumbers n;
-  n.v1_file_bytes = static_cast<size_t>(fs::file_size(v1_path));
-  n.v2_file_bytes = static_cast<size_t>(fs::file_size(v2_path));
+  n.file_bytes = static_cast<size_t>(fs::file_size(path));
 
-  // Cold loads: every iteration is a full Load from disk. The heap path
-  // deserializes and re-quantizes; the flat path CRCs and binds views.
+  // Cold loads: every iteration is a full Load from disk.
   const size_t loads = 5;
   for (size_t i = 0; i < loads; ++i) {
-    n.v1_load_seconds += TimeIt([&] {
-      auto loaded = PexesoIndex::Load(v1_path, &metric);
+    n.load_seconds += TimeIt([&] {
+      auto loaded = PexesoIndex::Load(path, &metric);
       PEXESO_CHECK(loaded.ok());
-      n.v1_resident_bytes = serve::IndexCache::ResidentBytes(loaded.value());
-    });
-    n.v2_load_seconds += TimeIt([&] {
-      auto loaded = PexesoIndex::Load(v2_path, &metric);
-      PEXESO_CHECK(loaded.ok());
-      n.v2_resident_bytes = serve::IndexCache::ResidentBytes(loaded.value());
-      n.v2_mapped_bytes = loaded.value().MappedBytes();
+      n.resident_bytes = serve::IndexCache::ResidentBytes(loaded.value());
+      n.mapped_bytes = loaded.value().MappedBytes();
     });
   }
-  n.v1_load_seconds /= static_cast<double>(loads);
-  n.v2_load_seconds /= static_cast<double>(loads);
+  n.load_seconds /= static_cast<double>(loads);
 
-  std::printf("\ncold load (avg of %zu):\n", loads);
-  std::printf("  v1 streamed  %10.2f ms  (%zu bytes on disk, %zu resident)\n",
-              n.v1_load_seconds * 1e3, n.v1_file_bytes, n.v1_resident_bytes);
-  std::printf("  v2 flat      %10.2f ms  (%zu bytes on disk, %zu resident, "
-              "%zu mapped)\n",
-              n.v2_load_seconds * 1e3, n.v2_file_bytes, n.v2_resident_bytes,
-              n.v2_mapped_bytes);
-  std::printf("  v2 speedup   %10.2fx  (acceptance floor: 3x)\n",
-              n.v1_load_seconds / std::max(n.v2_load_seconds, 1e-9));
+  std::printf("\ncold load (avg of %zu): %.2f ms  (%zu bytes on disk, %zu "
+              "resident, %zu mapped)\n",
+              loads, n.load_seconds * 1e3, n.file_bytes, n.resident_bytes,
+              n.mapped_bytes);
 
   // Quant tier: one threshold workload, pre-filter off vs on, over the
   // mapped snapshot. Counters, not wall time.
-  auto loaded = PexesoIndex::Load(v2_path, &metric);
+  auto loaded = PexesoIndex::Load(path, &metric);
   PEXESO_CHECK(loaded.ok());
   PexesoIndex flat = std::move(loaded).ValueOrDie();
   PexesoSearcher engine(&flat);

@@ -10,7 +10,9 @@
 //   counter-based win — meaningful on a 1-core CI box), pairs/sec for
 //   both paths, columns_pruned_topk, and a byte-identical results check.
 //
-// Results go to stdout and BENCH_topk.json ("BENCH_topk/v1"), like the
+// kTopK always verifies a shard's columns in descending upper-bound order.
+//
+// Results go to stdout and BENCH_topk.json ("BENCH_topk/v2"), like the
 // other BENCH_*.json files, so successive PRs track the trajectory.
 
 #include <algorithm>
@@ -29,7 +31,6 @@ struct TopKRow {
   size_t k = 0;
   uint64_t wrapper_dist = 0;
   uint64_t topk_dist = 0;
-  uint64_t unordered_dist = 0;  ///< pushdown with by-upper-bound order off
   uint64_t pruned_columns = 0;
   double wrapper_seconds = 0.0;
   double topk_seconds = 0.0;
@@ -69,7 +70,7 @@ void WriteTopKBenchJson(const std::vector<TopKRow>& rows) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"schema\": \"BENCH_topk/v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"BENCH_topk/v2\",\n");
   std::fprintf(f, "  \"hw_threads\": %u,\n",
                std::max(1u, std::thread::hardware_concurrency()));
   std::fprintf(f, "  \"topk\": [");
@@ -85,9 +86,7 @@ void WriteTopKBenchJson(const std::vector<TopKRow>& rows) {
         "%s\n    {\"k\": %zu, "
         "\"wrapper_distance_computations\": %llu, "
         "\"topk_distance_computations\": %llu, "
-        "\"topk_unordered_distance_computations\": %llu, "
         "\"distance_reduction\": %.2f, "
-        "\"ub_ordering_reduction\": %.2f, "
         "\"columns_pruned_topk\": %llu, "
         "\"wrapper_pairs_per_sec\": %.0f, "
         "\"topk_pairs_per_sec\": %.0f, "
@@ -96,10 +95,7 @@ void WriteTopKBenchJson(const std::vector<TopKRow>& rows) {
         i == 0 ? "" : ",", r.k,
         static_cast<unsigned long long>(r.wrapper_dist),
         static_cast<unsigned long long>(r.topk_dist),
-        static_cast<unsigned long long>(r.unordered_dist),
         static_cast<double>(r.wrapper_dist) /
-            std::max<double>(static_cast<double>(r.topk_dist), 1.0),
-        static_cast<double>(r.unordered_dist) /
             std::max<double>(static_cast<double>(r.topk_dist), 1.0),
         static_cast<unsigned long long>(r.pruned_columns), wrapper_pps,
         topk_pps, r.wrapper_seconds, r.topk_seconds,
@@ -135,9 +131,8 @@ void TopKExperiment() {
   std::printf("\nkTopK pushdown vs verify-everything wrapper "
               "(%zu query columns of %zu vectors, tau=%.3f)\n",
               queries.size(), queries[0].size(), tau);
-  std::printf("%6s %16s %16s %16s %10s %10s %10s\n", "k", "wrapper dist",
-              "topk dist", "unordered dist", "reduction", "pruned",
-              "identical");
+  std::printf("%6s %16s %16s %10s %10s %10s\n", "k", "wrapper dist",
+              "topk dist", "reduction", "pruned", "identical");
 
   std::vector<TopKRow> rows;
   for (size_t k : {size_t{1}, size_t{5}, size_t{25}}) {
@@ -164,23 +159,11 @@ void TopKExperiment() {
       row.topk_dist += tstats.distance_computations;
       row.pruned_columns += tstats.columns_pruned_topk;
       row.identical = row.identical && SameResults(sink.columns(), want);
-
-      // The same pushdown with by-upper-bound candidate ordering disabled:
-      // the gap prices how much sooner likely winners tighten the bound.
-      JoinQuery unordered = jq;
-      unordered.ablation.topk_order_by_ub = false;
-      SearchStats ustats;
-      CollectSink usink;
-      const Status ust = searcher.Execute(unordered, &usink, &ustats);
-      if (!ust.ok()) std::abort();
-      row.unordered_dist += ustats.distance_computations;
-      row.identical = row.identical && SameResults(usink.columns(), want);
     }
     rows.push_back(row);
-    std::printf("%6zu %16llu %16llu %16llu %9.2fx %10llu %10s\n", k,
+    std::printf("%6zu %16llu %16llu %9.2fx %10llu %10s\n", k,
                 static_cast<unsigned long long>(row.wrapper_dist),
                 static_cast<unsigned long long>(row.topk_dist),
-                static_cast<unsigned long long>(row.unordered_dist),
                 static_cast<double>(row.wrapper_dist) /
                     std::max<double>(static_cast<double>(row.topk_dist), 1.0),
                 static_cast<unsigned long long>(row.pruned_columns),

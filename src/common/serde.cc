@@ -210,59 +210,7 @@ Result<BinaryReader> BinaryReader::Open(const std::string& path) {
   return BinaryReader(std::move(in), static_cast<uint64_t>(size));
 }
 
-Status BinaryReader::VerifyChecksum(bool require_footer) {
-  const uint32_t computed = crc_;
-  if (bufp_ != nullptr) {
-    if (remaining_ == 0) {
-      if (require_footer) {
-        return Status::Corruption("snapshot checksum footer missing");
-      }
-      return Status::OK();
-    }
-    uint32_t magic = 0;
-    uint32_t stored = 0;
-    if (remaining_ != sizeof(magic) + sizeof(stored)) {
-      return Status::Corruption("snapshot checksum footer malformed");
-    }
-    std::memcpy(&magic, bufp_, sizeof(magic));
-    std::memcpy(&stored, bufp_ + sizeof(magic), sizeof(stored));
-    if (magic != kChecksumFooterMagic) {
-      return Status::Corruption("snapshot checksum footer malformed");
-    }
-    if (stored != computed) {
-      return Status::Corruption("snapshot checksum mismatch (corrupt file)");
-    }
-    return Status::OK();
-  }
-  uint32_t magic = 0;
-  in_.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (in_.gcount() == 0) {
-    if (require_footer) {
-      return Status::Corruption("snapshot checksum footer missing");
-    }
-    return Status::OK();  // legacy pre-checksum file
-  }
-  if (in_.gcount() < static_cast<std::streamsize>(sizeof(magic)) ||
-      magic != kChecksumFooterMagic) {
-    return Status::Corruption("snapshot checksum footer malformed");
-  }
-  uint32_t stored = 0;
-  in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (in_.gcount() < static_cast<std::streamsize>(sizeof(stored))) {
-    return Status::Corruption("snapshot checksum footer truncated");
-  }
-  if (stored != computed) {
-    return Status::Corruption("snapshot checksum mismatch (corrupt file)");
-  }
-  // The footer is the end of the file; anything after it is not ours.
-  in_.peek();
-  if (!in_.eof()) {
-    return Status::Corruption("trailing bytes after checksum footer");
-  }
-  return Status::OK();
-}
-
-Status VerifyFileChecksum(const std::string& path, bool require_footer) {
+Status VerifyFileChecksum(const std::string& path) {
   PEXESO_RETURN_NOT_OK(FailpointHit("serde:reader:open"));
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for read: " + path);
@@ -273,12 +221,7 @@ Status VerifyFileChecksum(const std::string& path, bool require_footer) {
 
   constexpr std::streamoff kFooterBytes = 2 * sizeof(uint32_t);
   if (size < kFooterBytes) {
-    // Too short to hold a footer at all; only a legacy (pre-footer) file
-    // may be that small, and then there is nothing to verify against.
-    if (require_footer) {
-      return Status::Corruption("snapshot checksum footer missing: " + path);
-    }
-    return Status::OK();
+    return Status::Corruption("snapshot checksum footer missing: " + path);
   }
 
   const uint64_t payload = static_cast<uint64_t>(size - kFooterBytes);
@@ -300,13 +243,7 @@ Status VerifyFileChecksum(const std::string& path, bool require_footer) {
   in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
   if (!in) return Status::IoError("short read verifying: " + path);
   if (magic != kChecksumFooterMagic) {
-    // No footer where one should be. Legacy files simply end at the
-    // payload, which is indistinguishable from this without the header
-    // version — the owner passes require_footer accordingly.
-    if (require_footer) {
-      return Status::Corruption("snapshot checksum footer malformed: " + path);
-    }
-    return Status::OK();
+    return Status::Corruption("snapshot checksum footer malformed: " + path);
   }
   if (stored != crc) {
     return Status::Corruption("snapshot checksum mismatch (corrupt file): " +

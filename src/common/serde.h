@@ -18,16 +18,16 @@ namespace pexeso {
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t n);
 
 /// Footer marker written after the payload by WriteChecksumFooter
-/// ("1CRC" little-endian). Files written before the footer existed simply
-/// end at the payload, which VerifyChecksum accepts as legacy.
+/// ("1CRC" little-endian).
 inline constexpr uint32_t kChecksumFooterMagic = 0x43524331u;
 
 /// Streams the file at `path` and validates its trailing checksum footer
 /// against every payload byte, WITHOUT deserializing anything — the cheap
-/// integrity pass recovery and fsck run over each referenced snapshot.
-/// `require_footer` follows the same legacy rule as
-/// BinaryReader::VerifyChecksum.
-Status VerifyFileChecksum(const std::string& path, bool require_footer);
+/// integrity pass recovery and fsck run over each referenced snapshot. The
+/// footer is mandatory: a file without one, one whose last 8 bytes are not
+/// a footer (trailing bytes after it included) or a CRC mismatch is
+/// Corruption; a failed open or read is IoError.
+Status VerifyFileChecksum(const std::string& path);
 
 /// \brief Little binary writer for the partition files used by the
 /// out-of-core search path. The format is a private on-disk format (magic +
@@ -40,7 +40,8 @@ Status VerifyFileChecksum(const std::string& path, bool require_footer);
 ///
 /// Every byte written feeds a running CRC-32; serializers that want
 /// end-to-end corruption detection call WriteChecksumFooter() last, and
-/// their readers call BinaryReader::VerifyChecksum() after the payload.
+/// their readers check it with VerifyFileChecksum (or one CRC pass over a
+/// mapped buffer) before trusting the payload.
 ///
 /// Failpoints: "serde:writer:open" (IoError on Open), "serde:writer:close"
 /// (IoError on Close — a disk filling up at flush), "serde:writer:corrupt"
@@ -173,17 +174,9 @@ class BinaryReader {
     return ReadRaw(v->data(), n * sizeof(T), "truncated vector");
   }
 
-  /// Bytes not yet consumed (buffer readers: span bytes left).
+  /// Bytes not yet consumed (buffer readers: span bytes left). Parsers
+  /// bound every element count by this before sizing anything.
   uint64_t remaining() const { return remaining_; }
-
-  /// Call after consuming the whole payload. Checks the CRC-32 footer: a
-  /// malformed footer, trailing bytes after it, or a CRC mismatch is
-  /// Corruption. A clean EOF instead of a footer passes only when
-  /// `require_footer` is false (the legacy pre-checksum allowance) — format
-  /// owners that version their headers pass true for post-footer versions,
-  /// so a file truncated exactly at the footer boundary cannot masquerade
-  /// as legacy.
-  Status VerifyChecksum(bool require_footer = false);
 
  private:
   BinaryReader(std::ifstream in, uint64_t size)
@@ -205,14 +198,12 @@ class BinaryReader {
       if (!in_) return Status::Corruption(what);
     }
     remaining_ -= n;
-    crc_ = Crc32Update(crc_, p, n);
     return Status::OK();
   }
 
   std::ifstream in_;
   const uint8_t* bufp_ = nullptr;  ///< non-null => buffer backend
   uint64_t remaining_ = 0;  ///< bytes of file/span not yet consumed
-  uint32_t crc_ = 0;
 };
 
 }  // namespace pexeso

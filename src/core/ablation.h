@@ -17,12 +17,6 @@ struct AblationConfig {
   /// quantized bound only ever decides pairs it provably decides correctly,
   /// so — like every other switch — results are identical on or off.
   bool use_quant_prefilter = true;
-  /// kTopK only: verify a shard's columns in descending upper-bound order
-  /// (candidate-count = achievable match count) instead of ascending id, so
-  /// likely winners run first and the k-th-best bound tightens sooner.
-  /// Pruning is strict-beat and order-insensitive, so results are identical
-  /// on or off; only the prune counters improve.
-  bool topk_order_by_ub = true;
 };
 
 }  // namespace pexeso

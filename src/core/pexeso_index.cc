@@ -16,14 +16,10 @@ namespace pexeso {
 
 namespace {
 constexpr uint32_t kMagic = 0x5058534Fu;  // "PXSO"
-// v1: streamed, no checksum footer. v2: streamed, CRC-32 footer required
-// (so a truncation that removes exactly the footer cannot masquerade as a
-// legacy file). v3: flat section-table layout (snapshot format v2 in the
-// docs): page-aligned sections the loader mmaps and binds zero-copy, same
-// CRC-32 footer over every payload byte.
+// The flat section-table layout: 64-byte-aligned sections the loader mmaps
+// and binds zero-copy, CRC-32 footer over every payload byte. Disk versions
+// 1 and 2 were streamed layouts that are no longer read.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kLegacyVersion = 2;
-constexpr uint32_t kMinVersion = 1;
 
 /// Section starts are aligned so every element type that is served
 /// zero-copy (double, uint64_t, Posting, float, int8_t) lands on a
@@ -51,19 +47,26 @@ uint64_t Align64(uint64_t n) {
   return (n + (kSectionAlign - 1)) & ~(kSectionAlign - 1);
 }
 
-/// Reads just magic + version, outside the failpoint-instrumented
-/// backends, so version dispatch does not change how many injectable
-/// opens/reads one Load performs.
-Status PeekHeaderWords(const std::string& path, uint32_t* magic,
-                       uint32_t* version) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open index file: " + path);
-  uint32_t words[2] = {0, 0};
-  in.read(reinterpret_cast<char*>(words), sizeof(words));
-  if (!in) return Status::Corruption("snapshot too small for header");
-  *magic = words[0];
-  *version = words[1];
+/// The version gate every reader of snapshot bytes applies first: foreign
+/// bytes are Corruption, a PXSO file of any other disk version (the
+/// streamed pre-flat formats included) is NotSupported.
+Status CheckHeader(uint32_t magic, uint32_t version) {
+  if (magic != kMagic) return Status::Corruption("bad index magic");
+  if (version != kVersion) return Status::NotSupported("index version");
   return Status::OK();
+}
+
+/// Opens `path` and applies CheckHeader to its first two words; the reader
+/// is returned positioned right after them.
+Result<BinaryReader> OpenChecked(const std::string& path) {
+  auto rd = BinaryReader::Open(path);
+  if (!rd.ok()) return rd.status();
+  BinaryReader r = std::move(rd).ValueOrDie();
+  uint32_t magic = 0, version = 0;
+  PEXESO_RETURN_NOT_OK(r.Read(&magic));
+  PEXESO_RETURN_NOT_OK(r.Read(&version));
+  PEXESO_RETURN_NOT_OK(CheckHeader(magic, version));
+  return r;
 }
 }  // namespace
 
@@ -199,33 +202,6 @@ size_t PexesoIndex::IndexSizeBytes() const {
          tombstones_.capacity();
 }
 
-Status PexesoIndex::SaveLegacy(const std::string& path) const {
-  auto wr = BinaryWriter::Open(path);
-  if (!wr.ok()) return wr.status();
-  BinaryWriter w = std::move(wr).ValueOrDie();
-  w.Write<uint32_t>(kMagic);
-  w.Write<uint32_t>(kLegacyVersion);
-  w.Write<uint32_t>(options_.num_pivots);
-  w.Write<uint32_t>(options_.levels);
-  w.Write<uint64_t>(options_.seed);
-  w.Write<uint8_t>(
-      options_.pivot_strategy == PexesoOptions::PivotStrategy::kPca ? 0 : 1);
-  catalog_.Serialize(&w);
-  pivots_.Serialize(&w);
-  if (mapped_ext_ != nullptr) {
-    const size_t n = catalog_.num_vectors() * pivots_.num_pivots();
-    w.Write<uint64_t>(n);
-    w.WriteBytes(mapped_ext_, n * sizeof(double));
-  } else {
-    w.WriteVector(mapped_);
-  }
-  grid_.Serialize(&w);
-  inv_.Serialize(&w);
-  w.WriteVector(tombstones_);
-  w.WriteChecksumFooter();
-  return w.Close();
-}
-
 Status PexesoIndex::Save(const std::string& path) const {
   // Pre-serialize the variable-length (parsed) sections so every section
   // length — and hence every offset — is known before the table is written;
@@ -293,8 +269,8 @@ Status PexesoIndex::Save(const std::string& path) const {
     sections.push_back({kSecQuantErr, nvec * sizeof(float), 0});
   }
 
-  // Header: prelude (identical to v1/v2 through the strategy byte, plus dim
-  // so PeekDim stays version-blind), counts, then the section table.
+  // Header: magic, version, options, dim (what PeekDim reads), counts,
+  // then the section table.
   const uint64_t header_bytes = 4 + 4 +            // magic, version
                                 4 + 4 + 8 + 1 +    // options
                                 4 +                // dim
@@ -393,18 +369,10 @@ Status PexesoIndex::Save(const std::string& path) const {
 }
 
 Result<uint32_t> PexesoIndex::PeekDim(const std::string& path) {
-  auto rd = BinaryReader::Open(path);
+  auto rd = OpenChecked(path);
   if (!rd.ok()) return rd.status();
   BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t magic = 0, version = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&magic));
-  if (magic != kMagic) return Status::Corruption("bad index magic");
-  PEXESO_RETURN_NOT_OK(r.Read(&version));
-  if (version < kMinVersion || version > kVersion) {
-    return Status::NotSupported("index version");
-  }
-  // Skip the options block; dim is the next u32 in every version (v1/v2:
-  // the store's leading field, v3: an explicit header word).
+  // Skip the options block; dim is the next header word.
   uint32_t u32 = 0;
   uint64_t seed = 0;
   uint8_t strat = 0;
@@ -418,126 +386,54 @@ Result<uint32_t> PexesoIndex::PeekDim(const std::string& path) {
 }
 
 Status PexesoIndex::VerifySnapshot(const std::string& path) {
-  auto rd = BinaryReader::Open(path);
+  auto rd = OpenChecked(path);
   if (!rd.ok()) return rd.status();
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t magic = 0, version = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&magic));
-  if (magic != kMagic) return Status::Corruption("bad index magic");
-  PEXESO_RETURN_NOT_OK(r.Read(&version));
-  if (version < kMinVersion || version > kVersion) {
-    return Status::NotSupported("index version");
-  }
-  return VerifyFileChecksum(path, /*require_footer=*/version >= 2);
+  return VerifyFileChecksum(path);
 }
 
 Result<PexesoIndex> PexesoIndex::Load(const std::string& path,
                                       const Metric* metric) {
-  // FIFOs and other non-regular files can be read exactly once and cannot
-  // be mmap'd, so snapshot bytes served through a pipe take a single
-  // sequential read into a heap buffer and dispatch from there.
   std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec)) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IoError("cannot open index file: " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string buf = std::move(ss).str();
-    if (buf.size() < 8) return Status::Corruption("snapshot too small for header");
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(buf.data());
-    uint32_t smagic = 0, sversion = 0;
-    std::memcpy(&smagic, data, sizeof(smagic));
-    std::memcpy(&sversion, data + 4, sizeof(sversion));
-    if (smagic != kMagic) return Status::Corruption("bad index magic");
-    if (sversion < kMinVersion || sversion > kVersion) {
-      return Status::NotSupported("index version");
-    }
-    if (sversion >= 3) {
-      auto loaded = LoadFlat(data, buf.size(), metric);
-      if (!loaded.ok()) return loaded.status();
-      PexesoIndex index = std::move(loaded).ValueOrDie();
-      // The flat loader bound views into `buf`; copy them to owned storage
-      // before the buffer goes out of scope.
-      index.Materialize();
-      return index;
-    }
-    BinaryReader r = BinaryReader::FromBuffer(data, buf.size());
-    uint32_t m2 = 0, v2 = 0;
-    PEXESO_RETURN_NOT_OK(r.Read(&m2));
-    PEXESO_RETURN_NOT_OK(r.Read(&v2));
-    return LoadStream(std::move(r), sversion, metric);
-  }
-
-  uint32_t magic = 0, version = 0;
-  PEXESO_RETURN_NOT_OK(PeekHeaderWords(path, &magic, &version));
-  if (magic != kMagic) return Status::Corruption("bad index magic");
-  if (version < kMinVersion || version > kVersion) {
-    return Status::NotSupported("index version");
-  }
-  if (version >= 3) {
+  if (std::filesystem::is_regular_file(path, ec)) {
     auto mf = MappedFile::Open(path);
     if (!mf.ok()) return mf.status();
-    return LoadMapped(std::move(mf).ValueOrDie(), metric);
+    std::shared_ptr<MappedFile> file = std::move(mf).ValueOrDie();
+    auto loaded = LoadFlat(static_cast<const uint8_t*>(file->data()),
+                           file->size(), metric);
+    if (!loaded.ok()) return loaded.status();
+    PexesoIndex index = std::move(loaded).ValueOrDie();
+    index.mapping_ = std::move(file);
+    return index;
   }
-  auto rd = BinaryReader::Open(path);
-  if (!rd.ok()) return rd.status();
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t m2 = 0, v2 = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&m2));
-  PEXESO_RETURN_NOT_OK(r.Read(&v2));
-  if (m2 != kMagic || v2 != version) {
-    return Status::Corruption("index header changed between reads");
-  }
-  return LoadStream(std::move(r), version, metric);
-}
-
-Result<PexesoIndex> PexesoIndex::LoadStream(BinaryReader r, uint32_t version,
-                                            const Metric* metric) {
-  PexesoIndex index;
-  index.metric_ = metric;
-  PEXESO_RETURN_NOT_OK(r.Read(&index.options_.num_pivots));
-  PEXESO_RETURN_NOT_OK(r.Read(&index.options_.levels));
-  PEXESO_RETURN_NOT_OK(r.Read(&index.options_.seed));
-  uint8_t strat = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&strat));
-  index.options_.pivot_strategy = strat == 0
-                                      ? PexesoOptions::PivotStrategy::kPca
-                                      : PexesoOptions::PivotStrategy::kRandom;
-  PEXESO_RETURN_NOT_OK(index.catalog_.Deserialize(&r));
-  PEXESO_RETURN_NOT_OK(index.pivots_.Deserialize(&r, metric));
-  PEXESO_RETURN_NOT_OK(r.ReadVector(&index.mapped_));
-  PEXESO_RETURN_NOT_OK(index.grid_.Deserialize(&r));
-  PEXESO_RETURN_NOT_OK(index.inv_.Deserialize(&r));
-  PEXESO_RETURN_NOT_OK(r.ReadVector(&index.tombstones_));
-  // Reject snapshots whose payload parsed but was silently corrupted (a
-  // flipped byte in vector data leaves every length plausible). v1 files
-  // predate the footer and end exactly at the payload; v2 files must carry
-  // one.
-  PEXESO_RETURN_NOT_OK(r.VerifyChecksum(/*require_footer=*/version >= 2));
-  // Legacy snapshots predate the quantized tier; rebuild it from the float
-  // data (codes are a deterministic function of the vectors, so a legacy
-  // load answers bit-identically to a flat one).
-  index.RebuildQuant();
-  index.loaded_version_ = version;
-  return index;
-}
-
-Result<PexesoIndex> PexesoIndex::LoadMapped(std::shared_ptr<MappedFile> file,
-                                            const Metric* metric) {
-  auto loaded = LoadFlat(static_cast<const uint8_t*>(file->data()),
-                         file->size(), metric);
+  // FIFOs and other non-regular files can be read exactly once and cannot
+  // be mmap'd: one sequential read into a heap buffer, then the flat
+  // loader's views are copied to owned storage before the buffer dies.
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open index file: " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string buf = std::move(ss).str();
+  auto loaded = LoadFlat(reinterpret_cast<const uint8_t*>(buf.data()),
+                         buf.size(), metric);
   if (!loaded.ok()) return loaded.status();
   PexesoIndex index = std::move(loaded).ValueOrDie();
-  index.mapping_ = std::move(file);
+  index.Materialize();
   return index;
 }
 
 Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
                                           const Metric* metric) {
+  // The version gate runs before the CRC pass, so a snapshot of another
+  // disk version is NotSupported whatever its footer says.
+  if (size < 8) return Status::Corruption("snapshot too small for header");
+  uint32_t magic = 0, version = 0;
+  std::memcpy(&magic, data, sizeof(magic));
+  std::memcpy(&version, data + 4, sizeof(version));
+  PEXESO_RETURN_NOT_OK(CheckHeader(magic, version));
   if (size < 66 + 8) return Status::Corruption("flat snapshot too small");
 
-  // Integrity first: one slice-by-8 CRC pass over the buffer against the
-  // footer, so a corrupted section table is rejected before it is trusted.
+  // Integrity next: one CRC pass over the buffer against the footer, so a
+  // corrupted section table is rejected before it is trusted.
   uint32_t fmagic = 0, fcrc = 0;
   std::memcpy(&fmagic, data + size - 8, sizeof(fmagic));
   std::memcpy(&fcrc, data + size - 4, sizeof(fcrc));
@@ -549,15 +445,11 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
     return Status::Corruption("flat snapshot checksum mismatch");
   }
 
-  BinaryReader r = BinaryReader::FromBuffer(data, payload);
+  // A valid CRC only proves the bytes are the ones the writer meant; every
+  // count and extent below is still range-checked before it is trusted.
+  BinaryReader r = BinaryReader::FromBuffer(data + 8, payload - 8);
   PexesoIndex index;
   index.metric_ = metric;
-  uint32_t magic = 0, version = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&magic));
-  PEXESO_RETURN_NOT_OK(r.Read(&version));
-  if (magic != kMagic || version != kVersion) {
-    return Status::Corruption("flat snapshot header mismatch");
-  }
   PEXESO_RETURN_NOT_OK(r.Read(&index.options_.num_pivots));
   PEXESO_RETURN_NOT_OK(r.Read(&index.options_.levels));
   PEXESO_RETURN_NOT_OK(r.Read(&index.options_.seed));
@@ -578,6 +470,13 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
   PEXESO_RETURN_NOT_OK(r.Read(&num_sections));
   if (dim == 0 || nvec == 0) {
     return Status::Corruption("flat snapshot with empty repository");
+  }
+  // Bounds before any count is multiplied into a section length, so no
+  // product below can wrap around to a plausible value.
+  if (nvec > payload / (uint64_t{dim} * sizeof(float)) ||
+      ncells >= payload / sizeof(uint64_t) ||
+      nvecids > payload / sizeof(VecId)) {
+    return Status::Corruption("flat snapshot counts exceed the file");
   }
   if (num_sections > 2 * kMaxSectionKind) {
     return Status::Corruption("flat snapshot section count implausible");
@@ -616,7 +515,7 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
     return BinaryReader::FromBuffer(data + sec_off[kind], sec_len[kind]);
   };
 
-  // Parsed sections.
+  // Parsed sections, each cross-checked against the header counts.
   {
     BinaryReader pr = section_reader(kSecPivots);
     PEXESO_RETURN_NOT_OK(index.pivots_.Deserialize(&pr, metric));
@@ -625,11 +524,30 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
     BinaryReader gr = section_reader(kSecGrid);
     PEXESO_RETURN_NOT_OK(index.grid_.Deserialize(&gr));
   }
+  const uint32_t np = index.pivots_.num_pivots();
+  if (index.pivots_.dim() != dim || index.grid_.num_pivots() != np ||
+      index.grid_.num_vectors() != nvec ||
+      index.grid_.LeafCells().size() != ncells) {
+    return Status::Corruption("pivot/grid sections disagree with the header");
+  }
   {
     BinaryReader cr = section_reader(kSecColMeta);
     PEXESO_RETURN_NOT_OK(index.catalog_.DeserializeMeta(&cr));
   }
+  // Columns tile [0, nvec) in order, as AddColumn lays them out; ColumnOf
+  // and every verifier rely on it.
   const uint64_t ncols = index.catalog_.num_columns();
+  uint64_t next_vec = 0;
+  for (ColumnId c = 0; c < ncols; ++c) {
+    const ColumnMeta& meta = index.catalog_.column(c);
+    if (meta.first != next_vec || meta.count == 0) {
+      return Status::Corruption("column extents do not tile the vectors");
+    }
+    next_vec += meta.count;
+  }
+  if (next_vec != nvec) {
+    return Status::Corruption("column extents do not tile the vectors");
+  }
   if (sec_len[kSecTombstones] != ncols) {
     return Status::Corruption("tombstone section length mismatch");
   }
@@ -637,7 +555,6 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
   index.tombstones_.assign(tomb, tomb + ncols);
 
   // Fixed-shape sections: exact length checks, then zero-copy binds.
-  const uint32_t np = index.pivots_.num_pivots();
   if (sec_len[kSecVectors] != nvec * dim * sizeof(float) ||
       sec_len[kSecMapped] != nvec * np * sizeof(double) ||
       sec_len[kSecCellOffsets] != (ncells + 1) * sizeof(uint64_t) ||
@@ -666,15 +583,20 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
       return Status::Corruption("posting references out-of-range data");
     }
   }
+  const auto* vec_ids =
+      reinterpret_cast<const VecId*>(data + sec_off[kSecVecIds]);
+  for (uint64_t i = 0; i < nvecids; ++i) {
+    if (vec_ids[i] >= nvec) {
+      return Status::Corruption("vec-id pool references a missing vector");
+    }
+  }
 
   index.catalog_.mutable_store()->BindView(
       reinterpret_cast<const float*>(data + sec_off[kSecVectors]), nvec, dim);
   index.mapped_.clear();
   index.mapped_ext_ =
       reinterpret_cast<const double*>(data + sec_off[kSecMapped]);
-  index.inv_.BindView(cell_offsets, ncells, postings,
-                      reinterpret_cast<const VecId*>(data + sec_off[kSecVecIds]),
-                      nvecids);
+  index.inv_.BindView(cell_offsets, ncells, postings, vec_ids, nvecids);
 
   if (quant_flag != 0) {
     if (!sec_present[kSecQuantMeta] || !sec_present[kSecQuantCodes] ||
@@ -709,8 +631,6 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
   } else {
     index.quant_.Clear();
   }
-
-  index.loaded_version_ = 3;
   return index;
 }
 

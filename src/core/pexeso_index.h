@@ -82,7 +82,7 @@ class PexesoIndex {
   }
 
   /// True when this index serves reads zero-copy out of an mmapped
-  /// snapshot (format v2 / disk version 3).
+  /// snapshot.
   bool is_mapped() const { return mapping_ != nullptr; }
 
   /// Bytes of the backing snapshot mapping (0 for heap indexes). This is
@@ -91,9 +91,6 @@ class PexesoIndex {
   size_t MappedBytes() const {
     return mapping_ != nullptr ? mapping_->size() : 0;
   }
-
-  /// Snapshot disk version this index was loaded from (0 for built ones).
-  uint32_t loaded_version() const { return loaded_version_; }
 
   /// Copies every mapped section onto the heap and releases the mapping;
   /// no-op for heap indexes. Mutators call this, so a mapped snapshot is
@@ -104,19 +101,16 @@ class PexesoIndex {
   /// excluding the raw repository vectors; reproduces Figure 6b/10b sizing.
   size_t IndexSizeBytes() const;
 
-  /// Serializes index + catalog to `path` in the flat, mmap-friendly v2
-  /// snapshot format (disk version 3): page-aligned sections behind a
-  /// section table, CRC-32 footer last. Used by partition files and the
-  /// lake merge path.
+  /// Serializes index + catalog to `path` in the flat, mmap-friendly
+  /// snapshot format: 64-byte-aligned sections behind a section table,
+  /// CRC-32 footer last. Used by partition files and the lake merge path.
   Status Save(const std::string& path) const;
 
-  /// Serializes in the legacy streamed format (disk version 2) — the format
-  /// every release before the flat layout wrote. Kept for format-parity
-  /// tests and for `pexeso_cli snapshot --upgrade` fixtures.
-  Status SaveLegacy(const std::string& path) const;
-
   /// Loads an index previously written by Save. `metric` must match the one
-  /// used at build time.
+  /// used at build time. A regular file is mmapped and served zero-copy; a
+  /// FIFO is read once into a buffer and materialized onto the heap. A
+  /// snapshot of any other disk version (the streamed pre-flat formats
+  /// included) is NotSupported; bad bytes are Corruption.
   static Result<PexesoIndex> Load(const std::string& path,
                                   const Metric* metric);
 
@@ -127,26 +121,18 @@ class PexesoIndex {
 
   /// Validates a snapshot file without deserializing it: header magic +
   /// version, then a streamed CRC-32 pass over the payload against the
-  /// footer. Corruption/NotSupported mean the BYTES are bad (quarantine
+  /// mandatory footer. Corruption/NotSupported mean the BYTES are bad (quarantine
   /// material); IoError means the environment failed (retry material).
   /// This is the integrity pass lake recovery and fsck run per snapshot.
   static Status VerifySnapshot(const std::string& path);
 
  private:
-  /// Legacy streamed loader (disk versions 1 and 2); `r` is positioned
-  /// right after the magic/version words.
-  static Result<PexesoIndex> LoadStream(BinaryReader r, uint32_t version,
-                                        const Metric* metric);
-  /// Flat loader (disk version 3): CRC pass over the buffer, section-table
-  /// validation, then zero-copy view binding into `data`. The caller owns
-  /// keeping `data` alive (LoadMapped attaches the mapping; the stream path
-  /// materializes before its buffer dies).
+  /// The one snapshot parser: header magic + version, CRC pass over the
+  /// buffer, section-table and cross-section validation, then zero-copy
+  /// view binding into `data`. The caller keeps `data` alive (Load attaches
+  /// the mapping, or materializes before a FIFO's buffer dies).
   static Result<PexesoIndex> LoadFlat(const uint8_t* data, uint64_t size,
                                       const Metric* metric);
-  /// LoadFlat over an mmap'd file; the returned index keeps the mapping
-  /// alive and reports is_mapped().
-  static Result<PexesoIndex> LoadMapped(std::shared_ptr<MappedFile> file,
-                                        const Metric* metric);
   /// (Re)builds the quantized pre-filter tier from the float vectors.
   void RebuildQuant();
 
@@ -161,7 +147,6 @@ class PexesoIndex {
   const Metric* metric_ = nullptr;
   PexesoOptions options_;
   std::shared_ptr<MappedFile> mapping_;  ///< keeps viewed sections alive
-  uint32_t loaded_version_ = 0;
 };
 
 }  // namespace pexeso

@@ -330,7 +330,7 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
   // order-insensitive (a pruned column is outside the top-k under any
   // order), so results are identical to the ascending-id scan; only
   // columns_pruned_topk / distance counters improve.
-  const bool by_ub = topk != nullptr && jq.ablation.topk_order_by_ub;
+  const bool by_ub = topk != nullptr;
   std::vector<ColumnId> order;
   if (by_ub) {
     order.reserve(col_hi - col_lo);

@@ -154,22 +154,53 @@ Status HierarchicalGrid::Deserialize(BinaryReader* r) {
   PEXESO_RETURN_NOT_OK(r->Read(&sli));
   store_leaf_items_ = (sli != 0);
   if (levels_ < 1 || levels_ > 14 || num_pivots_ < 1 ||
-      num_pivots_ > kMaxPivots) {
+      num_pivots_ > kMaxPivots || !std::isfinite(extent_) || extent_ <= 0.0) {
     return Status::Corruption("grid header implausible");
   }
+  // Every cell image holds at least its coords and two length prefixes, so
+  // a cell count is bounded by the bytes left before anything is sized.
+  constexpr uint64_t kMinCellBytes = sizeof(CellCoord) + 2 * sizeof(uint64_t);
   levels_cells_.assign(levels_, {});
   for (uint32_t l = 1; l <= levels_; ++l) {
     uint64_t ncells = 0;
     PEXESO_RETURN_NOT_OK(r->Read(&ncells));
+    if (ncells > r->remaining() / kMinCellBytes) {
+      return Status::Corruption("grid cell count implausible");
+    }
     auto& cells = levels_cells_[l - 1];
     cells.resize(ncells);
     for (auto& c : cells) {
       PEXESO_RETURN_NOT_OK(r->Read(&c.coords));
       PEXESO_RETURN_NOT_OK(r->ReadVector(&c.children));
       PEXESO_RETURN_NOT_OK(r->ReadVector(&c.items));
+      if (c.coords.ndims != num_pivots_) {
+        return Status::Corruption("grid cell arity mismatch");
+      }
     }
   }
   PEXESO_RETURN_NOT_OK(r->ReadVector(&leaf_of_));
+  // Range-check every cross reference: children index the next level,
+  // items and leaf_of_ entries index the vectors and the leaves.
+  const size_t nleaves = levels_cells_.back().size();
+  for (uint32_t l = 1; l <= levels_; ++l) {
+    const size_t next = l < levels_ ? levels_cells_[l].size() : 0;
+    for (const Cell& c : levels_cells_[l - 1]) {
+      for (uint32_t child : c.children) {
+        if (child >= next) return Status::Corruption("grid child out of range");
+      }
+      for (VecId v : c.items) {
+        if (v >= num_vectors_) {
+          return Status::Corruption("grid item out of range");
+        }
+      }
+    }
+  }
+  if (leaf_of_.size() != num_vectors_) {
+    return Status::Corruption("grid leaf map size mismatch");
+  }
+  for (uint32_t leaf : leaf_of_) {
+    if (leaf >= nleaves) return Status::Corruption("grid leaf out of range");
+  }
   lookups_.assign(levels_, {});
   for (uint32_t l = 1; l <= levels_; ++l) {
     const auto& cells = levels_cells_[l - 1];

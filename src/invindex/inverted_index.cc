@@ -80,39 +80,4 @@ size_t InvertedIndex::MemoryBytes() const {
   return bytes;
 }
 
-void InvertedIndex::Serialize(BinaryWriter* w) const {
-  // Mode-agnostic and byte-identical to the historical per-cell WriteVector
-  // layout (u64 length + raw postings per cell, then the vec-id pool).
-  const size_t n = num_cells();
-  w->Write<uint64_t>(n);
-  for (size_t cell = 0; cell < n; ++cell) {
-    const auto postings = PostingsOf(static_cast<uint32_t>(cell));
-    w->Write<uint64_t>(postings.size());
-    w->WriteBytes(postings.data(), postings.size() * sizeof(Posting));
-  }
-  w->Write<uint64_t>(vec_ids_size());
-  w->WriteBytes(vec_ids_data(), vec_ids_size() * sizeof(VecId));
-}
-
-Status InvertedIndex::Deserialize(BinaryReader* r) {
-  uint64_t n = 0;
-  PEXESO_RETURN_NOT_OK(r->Read(&n));
-  view_offsets_ = nullptr;
-  view_postings_ = nullptr;
-  view_vec_ids_ = nullptr;
-  view_num_cells_ = 0;
-  view_num_vec_ids_ = 0;
-  cells_.assign(n, {});
-  for (auto& c : cells_) PEXESO_RETURN_NOT_OK(r->ReadVector(&c));
-  PEXESO_RETURN_NOT_OK(r->ReadVector(&vec_ids_));
-  for (const auto& c : cells_) {
-    for (const auto& p : c) {
-      if (static_cast<size_t>(p.vec_begin) + p.vec_count > vec_ids_.size()) {
-        return Status::Corruption("posting references out-of-range vec ids");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace pexeso

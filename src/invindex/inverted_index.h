@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/serde.h"
 #include "common/status.h"
 #include "grid/hierarchical_grid.h"
 #include "vec/column_catalog.h"
@@ -112,9 +111,6 @@ class InvertedIndex {
   }
 
   size_t MemoryBytes() const;
-
-  void Serialize(BinaryWriter* w) const;
-  Status Deserialize(BinaryReader* r);
 
  private:
   std::vector<std::vector<Posting>> cells_;

@@ -630,8 +630,6 @@ std::string PexesoServer::MetricsText() const {
     AppendCounter(&out, "cache_misses", cs.misses);
     AppendGauge(&out, "cache_hit_rate", cs.HitRate());
     AppendCounter(&out, "cache_evictions", cs.evictions);
-    AppendCounter(&out, "cache_v1_loads", cs.v1_loads);
-    AppendCounter(&out, "cache_v2_loads", cs.v2_loads);
     AppendCounter(&out, "cache_bytes_resident", cs.bytes_resident);
     AppendCounter(&out, "cache_bytes_mapped", cs.bytes_mapped);
     AppendCounter(&out, "cache_entries", cs.entries);

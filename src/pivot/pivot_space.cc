@@ -57,7 +57,11 @@ Status PivotSpace::Deserialize(BinaryReader* r, const Metric* metric) {
   PEXESO_RETURN_NOT_OK(r->Read(&dim_));
   PEXESO_RETURN_NOT_OK(r->Read(&axis_extent_));
   PEXESO_RETURN_NOT_OK(r->ReadVector(&pivots_));
-  if (pivots_.size() != static_cast<size_t>(num_pivots_) * dim_) {
+  // Both counts nonzero, so the exact size match below also bounds
+  // num_pivots_ (and the norm buffer BindMetric sizes by it) by the bytes
+  // actually read.
+  if (num_pivots_ == 0 || dim_ == 0 ||
+      pivots_.size() != static_cast<size_t>(num_pivots_) * dim_) {
     return Status::Corruption("pivot buffer size mismatch");
   }
   BindMetric(metric);

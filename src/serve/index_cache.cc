@@ -114,11 +114,6 @@ Result<IndexCache::IndexPtr> IndexCache::GetOrPin(const std::string& key,
   entry.mapped = ptr->MappedBytes();
   shard.bytes += entry.bytes;
   shard.mapped_bytes += entry.mapped;
-  if (ptr->is_mapped()) {
-    ++shard.v2_loads;
-  } else {
-    ++shard.v1_loads;
-  }
   bytes_total_.fetch_add(entry.bytes, std::memory_order_relaxed);
   if (pin) {
     entry.pins = 1;
@@ -242,8 +237,6 @@ IndexCacheStats IndexCache::stats() const {
     out.misses += shard.misses;
     out.evictions += shard.evictions;
     out.single_flight_waits += shard.single_flight_waits;
-    out.v1_loads += shard.v1_loads;
-    out.v2_loads += shard.v2_loads;
     out.bytes_resident += shard.bytes;
     out.bytes_mapped += shard.mapped_bytes;
     for (const auto& [key, entry] : shard.map) {

@@ -39,11 +39,6 @@ struct IndexCacheStats {
   /// Get/Pin calls that piggybacked on another thread's in-progress load of
   /// the same key instead of issuing their own disk read.
   uint64_t single_flight_waits = 0;
-  /// Cold loads that deserialized a legacy heap snapshot (formats v1/v2).
-  uint64_t v1_loads = 0;
-  /// Cold loads that memory-mapped a flat format-v2 (disk version 3)
-  /// snapshot instead of deserializing it.
-  uint64_t v2_loads = 0;
   size_t bytes_resident = 0;
   /// Portion of bytes_resident that is mmapped file pages (reclaimable by
   /// the kernel) rather than private heap.
@@ -164,8 +159,6 @@ class IndexCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t single_flight_waits = 0;
-    uint64_t v1_loads = 0;  ///< successful legacy heap-snapshot loads
-    uint64_t v2_loads = 0;  ///< successful mmapped flat-snapshot loads
   };
 
   /// Composed map key: the path for generation 0 (the static-deployment

@@ -24,16 +24,6 @@ size_t ColumnCatalog::MemoryBytes() const {
   return bytes;
 }
 
-void ColumnCatalog::Serialize(BinaryWriter* w) const {
-  store_.Serialize(w);
-  SerializeMeta(w);
-}
-
-Status ColumnCatalog::Deserialize(BinaryReader* r) {
-  PEXESO_RETURN_NOT_OK(store_.Deserialize(r));
-  return DeserializeMeta(r);
-}
-
 void ColumnCatalog::SerializeMeta(BinaryWriter* w) const {
   w->Write<uint64_t>(columns_.size());
   for (const auto& c : columns_) {
@@ -47,8 +37,15 @@ void ColumnCatalog::SerializeMeta(BinaryWriter* w) const {
 }
 
 Status ColumnCatalog::DeserializeMeta(BinaryReader* r) {
+  // The smallest column record: ids, two empty strings, first and count.
+  constexpr uint64_t kMinColumnBytes =
+      2 * sizeof(uint32_t) + 2 * sizeof(uint64_t) + sizeof(VecId) +
+      sizeof(uint32_t);
   uint64_t n = 0;
   PEXESO_RETURN_NOT_OK(r->Read(&n));
+  if (n > r->remaining() / kMinColumnBytes) {
+    return Status::Corruption("column count implausible");
+  }
   columns_.clear();
   columns_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

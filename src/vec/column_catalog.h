@@ -63,12 +63,9 @@ class ColumnCatalog {
 
   size_t MemoryBytes() const;
 
-  void Serialize(BinaryWriter* w) const;
-  Status Deserialize(BinaryReader* r);
-
-  /// Column metadata alone, without the vector store — the flat snapshot
-  /// format stores the raw floats as their own mmap-able section and keeps
-  /// only this variable-length part in a parsed section.
+  /// Column metadata alone, without the vector store — the snapshot format
+  /// stores the raw floats as their own mmap-able section and keeps only
+  /// this variable-length part in a parsed section.
   void SerializeMeta(BinaryWriter* w) const;
   Status DeserializeMeta(BinaryReader* r);
 

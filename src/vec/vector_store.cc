@@ -44,23 +44,4 @@ const float* VectorStore::EnsureNorms() const {
   return norms_.data();
 }
 
-void VectorStore::Serialize(BinaryWriter* w) const {
-  w->Write<uint32_t>(dim_);
-  const uint64_t n = size() * static_cast<uint64_t>(dim_);
-  w->Write<uint64_t>(n);
-  w->WriteBytes(base(), n * sizeof(float));
-}
-
-Status VectorStore::Deserialize(BinaryReader* r) {
-  PEXESO_RETURN_NOT_OK(r->Read(&dim_));
-  PEXESO_RETURN_NOT_OK(r->ReadVector(&data_));
-  ext_ = nullptr;
-  ext_count_ = 0;
-  InvalidateNorms();
-  if (dim_ != 0 && data_.size() % dim_ != 0) {
-    return Status::Corruption("vector buffer not a multiple of dim");
-  }
-  return Status::OK();
-}
-
 }  // namespace pexeso

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/serde.h"
 #include "common/status.h"
 
 namespace pexeso {
@@ -173,7 +172,7 @@ class VectorStore {
 
   /// Per-vector L2 norms for the normed kernel paths (cosine). Computed on
   /// first use and cached; safe to call concurrently from const searches.
-  /// Mutation (Add/MutableView/NormalizeAll/Deserialize) invalidates the
+  /// Mutation (Add/MutableView/NormalizeAll) invalidates the
   /// affected suffix, so interleave it only with the single-writer phases.
   /// Returns nullptr for an empty store.
   const float* EnsureNorms() const;
@@ -183,11 +182,6 @@ class VectorStore {
   size_t MemoryBytes() const {
     return data_.capacity() * sizeof(float) + norms_.capacity() * sizeof(float);
   }
-
-  /// Serialization for partition files. Works in both modes and emits
-  /// identical bytes for identical contents.
-  void Serialize(BinaryWriter* w) const;
-  Status Deserialize(BinaryReader* r);
 
   /// Owned backing buffer; only meaningful for owned stores.
   const std::vector<float>& raw() const {

@@ -254,46 +254,30 @@ TEST(SerdeTest, Crc32LargeBuffersMatchByteSerialReference) {
   }
 }
 
+/// Writes `payload` u32 words to `path`, footed unless `footer` is false.
+void WriteWords(const std::string& path, std::vector<uint32_t> payload,
+                bool footer = true) {
+  auto wr = BinaryWriter::Open(path);
+  ASSERT_TRUE(wr.ok());
+  BinaryWriter w = std::move(wr).ValueOrDie();
+  for (uint32_t word : payload) w.Write<uint32_t>(word);
+  if (footer) w.WriteChecksumFooter();
+  ASSERT_TRUE(w.Close().ok());
+}
+
 TEST(SerdeTest, ChecksumFooterRoundTrip) {
   const std::string path = ::testing::TempDir() + "/serde_crc.bin";
-  {
-    auto wr = BinaryWriter::Open(path);
-    ASSERT_TRUE(wr.ok());
-    BinaryWriter w = std::move(wr).ValueOrDie();
-    w.Write<uint32_t>(42);
-    w.WriteString("checksummed");
-    w.WriteVector(std::vector<float>{1.0f, 2.0f});
-    w.WriteChecksumFooter();
-    ASSERT_TRUE(w.Close().ok());
-  }
-  auto rd = BinaryReader::Open(path);
-  ASSERT_TRUE(rd.ok());
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t v = 0;
-  std::string s;
-  std::vector<float> f;
-  ASSERT_TRUE(r.Read(&v).ok());
-  ASSERT_TRUE(r.ReadString(&s).ok());
-  ASSERT_TRUE(r.ReadVector(&f).ok());
-  EXPECT_TRUE(r.VerifyChecksum().ok());
+  WriteWords(path, {42, 7, 0xDEADBEEF});
+  EXPECT_TRUE(VerifyFileChecksum(path).ok());
   std::remove(path.c_str());
 }
 
 TEST(SerdeTest, ChecksumCatchesFlippedPayloadByte) {
   const std::string path = ::testing::TempDir() + "/serde_crc_flip.bin";
-  {
-    auto wr = BinaryWriter::Open(path);
-    ASSERT_TRUE(wr.ok());
-    BinaryWriter w = std::move(wr).ValueOrDie();
-    w.WriteVector(std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f});
-    w.WriteChecksumFooter();
-    ASSERT_TRUE(w.Close().ok());
-  }
-  // Flip one byte inside the float payload: every length stays plausible,
-  // so only the checksum can notice.
+  WriteWords(path, {1, 2, 3, 4});
+  // Flip one payload byte: only the checksum can notice.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(10);
     char b = 0;
     f.seekg(10);
     f.read(&b, 1);
@@ -301,75 +285,31 @@ TEST(SerdeTest, ChecksumCatchesFlippedPayloadByte) {
     f.seekp(10);
     f.write(&b, 1);
   }
-  auto rd = BinaryReader::Open(path);
-  ASSERT_TRUE(rd.ok());
-  BinaryReader r = std::move(rd).ValueOrDie();
-  std::vector<float> v;
-  ASSERT_TRUE(r.ReadVector(&v).ok());
-  const Status st = r.VerifyChecksum();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+  EXPECT_EQ(VerifyFileChecksum(path).code(), Status::Code::kCorruption);
   std::remove(path.c_str());
 }
 
 TEST(SerdeTest, TrailingBytesAfterFooterAreCorruption) {
   const std::string path = ::testing::TempDir() + "/serde_trailing.bin";
-  {
-    auto wr = BinaryWriter::Open(path);
-    ASSERT_TRUE(wr.ok());
-    BinaryWriter w = std::move(wr).ValueOrDie();
-    w.Write<uint32_t>(7);
-    w.WriteChecksumFooter();
-    ASSERT_TRUE(w.Close().ok());
-  }
+  WriteWords(path, {7});
   {
     std::ofstream f(path, std::ios::binary | std::ios::app);
     f << "junk";
   }
-  auto rd = BinaryReader::Open(path);
-  ASSERT_TRUE(rd.ok());
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t v = 0;
-  ASSERT_TRUE(r.Read(&v).ok());
-  EXPECT_EQ(r.VerifyChecksum().code(), Status::Code::kCorruption);
+  EXPECT_EQ(VerifyFileChecksum(path).code(), Status::Code::kCorruption);
   std::remove(path.c_str());
 }
 
-TEST(SerdeTest, MissingFooterRejectedWhenRequired) {
+TEST(SerdeTest, MissingFooterIsCorruption) {
   const std::string path = ::testing::TempDir() + "/serde_nofooter.bin";
-  {
-    auto wr = BinaryWriter::Open(path);
-    ASSERT_TRUE(wr.ok());
-    BinaryWriter w = std::move(wr).ValueOrDie();
-    w.Write<uint32_t>(7);  // payload only
-    ASSERT_TRUE(w.Close().ok());
+  // Shorter than a footer, and long enough to hold one that is not there.
+  for (const std::vector<uint32_t>& payload :
+       {std::vector<uint32_t>{7}, std::vector<uint32_t>{7, 8, 9, 10}}) {
+    WriteWords(path, payload, /*footer=*/false);
+    EXPECT_EQ(VerifyFileChecksum(path).code(), Status::Code::kCorruption);
   }
-  auto rd = BinaryReader::Open(path);
-  ASSERT_TRUE(rd.ok());
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t v = 0;
-  ASSERT_TRUE(r.Read(&v).ok());
-  EXPECT_EQ(r.VerifyChecksum(/*require_footer=*/true).code(),
-            Status::Code::kCorruption);
   std::remove(path.c_str());
-}
-
-TEST(SerdeTest, LegacyFileWithoutFooterStillVerifies) {
-  const std::string path = ::testing::TempDir() + "/serde_legacy.bin";
-  {
-    auto wr = BinaryWriter::Open(path);
-    ASSERT_TRUE(wr.ok());
-    BinaryWriter w = std::move(wr).ValueOrDie();
-    w.Write<uint32_t>(7);  // no WriteChecksumFooter: the pre-footer format
-    ASSERT_TRUE(w.Close().ok());
-  }
-  auto rd = BinaryReader::Open(path);
-  ASSERT_TRUE(rd.ok());
-  BinaryReader r = std::move(rd).ValueOrDie();
-  uint32_t v = 0;
-  ASSERT_TRUE(r.Read(&v).ok());
-  EXPECT_TRUE(r.VerifyChecksum().ok());
-  std::remove(path.c_str());
+  EXPECT_EQ(VerifyFileChecksum(path).code(), Status::Code::kIoError);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

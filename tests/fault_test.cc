@@ -532,7 +532,10 @@ TEST(FailpointTest, ArmFromStringGrammarSkipAndLimit) {
 // Corrupted-inputs corpus (no failpoints needed: real bad bytes)
 // ---------------------------------------------------------------------------
 
-enum class Mangle { kTruncate, kBitFlip, kZeroLength };
+/// kOldVersion rewrites the version word to 2 (a streamed pre-flat
+/// snapshot) and recomputes the footer: CRC-valid bytes of a format the
+/// loader no longer reads.
+enum class Mangle { kTruncate, kBitFlip, kZeroLength, kOldVersion };
 
 void MangleFile(const std::string& path, Mangle mode) {
   const auto size = fs::file_size(path);
@@ -555,6 +558,9 @@ void MangleFile(const std::string& path, Mangle mode) {
       f.write(&byte, 1);
       break;
     }
+    case Mangle::kOldVersion:
+      testing::RewriteFooted<uint32_t>(path, 4, 2);
+      break;
   }
 }
 
@@ -579,6 +585,11 @@ TEST_P(FaultCorpusTest, BadSnapshotBytesQuarantineNeverCrash) {
       << verify.ToString();
   IndexCache cache({.budget_bytes = size_t{1} << 30});
   EXPECT_FALSE(cache.Get(part0, &metric_, 1).ok());
+  if (GetParam() == Mangle::kOldVersion) {
+    EXPECT_EQ(verify.code(), Status::Code::kNotSupported);
+    EXPECT_EQ(PexesoIndex::Load(part0, &metric_).status().code(),
+              Status::Code::kNotSupported);
+  }
 
   // Report-only fsck finds it and touches nothing.
   auto report = FsckLake(dir_, FsckOptions{});
@@ -639,7 +650,8 @@ TEST_P(FaultCorpusTest, BadSnapshotBytesQuarantineNeverCrash) {
 INSTANTIATE_TEST_SUITE_P(AllMangles, FaultCorpusTest,
                          ::testing::Values(Mangle::kTruncate,
                                            Mangle::kBitFlip,
-                                           Mangle::kZeroLength));
+                                           Mangle::kZeroLength,
+                                           Mangle::kOldVersion));
 
 TEST_F(FaultTest, MangledManifestFailsOpenGracefully) {
   { auto lake = CreateLake(); }

@@ -96,55 +96,6 @@ TEST(InvertedIndexTest, EnsureCellsGrowsOnly) {
   EXPECT_TRUE(inv.PostingsOf(4).empty());
 }
 
-TEST(InvertedIndexTest, SerializeRoundTrip) {
-  auto b = MakeIndex(1003);
-  const std::string path = ::testing::TempDir() + "/inv.bin";
-  {
-    auto w = BinaryWriter::Open(path);
-    ASSERT_TRUE(w.ok());
-    BinaryWriter bw = std::move(w).ValueOrDie();
-    b.inv.Serialize(&bw);
-    ASSERT_TRUE(bw.Close().ok());
-  }
-  auto r = BinaryReader::Open(path);
-  ASSERT_TRUE(r.ok());
-  BinaryReader br = std::move(r).ValueOrDie();
-  InvertedIndex loaded;
-  ASSERT_TRUE(loaded.Deserialize(&br).ok());
-  ASSERT_EQ(loaded.num_cells(), b.inv.num_cells());
-  for (uint32_t cell = 0; cell < b.inv.num_cells(); ++cell) {
-    const auto a = b.inv.PostingsOf(cell);
-    const auto c = loaded.PostingsOf(cell);
-    ASSERT_EQ(a.size(), c.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].column, c[i].column);
-      EXPECT_EQ(a[i].vec_count, c[i].vec_count);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(InvertedIndexTest, DeserializeRejectsDanglingPostings) {
-  // Hand-craft an index whose posting points past vec_ids.
-  const std::string path = ::testing::TempDir() + "/inv_bad.bin";
-  {
-    auto w = BinaryWriter::Open(path);
-    ASSERT_TRUE(w.ok());
-    BinaryWriter bw = std::move(w).ValueOrDie();
-    bw.Write<uint64_t>(1);  // one cell
-    std::vector<InvertedIndex::Posting> postings{{0, 100, 5}};
-    bw.WriteVector(postings);
-    bw.WriteVector(std::vector<VecId>{1, 2, 3});  // only 3 ids
-    ASSERT_TRUE(bw.Close().ok());
-  }
-  auto r = BinaryReader::Open(path);
-  ASSERT_TRUE(r.ok());
-  BinaryReader br = std::move(r).ValueOrDie();
-  InvertedIndex loaded;
-  EXPECT_FALSE(loaded.Deserialize(&br).ok());
-  std::remove(path.c_str());
-}
-
 TEST(InvertedIndexTest, MemoryBytesTracksContent) {
   auto small = MakeIndex(1004);
   InvertedIndex empty;

@@ -332,46 +332,14 @@ TEST_F(ServeTest, CorruptPartitionFileIsRejectedByChecksum) {
   auto loaded = PexesoIndex::Load(victim, &metric);
   EXPECT_FALSE(loaded.ok());
 
-  // A true legacy (v1) file — streamed payload, no footer, version byte 1 —
-  // still loads. Part files are flat (v3) now, so synthesize one from the
-  // legacy stream writer.
-  const std::string legacy = ::testing::TempDir() + "/serve_legacy.pxso";
-  {
-    auto part = PexesoIndex::Load(parts.PartPath(0), &metric);
-    ASSERT_TRUE(part.ok());
-    ASSERT_TRUE(std::move(part).ValueOrDie().SaveLegacy(legacy).ok());
-  }
-  fs::resize_file(legacy, fs::file_size(legacy) - 8);  // drop the footer
-  {
-    std::fstream f(legacy, std::ios::in | std::ios::out | std::ios::binary);
-    const uint32_t v1 = 1;
-    f.seekp(4);  // version field sits right after the magic
-    f.write(reinterpret_cast<const char*>(&v1), sizeof(v1));
-  }
-  auto legacy_loaded = PexesoIndex::Load(legacy, &metric);
-  EXPECT_TRUE(legacy_loaded.ok());
-
-  // A v2 streamed file truncated at the footer boundary must NOT pass as
-  // legacy: the version gate keeps checksum verification mandatory.
-  const std::string clipped = ::testing::TempDir() + "/serve_clipped.pxso";
-  {
-    auto part = PexesoIndex::Load(parts.PartPath(0), &metric);
-    ASSERT_TRUE(part.ok());
-    ASSERT_TRUE(std::move(part).ValueOrDie().SaveLegacy(clipped).ok());
-  }
-  fs::resize_file(clipped, fs::file_size(clipped) - 8);
-  EXPECT_FALSE(PexesoIndex::Load(clipped, &metric).ok());
-
-  // Same for the flat (v3) format: dropping the footer must be fatal, not a
-  // downgrade to an unchecked read.
+  // Dropping the footer must be fatal, not a downgrade to an unchecked
+  // read.
   const std::string clipped3 = ::testing::TempDir() + "/serve_clipped3.pxso";
   fs::copy_file(parts.PartPath(0), clipped3,
                 fs::copy_options::overwrite_existing);
   fs::resize_file(clipped3, fs::file_size(clipped3) - 8);
   EXPECT_FALSE(PexesoIndex::Load(clipped3, &metric).ok());
   fs::remove(victim);
-  fs::remove(legacy);
-  fs::remove(clipped);
   fs::remove(clipped3);
 }
 

@@ -2,11 +2,16 @@
 #define PEXESO_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "core/engine.h"
 #include "core/join_result.h"
 #include "vec/column_catalog.h"
@@ -136,6 +141,38 @@ inline std::vector<ColumnId> ResultColumns(
   for (const auto& r : results) out.push_back(r.column);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Whole-file read/write for byte-level snapshot surgery.
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+inline void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Recomputes the trailing CRC-32 footer of a footed file image in place,
+/// so an edited payload stays checksum-valid.
+inline void RefreshChecksumFooter(std::string* bytes) {
+  PEXESO_CHECK(bytes->size() >= 8);
+  const size_t payload = bytes->size() - 8;
+  const uint32_t crc = Crc32Update(0, bytes->data(), payload);
+  std::memcpy(bytes->data() + payload, &kChecksumFooterMagic, 4);
+  std::memcpy(bytes->data() + payload + 4, &crc, 4);
+}
+
+/// Overwrites the trivially-copyable `value` at byte `offset` of the file at
+/// `path` and recomputes its checksum footer: the result is a CRC-valid
+/// file whose contents are whatever the edit made them.
+template <typename T>
+void RewriteFooted(const std::string& path, uint64_t offset, const T& value) {
+  std::string bytes = ReadFileBytes(path);
+  PEXESO_CHECK(offset + sizeof(T) + 8 <= bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  RefreshChecksumFooter(&bytes);
+  WriteFileBytes(path, bytes);
 }
 
 }  // namespace pexeso::testing

@@ -56,30 +56,6 @@ TEST(VectorStoreTest, NormalizeZeroVectorFallsBackToBasis) {
   EXPECT_EQ(v[1], 0.0f);
 }
 
-TEST(VectorStoreTest, SerializeRoundTrip) {
-  VectorStore store(4);
-  std::vector<float> v{0.5f, -1.0f, 2.0f, 0.25f};
-  store.Add(v);
-  store.Add(v);
-  const std::string path = ::testing::TempDir() + "/vstore.bin";
-  {
-    auto w = BinaryWriter::Open(path);
-    ASSERT_TRUE(w.ok());
-    BinaryWriter bw = std::move(w).ValueOrDie();
-    store.Serialize(&bw);
-    ASSERT_TRUE(bw.Close().ok());
-  }
-  auto r = BinaryReader::Open(path);
-  ASSERT_TRUE(r.ok());
-  BinaryReader br = std::move(r).ValueOrDie();
-  VectorStore loaded;
-  ASSERT_TRUE(loaded.Deserialize(&br).ok());
-  EXPECT_EQ(loaded.dim(), 4u);
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.View(1)[2], 2.0f);
-  std::remove(path.c_str());
-}
-
 class MetricTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(MetricTest, IdentityAndSymmetry) {
@@ -172,26 +148,36 @@ TEST(ColumnCatalogTest, ColumnOfFindsOwningColumn) {
   EXPECT_EQ(catalog.ColumnOf(5), 2u);
 }
 
-TEST(ColumnCatalogTest, SerializeRoundTrip) {
+TEST(ColumnCatalogTest, MetaRoundTrip) {
   ColumnCatalog catalog = testing::MakeClusteredCatalog(9, 6, 5, 4);
-  const std::string path = ::testing::TempDir() + "/catalog.bin";
+  std::string image;
   {
-    auto w = BinaryWriter::Open(path);
-    ASSERT_TRUE(w.ok());
-    BinaryWriter bw = std::move(w).ValueOrDie();
-    catalog.Serialize(&bw);
-    ASSERT_TRUE(bw.Close().ok());
+    BinaryWriter bw = BinaryWriter::ToBuffer(&image);
+    catalog.SerializeMeta(&bw);
   }
-  auto r = BinaryReader::Open(path);
-  ASSERT_TRUE(r.ok());
-  BinaryReader br = std::move(r).ValueOrDie();
+  BinaryReader br = BinaryReader::FromBuffer(image.data(), image.size());
   ColumnCatalog loaded;
-  ASSERT_TRUE(loaded.Deserialize(&br).ok());
-  EXPECT_EQ(loaded.num_columns(), catalog.num_columns());
-  EXPECT_EQ(loaded.num_vectors(), catalog.num_vectors());
-  EXPECT_EQ(loaded.column(3).table_name, catalog.column(3).table_name);
-  EXPECT_EQ(loaded.store().View(7)[2], catalog.store().View(7)[2]);
-  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.DeserializeMeta(&br).ok());
+  ASSERT_EQ(loaded.num_columns(), catalog.num_columns());
+  for (ColumnId c = 0; c < catalog.num_columns(); ++c) {
+    EXPECT_EQ(loaded.column(c).table_name, catalog.column(c).table_name);
+    EXPECT_EQ(loaded.column(c).first, catalog.column(c).first);
+    EXPECT_EQ(loaded.column(c).count, catalog.column(c).count);
+  }
+}
+
+TEST(ColumnCatalogTest, MetaRejectsImplausibleColumnCount) {
+  // A count no remaining byte budget could hold must fail before anything
+  // is sized by it.
+  std::string image;
+  {
+    BinaryWriter bw = BinaryWriter::ToBuffer(&image);
+    bw.Write<uint64_t>(uint64_t{1} << 62);
+    bw.Write<uint64_t>(0);
+  }
+  BinaryReader br = BinaryReader::FromBuffer(image.data(), image.size());
+  ColumnCatalog loaded;
+  EXPECT_EQ(loaded.DeserializeMeta(&br).code(), Status::Code::kCorruption);
 }
 
 TEST(SearchStatsTest, AccumulateAndReset) {

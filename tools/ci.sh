@@ -61,8 +61,8 @@ if [[ -x "$BUILD_DIR/bench/bench_ingest" ]]; then
 fi
 
 if [[ -x "$BUILD_DIR/bench/bench_snapshot" ]]; then
-  # Writes BENCH_snapshot.json (flat-vs-streamed cold-load wall time, heap
-  # vs mapped residency, and the quant pre-filter's float-distance
+  # Writes BENCH_snapshot.json (flat-snapshot cold-load wall time, file /
+  # resident / mapped bytes, and the quant pre-filter's float-distance
   # reduction — the reduction is counter-based, so 1-core stable).
   "$BUILD_DIR/bench/bench_snapshot"
 fi
@@ -172,7 +172,7 @@ fi
 "$BUILD_DIR/pexeso_cli" stats --connect "127.0.0.1:$SMOKE_PORT" \
   > "$SMOKE_DIR/stats.txt"
 for field in queries_completed admission_inflight search_distance_computations \
-    search_quant_tile_skips cache_v1_loads cache_v2_loads cache_bytes_mapped; do
+    search_quant_tile_skips cache_hits cache_misses cache_bytes_mapped; do
   if ! grep -q "$field" "$SMOKE_DIR/stats.txt"; then
     echo "loopback smoke: STATS lacks $field" >&2
     exit 1

@@ -226,9 +226,6 @@ void PrintCacheStats(const serve::IndexCache& cache) {
               static_cast<unsigned long long>(s.evictions));
   std::printf("  single-flight waits:     %llu\n",
               static_cast<unsigned long long>(s.single_flight_waits));
-  std::printf("  loads (heap v1 / mmap v2): %llu / %llu\n",
-              static_cast<unsigned long long>(s.v1_loads),
-              static_cast<unsigned long long>(s.v2_loads));
   std::printf("  resident:                %zu entries (%zu pinned), %.1f MB\n",
               s.entries, s.pinned, s.bytes_resident / 1e6);
   std::printf("  mapped:                  %.1f MB\n", s.bytes_mapped / 1e6);
@@ -266,7 +263,7 @@ std::unique_ptr<JoinSearchEngine> MakeEngine(const std::string& name,
 int Usage() {
   std::fprintf(stderr,
                "usage: pexeso_cli "
-               "<index|search|batch|info|snapshot|fsck|query|stats> "
+               "<index|search|batch|info|fsck|query|stats> "
                "[--flags]\n"
                "  index  --input DIR --output FILE [--pivots N --levels M "
                "--partitions K --model chargram|wordavg --dim D "
@@ -282,8 +279,6 @@ int Usage() {
                "--stats --stream "
                "--cache-mb MB --engine ... --model ... --dim D]\n"
                "  info   --index FILE|PARTDIR\n"
-               "  snapshot --index FILE|PARTDIR --upgrade [--metric ...]: "
-               "rewrite legacy heap snapshots as the flat mmap format v2\n"
                "  fsck   LAKEDIR [--repair] [--no-crc]\n"
                "  query  --connect HOST:PORT --query CSV [--column NAME "
                "--tau F --t F --topk K --deadline-ms MS --mappings --stats "
@@ -912,76 +907,6 @@ int CmdInfo(const Flags& flags) {
   return 0;
 }
 
-/// Rewrites one snapshot file as the current flat mmap-friendly format
-/// (disk version 3), via a temp file + rename so a crash mid-rewrite never
-/// clobbers the original. Skips files already current.
-int UpgradeOneSnapshot(const std::string& path, const Metric* metric) {
-  auto loaded = PexesoIndex::Load(path, metric);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s: load failed: %s\n", path.c_str(),
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
-  PexesoIndex index = std::move(loaded).ValueOrDie();
-  if (index.is_mapped()) {
-    std::printf("%s: already format v2 (mmap), skipped\n", path.c_str());
-    return 0;
-  }
-  const uint32_t from = index.loaded_version();
-  const std::string tmp = path + ".upgrade.tmp";
-  Status saved = index.Save(tmp);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "%s: save failed: %s\n", path.c_str(),
-                 saved.ToString().c_str());
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return 1;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::fprintf(stderr, "%s: rename failed: %s\n", path.c_str(),
-                 ec.message().c_str());
-    std::filesystem::remove(tmp, ec);
-    return 1;
-  }
-  std::printf("%s: upgraded disk version %u -> 3 (format v2, %.2f MB)\n",
-              path.c_str(), from,
-              std::filesystem::file_size(path, ec) / 1e6);
-  return 0;
-}
-
-/// `snapshot` subcommand: snapshot-file maintenance. --upgrade rewrites
-/// legacy heap snapshots (disk versions 1/2) as the flat mmap-friendly
-/// format v2; a partition directory upgrades every part-*.pxso in it.
-int CmdSnapshot(const Flags& flags) {
-  const std::string index_path = flags.Get("index");
-  if (index_path.empty() || !flags.Has("upgrade")) return Usage();
-  auto metric = MakeMetricOrExplain(flags);
-  if (!metric) return 2;
-  std::vector<std::string> files;
-  if (std::filesystem::is_directory(index_path)) {
-    for (const auto& e : std::filesystem::directory_iterator(index_path)) {
-      if (e.path().extension() == ".pxso") {
-        files.push_back(e.path().string());
-      }
-    }
-    std::sort(files.begin(), files.end());
-    if (files.empty()) {
-      std::fprintf(stderr, "%s: no .pxso snapshots found\n",
-                   index_path.c_str());
-      return 1;
-    }
-  } else {
-    files.push_back(index_path);
-  }
-  int rc = 0;
-  for (const std::string& f : files) {
-    rc |= UpgradeOneSnapshot(f, metric.get());
-  }
-  return rc;
-}
-
 /// Splits a --connect HOST:PORT value. Returns false (after printing the
 /// reason) when the flag is missing or malformed.
 bool ParseConnect(const Flags& flags, std::string* host, uint16_t* port) {
@@ -1180,7 +1105,6 @@ int main(int argc, char** argv) {
   if (cmd == "search") return CmdSearch(flags);
   if (cmd == "batch") return CmdBatch(flags);
   if (cmd == "info") return CmdInfo(flags);
-  if (cmd == "snapshot") return CmdSnapshot(flags);
   if (cmd == "fsck") return CmdFsck(argc, argv, flags);
   if (cmd == "query") return CmdRemoteQuery(flags);
   if (cmd == "stats") return CmdRemoteStats(flags);
