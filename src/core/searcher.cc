@@ -95,8 +95,12 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   // wrapper's output bit for bit.
   if (topk_mode) RankTopK(&out, jq.k);
   if (jq.collect_mappings) {
+    // The mapping sweep re-runs verification per result column: charge it
+    // to the verify phase, interrupted or not.
+    Stopwatch map_watch;
     const Status map_st =
         pipeline.CollectMappings(query, mapped_q, jq, &out, out_stats);
+    out_stats->verify_seconds += map_watch.ElapsedSeconds();
     if (!map_st.ok()) return finish(map_st);
   }
   for (auto& jc : out) sink->OnColumn(std::move(jc));

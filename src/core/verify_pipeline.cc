@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -31,6 +32,9 @@ enum : uint8_t { kActive = 0, kJoinable = 1, kDead = 2 };
 /// Byte value of QuantVerdict::kMaybe as stored in TileScratch::qclass.
 constexpr uint8_t kQuantMaybe = static_cast<uint8_t>(QuantVerdict::kMaybe);
 
+/// SweepTile's "no matching slot" answer (also "no limit" for a row).
+constexpr uint32_t kNoSlot = UINT32_MAX;
+
 /// True when `b` repeats `a`'s exact range list (and is a real candidate
 /// pair, not a cell-matched one): such consecutive pairs of one column form
 /// one many-to-many tile group sharing a single gather.
@@ -45,6 +49,48 @@ bool SameRanges(const CandidateSet& cands, const CandidateBlock& a,
   return true;
 }
 
+/// Runs task(i, &stats_i) for i in [0, n) on the query's shared intra-query
+/// pool when it names one, else on a transient pool of min(n, max_workers,
+/// 64) workers (extra tasks just queue, so the task layout stays a pure
+/// function of the options). Each task owns a private stats slot and status;
+/// slots merge into `stats` in task order and the first non-OK status in the
+/// same order is returned, so counters never depend on scheduling. A task
+/// exception is rethrown here on both branches: TaskGroup::Wait does not
+/// rethrow (the exception lands in the pool's error slot, which nothing on
+/// this path drains), so the shared-pool branch captures it itself.
+Status FanOut(ThreadPool* shared, size_t n, size_t max_workers,
+              SearchStats* stats,
+              const std::function<Status(size_t, SearchStats*)>& task) {
+  std::vector<SearchStats> task_stats(n);
+  std::vector<Status> task_status(n);
+  const auto run = [&](size_t i) { task_status[i] = task(i, &task_stats[i]); };
+  if (shared != nullptr) {
+    std::mutex err_mu;
+    std::exception_ptr first_error;
+    TaskGroup group(shared);
+    for (size_t i = 0; i < n; ++i) {
+      group.Submit([&run, &err_mu, &first_error, i] {
+        try {
+          run(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(err_mu);
+          if (!first_error) first_error = std::current_exception();
+        }
+      });
+    }
+    group.Wait();
+    if (first_error) std::rethrow_exception(first_error);
+  } else {
+    ThreadPool pool(std::min({n, max_workers, size_t{64}}));
+    pool.ParallelFor(n, run);
+  }
+  for (const SearchStats& s : task_stats) *stats += s;
+  for (const Status& st : task_status) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 /// Reused buffers of one verification shard (or one mapping sweep): gather
@@ -55,22 +101,27 @@ struct VerifyPipeline::TileScratch {
   std::vector<uint8_t> mask;       ///< rows x nv Lemma-1 survivor mask
   std::vector<uint8_t> union_mask; ///< per-candidate any-row-survives
   std::vector<uint32_t> uni;       ///< union survivor indices (ascending)
-  std::vector<float> base;         ///< packed candidate rows of the union
-  std::vector<float> base_norms;   ///< their cached norms (cosine)
   std::vector<uint32_t> rows;      ///< unresolved row indices (ascending)
   std::vector<uint32_t> next_rows;
-  std::vector<uint32_t> tile_rows; ///< rows participating in one vec-tile
-  std::vector<float> qrows;        ///< packed query rows of one tile
-  std::vector<double> qnorms;      ///< their norms (cosine)
-  std::vector<double> cmp;         ///< tile output (comparison space)
   std::vector<uint8_t> matched;    ///< per-run pair outcomes
   std::vector<uint32_t> first_match;  ///< per-query first match (mappings)
+
+  // One SweepTile call: its rows, slots and per-row answers.
+  std::vector<TileRow> tile;
+  std::vector<VecId> slots;
+  std::vector<uint32_t> hits;
+
+  // Exact float tiles.
+  std::vector<float> base;         ///< packed candidate rows
+  std::vector<float> base_norms;   ///< their cached norms (cosine)
+  std::vector<float> qrows;        ///< packed query rows of one row-block
+  std::vector<double> qnorms;      ///< their norms (cosine)
+  std::vector<double> cmp;         ///< tile output (comparison space)
 
   // Quantized pre-filter tier (int8 tiles ahead of the exact float tiles).
   std::vector<int8_t> qcodes;    ///< packed query codes of one row-block
   std::vector<double> qeps;      ///< their quantization error norms
   std::vector<int8_t> cbase;     ///< gathered candidate code rows (vec-tile)
-  std::vector<double> cerr;      ///< their stored error norms
   std::vector<int32_t> qsum;     ///< quant tile output (integer sums)
   std::vector<uint8_t> qclass;   ///< per-slot verdicts of one row-block
   std::vector<uint32_t> need;    ///< maybe columns needing exact re-check
@@ -256,54 +307,16 @@ Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,
     }
   }
 
-  // Stage 2: shards own disjoint match_map/pruned slices, private stats and
-  // private status slots, so the fan-out is lock-free (the kTopK bound is
-  // the one shared object, and it synchronizes internally).
-  std::vector<SearchStats> shard_stats(nshards);
-  std::vector<Status> shard_status(nshards);
-  const auto run_shard = [&](size_t si) {
-    shard_status[si] =
-        VerifyShard(cands, bounds[si], bounds[si + 1], query, mapped_q, jq,
-                    topk, qnorms, rnorms, match_map, pruned, &shard_stats[si]);
-  };
-  if (jq.intra_query_pool != nullptr) {
-    // Shared pool: track completion per-search so concurrent searches can
-    // interleave shards on the same workers. TaskGroup::Wait does NOT
-    // rethrow task exceptions (they land in the pool's error slot, which
-    // nothing on this path drains), so a throwing shard would silently
-    // leave its match_map slice all-zero — capture and rethrow here
-    // instead, matching the transient ParallelFor branch below.
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    TaskGroup group(jq.intra_query_pool);
-    for (size_t si = 0; si < nshards; ++si) {
-      group.Submit([&run_shard, &err_mu, &first_error, si] {
-        try {
-          run_shard(si);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    group.Wait();
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    // Transient pool; worker count capped (shard count is not — extra
-    // shards just queue, keeping the shard layout a pure function of the
-    // options so stats stay deterministic).
-    ThreadPool pool(std::min<size_t>(nshards, 64));
-    pool.ParallelFor(nshards, run_shard);
-  }
-
-  // Stage 3: deterministic reduction — shard stats merge in shard
-  // (= ascending column) order, and the first interrupted shard (in the
-  // same order) decides the returned status.
-  for (const SearchStats& s : shard_stats) *stats += s;
-  for (const Status& st : shard_status) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  // Stages 2 + 3: shards own disjoint match_map/pruned slices, so the
+  // fan-out is lock-free (the kTopK bound is the one shared object, and it
+  // synchronizes internally); stats merge in shard (= ascending column)
+  // order and the first interrupted shard in that order decides the status.
+  return FanOut(jq.intra_query_pool, nshards, nshards, stats,
+                [&](size_t si, SearchStats* shard_stats) {
+                  return VerifyShard(cands, bounds[si], bounds[si + 1], query,
+                                     mapped_q, jq, topk, qnorms, rnorms,
+                                     match_map, pruned, shard_stats);
+                });
 }
 
 Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
@@ -478,8 +491,6 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
                                    const float* repo_norms,
                                    TileScratch* scratch, uint8_t* matched,
                                    SearchStats* stats) const {
-  const VectorStore& rstore = index_->catalog().store();
-  const uint32_t dim = rstore.dim();
   const uint32_t np = index_->pivots().num_pivots();
   const double tau = jq.thresholds.tau;
   const bool use_l1 = jq.ablation.use_lemma1;
@@ -547,25 +558,6 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   }
   if (rows.empty()) return;
 
-  const RangePredicate pred(*index_->metric(), tau);
-  const KernelSet* ks = pred.kernels();
-  if (ks == nullptr) {
-    // Custom metric without kernels: per-pair fallback, serial semantics.
-    for (uint32_t r : rows) {
-      const float* qv = query.View(group[r].query);
-      const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-      for (size_t c = 0; c < nv; ++c) {
-        if (!mrow[c]) continue;
-        ++stats->distance_computations;
-        if (pred.Match(qv, rstore.View(ids[c]), dim)) {
-          matched[r] = 1;
-          break;
-        }
-      }
-    }
-    return;
-  }
-
   // Union of the unresolved rows' survivor sets: the tile evaluates every
   // union slot for every row (rows consult only their own mask afterwards),
   // trading a few wasted slots for dense many-to-many kernel calls.
@@ -587,232 +579,32 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   }
   if (uni.empty()) return;  // Lemma 1 cleared every candidate of every row
 
+  // Vec-tiles over the union; rows that match in one drop out before the
+  // next. Every live row takes part in every tile.
   const size_t un = uni.size();
-  const bool norms = pred.wants_norms();
-  const double bound = ks->CmpBound(tau);
   auto& live = rows;  // unresolved rows, ascending — shrinks per vec-tile
   auto& next_live = scratch->next_rows;
-
-  const QuantStore& quant = index_->quant();
-  if (jq.ablation.use_quant_prefilter && quant.CompatibleWith(ks->kind)) {
-    // Quantized pre-filter tier: an int8 tile classifies every slot as a
-    // provable match, a provable miss, or too-close-to-call; only the
-    // maybe columns reach the exact float tile. That tile keeps ALL rlen
-    // rows of the block — a slot's float kernel value depends only on its
-    // row's position category within the block, never on which columns sit
-    // beside it — so every float comparison performed is bit-identical to
-    // the quant-off run and results cannot drift (the per-block counter
-    // invariant distance_computations + quant_tile_skips == rows x slots
-    // holds exactly; snapshot_test.cc asserts both).
-    const int8_t* codes = quant.codes();
-    const float* errs = quant.err();
-    for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
-      const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
-      auto& cbase = scratch->cbase;
-      cbase.resize(vlen * dim);
-      auto& cerr = scratch->cerr;
-      cerr.resize(vlen);
-      for (size_t c = 0; c < vlen; ++c) {
-        const VecId id = ids[uni[v0 + c]];
-        std::memcpy(cbase.data() + c * dim,
-                    codes + static_cast<size_t>(id) * dim, dim);
-        cerr[c] = errs[id];
-      }
-      next_live.clear();
-      for (size_t r0 = 0; r0 < live.size(); r0 += kTileRows) {
-        const size_t rlen = std::min<size_t>(kTileRows, live.size() - r0);
-        auto& qcodes = scratch->qcodes;
-        qcodes.resize(rlen * dim);
-        auto& qeps = scratch->qeps;
-        qeps.resize(rlen);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t q = group[live[r0 + t]].query;
-          qeps[t] =
-              quant.QuantizeQuery(query.View(q), col, qcodes.data() + t * dim);
-        }
-        auto& qsum = scratch->qsum;
-        qsum.resize(rlen * vlen);
-        ks->QuantTile(qcodes.data(), rlen, cbase.data(), vlen, dim,
-                      qsum.data());
-        // Classify each row's masked slots in ascending order; the first
-        // provable match resolves the row outright and the rest of its
-        // slots are never named.
-        auto& qclass = scratch->qclass;
-        qclass.resize(rlen * vlen);
-        std::array<uint8_t, kTileRows> defhit{};
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t r = live[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-          uint8_t* crow = qclass.data() + t * vlen;
-          for (size_t c = 0; c < vlen; ++c) {
-            if (!mrow[uni[v0 + c]]) continue;
-            const QuantVerdict v = quant.Classify(qsum[t * vlen + c], col,
-                                                  qeps[t], cerr[c], tau);
-            crow[c] = static_cast<uint8_t>(v);
-            if (v == QuantVerdict::kMatch) {
-              defhit[t] = 1;
-              break;
-            }
-          }
-        }
-        // The unresolved rows' maybe slots (deduplicated) form the exact
-        // tile's column set.
-        auto& need = scratch->need;
-        need.clear();
-        auto& need_pos = scratch->need_pos;
-        need_pos.assign(vlen, UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          if (defhit[t]) continue;
-          const uint32_t r = live[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-          const uint8_t* crow = qclass.data() + t * vlen;
-          for (size_t c = 0; c < vlen; ++c) {
-            if (!mrow[uni[v0 + c]]) continue;
-            if (crow[c] == kQuantMaybe && need_pos[c] == UINT32_MAX) {
-              need_pos[c] = static_cast<uint32_t>(need.size());
-              need.push_back(static_cast<uint32_t>(c));
-            }
-          }
-        }
-        const size_t ns = need.size();
-        if (ns > 0) {
-          auto& qrows = scratch->qrows;
-          qrows.resize(rlen * dim);
-          auto& qn = scratch->qnorms;
-          qn.resize(rlen);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t q = group[live[r0 + t]].query;
-            std::memcpy(qrows.data() + t * dim, query.View(q),
-                        dim * sizeof(float));
-            qn[t] = query_norms != nullptr
-                        ? static_cast<double>(query_norms[q])
-                        : 1.0;
-          }
-          auto& base = scratch->base;
-          base.resize(ns * dim);
-          for (size_t c = 0; c < ns; ++c) {
-            std::memcpy(base.data() + c * dim,
-                        rstore.View(ids[uni[v0 + need[c]]]),
-                        dim * sizeof(float));
-          }
-          auto& bnorms = scratch->base_norms;
-          if (norms) {
-            bnorms.resize(ns);
-            for (size_t c = 0; c < ns; ++c) {
-              bnorms[c] = repo_norms[ids[uni[v0 + need[c]]]];
-            }
-          }
-          auto& cmp = scratch->cmp;
-          cmp.resize(rlen * ns);
-          ks->CmpTileNormed(qrows.data(), qn.data(), base.data(),
-                            norms ? bnorms.data() : nullptr, rlen, ns, dim,
-                            cmp.data());
-          ++stats->tiles_evaluated;
-          stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
-          stats->sqrt_free_comparisons +=
-              static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
-          stats->quant_tile_skips +=
-              static_cast<uint64_t>(rlen) * (vlen - ns);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t r = live[r0 + t];
-            if (defhit[t]) {
-              matched[r] = 1;
-              continue;
-            }
-            const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-            const uint8_t* crow = qclass.data() + t * vlen;
-            const double* drow = cmp.data() + t * ns;
-            bool hit = false;
-            for (size_t c = 0; c < vlen; ++c) {
-              if (!mrow[uni[v0 + c]]) continue;
-              if (crow[c] != kQuantMaybe) continue;
-              if (drow[need_pos[c]] <= bound) {
-                hit = true;
-                break;
-              }
-            }
-            if (hit) {
-              matched[r] = 1;
-            } else {
-              next_live.push_back(r);
-            }
-          }
-        } else {
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * vlen;
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t r = live[r0 + t];
-            if (defhit[t]) {
-              matched[r] = 1;
-            } else {
-              next_live.push_back(r);
-            }
-          }
-        }
-      }
-      std::swap(live, next_live);
-    }
-    return;
-  }
-
   for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
     const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
-    // Pack only this vec-tile's union rows (candidate ids are arbitrary,
-    // so rows must be gathered out of the store either way) and their
-    // cached norms — gathering lazily per tile means a group that resolves
-    // in its first tile never copies the rest of a huge union.
-    auto& base = scratch->base;
-    base.resize(vlen * dim);
-    for (size_t c = 0; c < vlen; ++c) {
-      std::memcpy(base.data() + c * dim, rstore.View(ids[uni[v0 + c]]),
-                  dim * sizeof(float));
+    auto& slots = scratch->slots;
+    slots.resize(vlen);
+    for (size_t c = 0; c < vlen; ++c) slots[c] = ids[uni[v0 + c]];
+    auto& tile = scratch->tile;
+    tile.resize(live.size());
+    for (size_t t = 0; t < live.size(); ++t) {
+      tile[t] = TileRow{group[live[t]].query,
+                        mask.data() + static_cast<size_t>(live[t]) * nv};
     }
-    auto& bnorms = scratch->base_norms;
-    if (norms) {
-      bnorms.resize(vlen);
-      for (size_t c = 0; c < vlen; ++c) {
-        bnorms[c] = repo_norms[ids[uni[v0 + c]]];
-      }
-    }
+    auto& hits = scratch->hits;
+    hits.resize(live.size());
+    SweepTile(tile, slots, uni.data() + v0, col, /*first_witness=*/false,
+              query, jq, query_norms, repo_norms, scratch, hits.data(), stats);
     next_live.clear();
-    for (size_t r0 = 0; r0 < live.size(); r0 += kTileRows) {
-      const size_t rlen = std::min<size_t>(kTileRows, live.size() - r0);
-      auto& qrows = scratch->qrows;
-      qrows.resize(rlen * dim);
-      auto& qn = scratch->qnorms;
-      qn.resize(rlen);
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint32_t q = group[live[r0 + t]].query;
-        std::memcpy(qrows.data() + t * dim, query.View(q),
-                    dim * sizeof(float));
-        qn[t] = query_norms != nullptr ? static_cast<double>(query_norms[q])
-                                       : 1.0;
-      }
-      auto& cmp = scratch->cmp;
-      cmp.resize(rlen * vlen);
-      ks->CmpTileNormed(qrows.data(), qn.data(), base.data(),
-                        norms ? bnorms.data() : nullptr, rlen, vlen, dim,
-                        cmp.data());
-      ++stats->tiles_evaluated;
-      stats->distance_computations += static_cast<uint64_t>(rlen) * vlen;
-      stats->sqrt_free_comparisons +=
-          static_cast<uint64_t>(rlen) * vlen * pred.sqrt_saved();
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint32_t r = live[r0 + t];
-        const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-        const double* crow = cmp.data() + t * vlen;
-        bool hit = false;
-        for (size_t c = 0; c < vlen; ++c) {
-          if (!mrow[uni[v0 + c]]) continue;
-          if (crow[c] <= bound) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) {
-          matched[r] = 1;
-        } else {
-          next_live.push_back(r);
-        }
+    for (size_t t = 0; t < live.size(); ++t) {
+      if (hits[t] != kNoSlot) {
+        matched[live[t]] = 1;
+      } else {
+        next_live.push_back(live[t]);
       }
     }
     std::swap(live, next_live);
@@ -843,50 +635,21 @@ Status VerifyPipeline::CollectMappings(const VectorStore& query,
     }
     return Status::OK();
   }
-  // One task per result column (columns are the natural independent unit);
-  // per-column stats slots merge in column order, so counters are identical
-  // to the serial sweep at any thread count. Each slot also records its
-  // column's deadline checkpoint outcome; the first tripped column (in
-  // column order) decides the returned status.
-  std::vector<SearchStats> col_stats(out->size());
-  std::vector<Status> col_status(out->size());
-  const auto map_one = [&](size_t i) {
-    col_status[i] = jq.CheckLive();
-    if (!col_status[i].ok()) {
-      ++col_stats[i].deadline_expired;
-      return;
-    }
-    TileScratch scratch;
-    MapColumn(&(*out)[i], query, mapped_q, jq, qnorms, rnorms, &scratch,
-              &col_stats[i]);
-  };
-  if (jq.intra_query_pool != nullptr) {
-    // Same rethrow discipline as VerifyCandidates: TaskGroup::Wait alone
-    // would swallow a throwing column sweep.
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    TaskGroup group(jq.intra_query_pool);
-    for (size_t i = 0; i < out->size(); ++i) {
-      group.Submit([&map_one, &err_mu, &first_error, i] {
-        try {
-          map_one(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    group.Wait();
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    ThreadPool pool(std::min({want, out->size(), size_t{64}}));
-    pool.ParallelFor(out->size(), map_one);
-  }
-  for (const SearchStats& s : col_stats) *stats += s;
-  for (const Status& st : col_status) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+  // One task per result column (columns are the natural independent unit).
+  // Each task records its column's deadline checkpoint outcome, so the
+  // first tripped column (in column order) decides the returned status.
+  return FanOut(jq.intra_query_pool, out->size(), want, stats,
+                [&](size_t i, SearchStats* col_stats) {
+                  Status live = jq.CheckLive();
+                  if (!live.ok()) {
+                    ++col_stats->deadline_expired;
+                    return live;
+                  }
+                  TileScratch scratch;
+                  MapColumn(&(*out)[i], query, mapped_q, jq, qnorms, rnorms,
+                            &scratch, col_stats);
+                  return Status::OK();
+                });
 }
 
 void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
@@ -895,18 +658,11 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
                                const float* query_norms,
                                const float* repo_norms, TileScratch* scratch,
                                SearchStats* stats) const {
-  const VectorStore& rstore = index_->catalog().store();
-  const uint32_t dim = rstore.dim();
   const uint32_t np = index_->pivots().num_pivots();
   const double tau = jq.thresholds.tau;
   const uint32_t num_q = static_cast<uint32_t>(query.size());
   const ColumnMeta& meta = index_->catalog().column(jc->column);
   const uint32_t nv = meta.count;
-  const RangePredicate pred(*index_->metric(), tau);
-  const KernelSet* ks = pred.kernels();
-  const QuantStore& quant = index_->quant();
-  const bool use_quant = ks != nullptr && jq.ablation.use_quant_prefilter &&
-                         quant.CompatibleWith(ks->kind);
 
   jc->mapping.clear();
   auto& first_match = scratch->first_match;
@@ -917,12 +673,10 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
   auto& next_live = scratch->next_rows;
 
   // The column's vectors are one contiguous VecId run, so the mapping sweep
-  // is a pure many-to-many tile over (query records x column rows) — no
-  // gather at all unless Lemma 1 thins a tile below full occupancy.
+  // is a many-to-many tile over (query records x column rows) that views
+  // the store in place while a tile's Lemma-1 survivors stay contiguous.
   for (uint32_t v0 = 0; v0 < nv && !live.empty(); v0 += kTileVecs) {
     const size_t vlen = std::min<size_t>(kTileVecs, nv - v0);
-    const float* tile_base = rstore.View(meta.first + v0);
-    next_live.clear();
 
     // Lemma-1 survivor masks of the live rows over this vec-tile (applied
     // unconditionally, matching the serial mapping scan).
@@ -945,273 +699,46 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
       }
     }
 
-    if (ks == nullptr) {
-      // Custom metric fallback: per-pair scan, first match wins.
-      for (size_t t = 0; t < live.size(); ++t) {
-        const uint32_t q = live[t];
-        const float* qv = query.View(q);
-        const uint8_t* mrow = mask.data() + t * vlen;
-        bool hit = false;
-        for (size_t c = 0; c < vlen && !hit; ++c) {
-          if (!mrow[c]) continue;
-          ++stats->distance_computations;
-          if (pred.Match(qv, tile_base + c * dim, dim)) {
-            first_match[q] = meta.first + v0 + static_cast<uint32_t>(c);
-            hit = true;
-          }
-        }
-        if (!hit) next_live.push_back(q);
-      }
-      std::swap(live, next_live);
-      continue;
-    }
-
-    // Rows with at least one survivor in this tile do kernel work; fully
+    // Rows with at least one survivor in this tile do the work; fully
     // filtered rows skip it (the serial scan spent no distances on them
     // either) and simply stay live for the later tiles.
-    auto& tile_rows = scratch->tile_rows;  // positions into `live`
-    tile_rows.clear();
+    auto& tile = scratch->tile;
+    tile.clear();
     for (size_t t = 0; t < live.size(); ++t) {
       const uint8_t* mrow = mask.data() + t * vlen;
-      for (size_t c = 0; c < vlen; ++c) {
-        if (mrow[c]) {
-          tile_rows.push_back(static_cast<uint32_t>(t));
-          break;
-        }
+      if (std::find(mrow, mrow + vlen, uint8_t{1}) != mrow + vlen) {
+        tile.push_back(TileRow{live[t], mrow});
       }
     }
-    if (tile_rows.empty()) continue;  // nobody survives; rows stay live
+    if (tile.empty()) continue;  // nobody survives; rows stay live
 
-    // Union of the participating rows' survivors within the tile; full
-    // unions run straight over the store, thinned ones are compacted once.
+    // Union of the participating rows' survivors within the tile.
+    auto& um = scratch->union_mask;
+    um.assign(vlen, 0);
+    for (const TileRow& row : tile) {
+      for (size_t c = 0; c < vlen; ++c) um[c] |= row.mask[c];
+    }
     auto& uni = scratch->uni;
     uni.clear();
-    {
-      auto& um = scratch->union_mask;
-      um.assign(vlen, 0);
-      for (uint32_t t : tile_rows) {
-        const uint8_t* mrow = mask.data() + static_cast<size_t>(t) * vlen;
-        for (size_t c = 0; c < vlen; ++c) um[c] |= mrow[c];
-      }
-      for (size_t c = 0; c < vlen; ++c) {
-        if (um[c]) uni.push_back(static_cast<uint32_t>(c));
-      }
-    }
-    if (uni.empty()) continue;  // unreachable given tile_rows; defensive
-    const size_t un = uni.size();
-    const bool norms = pred.wants_norms();
-
-    if (use_quant) {
-      // Quantized pre-filter over this tile. Mappings must name the FIRST
-      // matching vector, so each row records the position of its first
-      // provable match (dm); only maybe slots strictly before it need the
-      // exact float tile — everything past dm is decided by dm itself. As
-      // in EvaluateGroup, the exact tile keeps all rlen rows so every float
-      // value is bit-identical to the quant-off sweep.
-      const double bound = ks->CmpBound(tau);
-      const int8_t* codes = quant.codes();
-      const float* errs = quant.err();
-      // The column's code rows are contiguous: a full union views them in
-      // place, a thinned one gathers once (mirroring the float compaction).
-      const int8_t* ucodes =
-          codes + static_cast<size_t>(meta.first + v0) * dim;
-      auto& cerr = scratch->cerr;
-      if (un < vlen) {
-        auto& cbase = scratch->cbase;
-        cbase.resize(un * dim);
-        cerr.resize(un);
-        for (size_t c = 0; c < un; ++c) {
-          const size_t id = static_cast<size_t>(meta.first) + v0 + uni[c];
-          std::memcpy(cbase.data() + c * dim, codes + id * dim, dim);
-          cerr[c] = errs[id];
-        }
-        ucodes = cbase.data();
-      } else {
-        const float* e = errs + meta.first + v0;
-        cerr.assign(e, e + un);
-      }
-      for (size_t r0 = 0; r0 < tile_rows.size(); r0 += kTileRows) {
-        const size_t rlen =
-            std::min<size_t>(kTileRows, tile_rows.size() - r0);
-        auto& qcodes = scratch->qcodes;
-        qcodes.resize(rlen * dim);
-        auto& qeps = scratch->qeps;
-        qeps.resize(rlen);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t q = live[tile_rows[r0 + t]];
-          qeps[t] = quant.QuantizeQuery(query.View(q), jc->column,
-                                        qcodes.data() + t * dim);
-        }
-        auto& qsum = scratch->qsum;
-        qsum.resize(rlen * un);
-        ks->QuantTile(qcodes.data(), rlen, ucodes, un, dim, qsum.data());
-        auto& qclass = scratch->qclass;
-        qclass.resize(rlen * un);
-        std::array<uint32_t, kTileRows> dm;
-        dm.fill(UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          uint8_t* crow = qclass.data() + t * un;
-          for (size_t c = 0; c < un; ++c) {
-            if (!mrow[uni[c]]) continue;
-            const QuantVerdict v = quant.Classify(qsum[t * un + c],
-                                                  jc->column, qeps[t],
-                                                  cerr[c], tau);
-            crow[c] = static_cast<uint8_t>(v);
-            if (v == QuantVerdict::kMatch) {
-              dm[t] = static_cast<uint32_t>(c);
-              break;
-            }
-          }
-        }
-        auto& need = scratch->need;
-        need.clear();
-        auto& need_pos = scratch->need_pos;
-        need_pos.assign(un, UINT32_MAX);
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          const uint8_t* crow = qclass.data() + t * un;
-          for (size_t c = 0; c < un && c < dm[t]; ++c) {
-            if (!mrow[uni[c]]) continue;
-            if (crow[c] == kQuantMaybe && need_pos[c] == UINT32_MAX) {
-              need_pos[c] = static_cast<uint32_t>(need.size());
-              need.push_back(static_cast<uint32_t>(c));
-            }
-          }
-        }
-        const size_t ns = need.size();
-        auto& cmp = scratch->cmp;
-        if (ns > 0) {
-          auto& qrows = scratch->qrows;
-          qrows.resize(rlen * dim);
-          auto& qn = scratch->qnorms;
-          qn.resize(rlen);
-          for (size_t t = 0; t < rlen; ++t) {
-            const uint32_t q = live[tile_rows[r0 + t]];
-            std::memcpy(qrows.data() + t * dim, query.View(q),
-                        dim * sizeof(float));
-            qn[t] = query_norms != nullptr
-                        ? static_cast<double>(query_norms[q])
-                        : 1.0;
-          }
-          auto& base = scratch->base;
-          base.resize(ns * dim);
-          for (size_t c = 0; c < ns; ++c) {
-            std::memcpy(base.data() + c * dim,
-                        tile_base + static_cast<size_t>(uni[need[c]]) * dim,
-                        dim * sizeof(float));
-          }
-          auto& bnorms = scratch->base_norms;
-          if (norms) {
-            bnorms.resize(ns);
-            for (size_t c = 0; c < ns; ++c) {
-              bnorms[c] = repo_norms[meta.first + v0 + uni[need[c]]];
-            }
-          }
-          cmp.resize(rlen * ns);
-          ks->CmpTileNormed(qrows.data(), qn.data(), base.data(),
-                            norms ? bnorms.data() : nullptr, rlen, ns, dim,
-                            cmp.data());
-          ++stats->tiles_evaluated;
-          stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
-          stats->sqrt_free_comparisons +=
-              static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * (un - ns);
-        } else {
-          stats->quant_tile_skips += static_cast<uint64_t>(rlen) * un;
-        }
-        for (size_t t = 0; t < rlen; ++t) {
-          const uint32_t lt = tile_rows[r0 + t];
-          const uint32_t q = live[lt];
-          const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-          const uint8_t* crow = qclass.data() + t * un;
-          const double* drow = ns > 0 ? cmp.data() + t * ns : nullptr;
-          for (size_t c = 0; c < un; ++c) {
-            if (c == dm[t]) {
-              // Everything before dm was a provable miss or an exact-
-              // checked maybe that failed, so dm is the first match.
-              first_match[q] = meta.first + v0 + uni[c];
-              break;
-            }
-            if (!mrow[uni[c]]) continue;
-            if (crow[c] == kQuantMaybe && drow[need_pos[c]] <= bound) {
-              first_match[q] = meta.first + v0 + uni[c];
-              break;
-            }
-          }
-        }
-      }
-      next_live.clear();
-      for (uint32_t q : live) {
-        if (first_match[q] == UINT32_MAX) next_live.push_back(q);
-      }
-      std::swap(live, next_live);
-      continue;
+    auto& slots = scratch->slots;
+    slots.clear();
+    for (size_t c = 0; c < vlen; ++c) {
+      if (!um[c]) continue;
+      uni.push_back(static_cast<uint32_t>(c));
+      slots.push_back(meta.first + v0 + static_cast<VecId>(c));
     }
 
-    const float* ubase = tile_base;
-    const float* ubnorms =
-        norms ? repo_norms + meta.first + v0 : nullptr;
-    if (un < vlen) {
-      auto& base = scratch->base;
-      base.resize(un * dim);
-      for (size_t c = 0; c < un; ++c) {
-        std::memcpy(base.data() + c * dim, tile_base + uni[c] * dim,
-                    dim * sizeof(float));
-      }
-      ubase = base.data();
-      if (norms) {
-        auto& bn = scratch->base_norms;
-        bn.resize(un);
-        for (size_t c = 0; c < un; ++c) {
-          bn[c] = repo_norms[meta.first + v0 + uni[c]];
-        }
-        ubnorms = bn.data();
-      }
-    }
-
-    const double bound = ks->CmpBound(tau);
-    for (size_t r0 = 0; r0 < tile_rows.size(); r0 += kTileRows) {
-      const size_t rlen = std::min<size_t>(kTileRows, tile_rows.size() - r0);
-      auto& qrows = scratch->qrows;
-      qrows.resize(rlen * dim);
-      auto& qn = scratch->qnorms;
-      qn.resize(rlen);
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint32_t q = live[tile_rows[r0 + t]];
-        std::memcpy(qrows.data() + t * dim, query.View(q),
-                    dim * sizeof(float));
-        qn[t] = query_norms != nullptr ? static_cast<double>(query_norms[q])
-                                       : 1.0;
-      }
-      auto& cmp = scratch->cmp;
-      cmp.resize(rlen * un);
-      ks->CmpTileNormed(qrows.data(), qn.data(), ubase, ubnorms, rlen, un,
-                        dim, cmp.data());
-      ++stats->tiles_evaluated;
-      stats->distance_computations += static_cast<uint64_t>(rlen) * un;
-      stats->sqrt_free_comparisons +=
-          static_cast<uint64_t>(rlen) * un * pred.sqrt_saved();
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint32_t lt = tile_rows[r0 + t];
-        const uint32_t q = live[lt];
-        const uint8_t* mrow = mask.data() + static_cast<size_t>(lt) * vlen;
-        const double* crow = cmp.data() + t * un;
-        for (size_t c = 0; c < un; ++c) {
-          if (!mrow[uni[c]]) continue;
-          if (crow[c] <= bound) {
-            // uni is ascending and vec-tiles scan forward, so this is the
-            // column-global first match — the serial mapping's choice.
-            first_match[q] = meta.first + v0 + uni[c];
-            break;
-          }
-        }
-      }
+    auto& hits = scratch->hits;
+    hits.resize(tile.size());
+    SweepTile(tile, slots, uni.data(), jc->column, /*first_witness=*/true,
+              query, jq, query_norms, repo_norms, scratch, hits.data(), stats);
+    // Slots ascend and vec-tiles scan forward, so a row's first hit is its
+    // column-global first match — the serial mapping's choice.
+    for (size_t t = 0; t < tile.size(); ++t) {
+      if (hits[t] != kNoSlot) first_match[tile[t].query] = slots[hits[t]];
     }
     // One ordered pass keeps next_live ascending regardless of which rows
-    // took part in this tile's kernel work.
+    // took part in this tile's work.
     next_live.clear();
     for (uint32_t q : live) {
       if (first_match[q] == UINT32_MAX) next_live.push_back(q);
@@ -1229,6 +756,196 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
   jc->match_count = static_cast<uint32_t>(jc->mapping.size());
   jc->joinability =
       static_cast<double>(jc->match_count) / static_cast<double>(num_q);
+}
+
+void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
+                               std::span<const VecId> slots,
+                               const uint32_t* mask_col, ColumnId col,
+                               bool first_witness, const VectorStore& query,
+                               const JoinQuery& jq, const float* query_norms,
+                               const float* repo_norms, TileScratch* scratch,
+                               uint32_t* first, SearchStats* stats) const {
+  const VectorStore& rstore = index_->catalog().store();
+  const uint32_t dim = rstore.dim();
+  const double tau = jq.thresholds.tau;
+  const size_t nslots = slots.size();
+  const auto survives = [&](size_t t, size_t c) {
+    return rows[t].mask[mask_col[c]] != 0;
+  };
+  std::fill(first, first + rows.size(), kNoSlot);
+
+  const RangePredicate pred(*index_->metric(), tau);
+  const KernelSet* ks = pred.kernels();
+  if (ks == nullptr) {
+    // Metric without kernels: per-pair scan, first match wins.
+    for (size_t t = 0; t < rows.size(); ++t) {
+      const float* qv = query.View(rows[t].query);
+      for (size_t c = 0; c < nslots; ++c) {
+        if (!survives(t, c)) continue;
+        ++stats->distance_computations;
+        if (pred.Match(qv, rstore.View(slots[c]), dim)) {
+          first[t] = static_cast<uint32_t>(c);
+          break;
+        }
+      }
+    }
+    return;
+  }
+
+  // One contiguous VecId run is viewed in place; other slot lists gather.
+  bool contiguous = true;
+  for (size_t c = 1; c < nslots && contiguous; ++c) {
+    contiguous = slots[c] == slots[0] + c;
+  }
+  const QuantStore& quant = index_->quant();
+  const float* errs = quant.err();
+  const bool use_quant =
+      jq.ablation.use_quant_prefilter && quant.CompatibleWith(ks->kind);
+  const double bound = ks->CmpBound(tau);
+  // Exact-tile operands: without the int8 tier every slot, set once per
+  // vec-tile; with it, each row-block's maybe slots.
+  const float* base = nullptr;
+  const float* bnorms = nullptr;
+  // Packs slots pick[0..n) (the first n slots when `pick` is null) into
+  // the exact-tile operands.
+  const auto gather_floats = [&](const uint32_t* pick, size_t n) {
+    scratch->base.resize(n * dim);
+    scratch->base_norms.resize(repo_norms != nullptr ? n : 0);
+    for (size_t c = 0; c < n; ++c) {
+      const VecId id = slots[pick != nullptr ? pick[c] : c];
+      std::memcpy(scratch->base.data() + c * dim, rstore.View(id),
+                  dim * sizeof(float));
+      if (repo_norms != nullptr) scratch->base_norms[c] = repo_norms[id];
+    }
+    base = scratch->base.data();
+    bnorms = repo_norms != nullptr ? scratch->base_norms.data() : nullptr;
+  };
+  const int8_t* codes = nullptr;
+  if (use_quant) {
+    codes = quant.codes() + static_cast<size_t>(slots[0]) * dim;
+    if (!contiguous) {
+      scratch->cbase.resize(nslots * dim);
+      for (size_t c = 0; c < nslots; ++c) {
+        std::memcpy(scratch->cbase.data() + c * dim,
+                    quant.codes() + static_cast<size_t>(slots[c]) * dim, dim);
+      }
+      codes = scratch->cbase.data();
+    }
+  } else if (contiguous) {
+    base = rstore.View(slots[0]);
+    bnorms = repo_norms != nullptr ? repo_norms + slots[0] : nullptr;
+  } else {
+    gather_floats(nullptr, nslots);
+  }
+
+  for (size_t r0 = 0; r0 < rows.size(); r0 += kTileRows) {
+    const size_t rlen = std::min<size_t>(kTileRows, rows.size() - r0);
+    // Row t float-checks slots [0, limit[t]); dm[t] is its first provable
+    // int8 match, its answer when no float hit comes first.
+    std::array<uint32_t, kTileRows> dm;
+    dm.fill(kNoSlot);
+    std::array<uint32_t, kTileRows> limit;
+    limit.fill(kNoSlot);
+    size_t ns = nslots;  // exact-tile columns
+    auto& need = scratch->need;
+    auto& need_pos = scratch->need_pos;
+    if (use_quant) {
+      // Quantized pre-filter: an int8 tile classifies every slot as a
+      // provable match, a provable miss, or too-close-to-call; only maybe
+      // slots reach the exact float tile. That tile keeps ALL rlen rows of
+      // the block — a slot's float kernel value depends only on its row's
+      // position category within the block, never on which columns sit
+      // beside it — so every float comparison performed is bit-identical to
+      // the quant-off run, and distance_computations + quant_tile_skips
+      // equals the quant-off distance count exactly (snapshot_test.cc and
+      // pipeline_test.cc assert both).
+      auto& qcodes = scratch->qcodes;
+      qcodes.resize(rlen * dim);
+      auto& qeps = scratch->qeps;
+      qeps.resize(rlen);
+      for (size_t t = 0; t < rlen; ++t) {
+        qeps[t] = quant.QuantizeQuery(query.View(rows[r0 + t].query), col,
+                                      qcodes.data() + t * dim);
+      }
+      auto& qsum = scratch->qsum;
+      qsum.resize(rlen * nslots);
+      ks->QuantTile(qcodes.data(), rlen, codes, nslots, dim, qsum.data());
+      // Classify each row's surviving slots in ascending order up to its
+      // first provable match; later slots are never named.
+      auto& qclass = scratch->qclass;
+      qclass.resize(rlen * nslots);
+      for (size_t t = 0; t < rlen; ++t) {
+        uint8_t* crow = qclass.data() + t * nslots;
+        for (size_t c = 0; c < nslots; ++c) {
+          if (!survives(r0 + t, c)) continue;
+          const QuantVerdict v = quant.Classify(qsum[t * nslots + c], col,
+                                                qeps[t], errs[slots[c]], tau);
+          crow[c] = static_cast<uint8_t>(v);
+          if (v == QuantVerdict::kMatch) {
+            dm[t] = static_cast<uint32_t>(c);
+            break;
+          }
+        }
+        // The one rule that differs between the callers: existence is
+        // settled by the int8 match itself, while a first witness needs
+        // the maybe slots before it float-checked.
+        limit[t] = first_witness || dm[t] == kNoSlot ? dm[t] : 0;
+      }
+      // The rows' maybe slots below their limits (deduplicated) form the
+      // exact tile's column set.
+      need.clear();
+      need_pos.assign(nslots, kNoSlot);
+      for (size_t t = 0; t < rlen; ++t) {
+        const uint8_t* crow = qclass.data() + t * nslots;
+        for (size_t c = 0; c < nslots && c < limit[t]; ++c) {
+          if (survives(r0 + t, c) && crow[c] == kQuantMaybe &&
+              need_pos[c] == kNoSlot) {
+            need_pos[c] = static_cast<uint32_t>(need.size());
+            need.push_back(static_cast<uint32_t>(c));
+          }
+        }
+      }
+      ns = need.size();
+      stats->quant_tile_skips += static_cast<uint64_t>(rlen) * (nslots - ns);
+      if (ns > 0) gather_floats(need.data(), ns);
+    }
+
+    auto& cmp = scratch->cmp;
+    if (ns > 0) {
+      auto& qrows = scratch->qrows;
+      qrows.resize(rlen * dim);
+      auto& qn = scratch->qnorms;
+      qn.resize(rlen);
+      for (size_t t = 0; t < rlen; ++t) {
+        const uint32_t q = rows[r0 + t].query;
+        std::memcpy(qrows.data() + t * dim, query.View(q),
+                    dim * sizeof(float));
+        qn[t] = query_norms != nullptr ? static_cast<double>(query_norms[q])
+                                       : 1.0;
+      }
+      cmp.resize(rlen * ns);
+      ks->CmpTileNormed(qrows.data(), qn.data(), base, bnorms, rlen, ns, dim,
+                        cmp.data());
+      ++stats->tiles_evaluated;
+      stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
+      stats->sqrt_free_comparisons +=
+          static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
+    }
+    for (size_t t = 0; t < rlen; ++t) {
+      first[r0 + t] = dm[t];
+      const uint8_t* crow =
+          use_quant ? scratch->qclass.data() + t * nslots : nullptr;
+      const double* drow = cmp.data() + t * ns;
+      for (size_t c = 0; c < nslots && c < limit[t]; ++c) {
+        if (!survives(r0 + t, c)) continue;
+        if (use_quant && crow[c] != kQuantMaybe) continue;
+        if (drow[use_quant ? need_pos[c] : c] <= bound) {
+          first[r0 + t] = static_cast<uint32_t>(c);
+          break;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace pexeso

@@ -2,6 +2,7 @@
 #define PEXESO_CORE_VERIFY_PIPELINE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/blocker.h"
@@ -62,6 +63,15 @@ struct CandidateSet {
 ///   stage 3  deterministic reduction — shards own disjoint match_map
 ///            slices and private stats, merged in shard (= column) order.
 ///
+/// One tile sweep: verification and the record-mapping pass (CollectMappings)
+/// both resolve a vec-tile through SweepTile — Lemma-1-masked rows against a
+/// slot list, the int8 quant tier first when enabled, then exact float tiles
+/// over the slots it cannot decide (a per-pair scan for metrics without
+/// kernels). The callers differ in one rule only. Verification needs
+/// existence, so a row with a provable int8 match is settled without any
+/// float work; a mapping needs the first witness, so the undecided slots
+/// before that match are float-checked first.
+///
 /// Determinism contract: because a column's pairs are always resolved by
 /// one shard, in ascending query order, with Lemma-7 kills and t_abs
 /// early-joinable upgrades applied between tile batches exactly where the
@@ -112,13 +122,13 @@ class VerifyPipeline {
                           std::vector<uint8_t>* pruned,
                           SearchStats* stats) const;
 
-  /// Record-level mappings over the same tile machinery: each joinable
-  /// column is one many-to-many tile sweep of (query records x the column's
-  /// contiguous vector range) with Lemma-1 masking, instead of the old
-  /// per-pair rescan. Parallelizes across result columns under the same
-  /// intra-query options, with per-column stats merged in column order.
-  /// Returns OK or the interruption status (mappings are then partial; the
-  /// caller discards them).
+  /// Record-level mappings: each joinable column is swept with the same
+  /// SweepTile routine as verification, over (query records x the column's
+  /// contiguous vector range) with Lemma-1 masking, asking for each record's
+  /// first witness rather than mere existence. Parallelizes across result
+  /// columns under the same intra-query options, with per-column stats
+  /// merged in column order. Returns OK or the interruption status (mappings
+  /// are then partial; the caller discards them).
   Status CollectMappings(const VectorStore& query,
                          const std::vector<double>& mapped_q,
                          const JoinQuery& jq,
@@ -162,6 +172,30 @@ class VerifyPipeline {
                  const std::vector<double>& mapped_q, const JoinQuery& jq,
                  const float* query_norms, const float* repo_norms,
                  TileScratch* scratch, SearchStats* stats) const;
+
+  /// One row of a SweepTile call: a query record and its Lemma-1 mask row.
+  struct TileRow {
+    uint32_t query;
+    const uint8_t* mask;
+  };
+
+  /// The one tile routine behind verification and mappings: checks `rows`
+  /// against `slots` (VecIds of column `col`; row t checks slot c only when
+  /// rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and writes each
+  /// row's first matching slot, or UINT32_MAX, to first[0..rows.size()).
+  /// Runs the int8 tier when the query enables it and the index's codes fit
+  /// the metric, then exact CmpTileNormed tiles over the slots it cannot
+  /// decide; a metric without kernels takes a per-pair Match scan instead.
+  /// With `first_witness` false a provable int8 match settles its row
+  /// outright; with it true the undecided slots before that match are
+  /// float-checked first, so the answer is the row's first match in slot
+  /// order.
+  void SweepTile(std::span<const TileRow> rows, std::span<const VecId> slots,
+                 const uint32_t* mask_col, ColumnId col, bool first_witness,
+                 const VectorStore& query, const JoinQuery& jq,
+                 const float* query_norms, const float* repo_norms,
+                 TileScratch* scratch, uint32_t* first,
+                 SearchStats* stats) const;
 
   const PexesoIndex* index_;
 };

@@ -2,8 +2,9 @@
 // (src/core/verify_pipeline.{h,cc}): the column-sharded tiled search must
 // return byte-identical results to its own serial execution at every
 // intra-query thread count, across every lemma-ablation combination, with
-// exact-joinability mode on and off, and with record-mapping collection — and
-// the whole thing must agree with a brute-force scalar oracle.
+// exact-joinability mode on and off, with the int8 quant tier on and off, and
+// with record-mapping collection — and the whole thing must agree with a
+// brute-force scalar oracle.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/pexeso_h.h"
 #include "common/thread_pool.h"
 #include "core/pexeso_index.h"
 #include "core/searcher.h"
@@ -21,9 +23,17 @@
 namespace pexeso {
 namespace {
 
+using testing::KernelFreeL2Metric;
 using testing::MustSearch;
 using testing::MakeClusteredCatalog;
 using testing::MakeClusteredQuery;
+
+/// The built-in metrics by name, plus "l2-kernel-free": L2 without kernels,
+/// which drives every verification loop down its per-pair fallback.
+std::unique_ptr<Metric> MakeTestMetric(const std::string& name) {
+  if (name == "l2-kernel-free") return std::make_unique<KernelFreeL2Metric>();
+  return MakeMetric(name);
+}
 
 /// Brute-force join with exact counts and first-match mappings, spelled out
 /// with the double-accumulating virtual Metric::Dist oracle.
@@ -92,6 +102,7 @@ void ExpectSameCounters(const SearchStats& a, const SearchStats& b,
   EXPECT_EQ(a.early_joinable, b.early_joinable) << label;
   EXPECT_EQ(a.candidate_blocks, b.candidate_blocks) << label;
   EXPECT_EQ(a.tiles_evaluated, b.tiles_evaluated) << label;
+  EXPECT_EQ(a.quant_tile_skips, b.quant_tile_skips) << label;
 }
 
 std::vector<ColumnId> Columns(const std::vector<JoinableColumn>& r) {
@@ -103,12 +114,14 @@ std::vector<ColumnId> Columns(const std::vector<JoinableColumn>& r) {
 class PipelineDeterminismTest : public ::testing::TestWithParam<const char*> {
 };
 
-/// The tentpole acceptance matrix: serial pipeline == sharded pipeline at
-/// 1/2/8 intra-query threads, across the lemma-ablation lattice, exact
-/// joinability on/off, and with mapping collection — and the serial run
-/// matches the brute-force oracle.
+/// The acceptance matrix: serial pipeline == sharded pipeline at 1/2/8
+/// intra-query threads, across the lemma-ablation lattice, exact joinability
+/// on/off, quant tier on/off and with mapping collection — and the serial run
+/// matches the brute-force oracle. Quant on and off return byte-identical
+/// results, and every float slot the int8 tier skips is one distance the
+/// quant-off run computes.
 TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
-  auto metric = MakeMetric(GetParam());
+  auto metric = MakeTestMetric(GetParam());
   ASSERT_NE(metric, nullptr);
   const uint32_t dim = 17;  // odd: exercises SIMD remainder lanes end to end
   ColumnCatalog catalog = MakeClusteredCatalog(77, dim, 28, 14);
@@ -127,51 +140,71 @@ TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
       for (bool use_l7 : {true, false}) {
         for (bool exact : {false, true}) {
           for (bool mappings : {false, true}) {
-            JoinQuery sopts;
-            sopts.thresholds = ft.Resolve(*metric, dim, query.size());
-            sopts.ablation.use_lemma1 = use_l1;
-            sopts.ablation.use_lemma2 = use_l2;
-            sopts.ablation.use_lemma7 = use_l7;
-            sopts.mode = exact ? QueryMode::kExactJoinability
-                               : QueryMode::kThreshold;
-            sopts.collect_mappings = mappings;
-            const std::string label =
-                std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
-                " l2=" + std::to_string(use_l2) +
-                " l7=" + std::to_string(use_l7) +
-                " exact=" + std::to_string(exact) +
-                " map=" + std::to_string(mappings);
+            std::vector<JoinableColumn> quant_on;
+            SearchStats quant_on_stats;
+            for (bool quant : {true, false}) {
+              JoinQuery sopts;
+              sopts.thresholds = ft.Resolve(*metric, dim, query.size());
+              sopts.ablation.use_lemma1 = use_l1;
+              sopts.ablation.use_lemma2 = use_l2;
+              sopts.ablation.use_lemma7 = use_l7;
+              sopts.ablation.use_quant_prefilter = quant;
+              sopts.mode = exact ? QueryMode::kExactJoinability
+                                 : QueryMode::kThreshold;
+              sopts.collect_mappings = mappings;
+              const std::string label =
+                  std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
+                  " l2=" + std::to_string(use_l2) +
+                  " l7=" + std::to_string(use_l7) +
+                  " exact=" + std::to_string(exact) +
+                  " map=" + std::to_string(mappings) +
+                  " quant=" + std::to_string(quant);
 
-            SearchStats serial_stats;
-            const auto serial = MustSearch(searcher, query, sopts, &serial_stats);
+              SearchStats serial_stats;
+              const auto serial =
+                  MustSearch(searcher, query, sopts, &serial_stats);
 
-            // Oracle agreement: the joinable set is always identical; the
-            // counts are exact whenever the search reports exact counts
-            // (exact mode, or the mapping post-pass upgrade).
-            const auto oracle = OracleJoin(catalog, *metric, query,
-                                           sopts.thresholds, mappings);
-            ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
-            if (exact || mappings) {
-              for (size_t i = 0; i < serial.size(); ++i) {
-                EXPECT_EQ(serial[i].match_count, oracle[i].match_count)
+              // Oracle agreement: the joinable set is always identical; the
+              // counts are exact whenever the search reports exact counts
+              // (exact mode, or the mapping post-pass upgrade).
+              const auto oracle = OracleJoin(catalog, *metric, query,
+                                             sopts.thresholds, mappings);
+              ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
+              if (exact || mappings) {
+                for (size_t i = 0; i < serial.size(); ++i) {
+                  EXPECT_EQ(serial[i].match_count, oracle[i].match_count)
+                      << label;
+                }
+              }
+              if (mappings) {
+                ExpectByteIdentical(serial, oracle, label + " vs oracle");
+              }
+
+              if (quant) {
+                quant_on = serial;
+                quant_on_stats = serial_stats;
+              } else {
+                ExpectByteIdentical(quant_on, serial, label + " vs quant on");
+                EXPECT_EQ(serial_stats.quant_tile_skips, 0u) << label;
+                EXPECT_EQ(quant_on_stats.distance_computations +
+                              quant_on_stats.quant_tile_skips,
+                          serial_stats.distance_computations)
                     << label;
               }
-            }
-            if (mappings) {
-              ExpectByteIdentical(serial, oracle, label + " vs oracle");
-            }
 
-            for (size_t threads : {1, 2, 8}) {
-              JoinQuery topts = sopts;
-              topts.intra_query_threads = threads;
-              SearchStats tstats;
-              const auto threaded = MustSearch(searcher, query, topts, &tstats);
-              ExpectByteIdentical(
-                  threaded, serial,
-                  label + " threads=" + std::to_string(threads));
-              ExpectSameCounters(
-                  tstats, serial_stats,
-                  label + " threads=" + std::to_string(threads));
+              for (size_t threads : {1, 2, 8}) {
+                JoinQuery topts = sopts;
+                topts.intra_query_threads = threads;
+                SearchStats tstats;
+                const auto threaded =
+                    MustSearch(searcher, query, topts, &tstats);
+                ExpectByteIdentical(
+                    threaded, serial,
+                    label + " threads=" + std::to_string(threads));
+                ExpectSameCounters(
+                    tstats, serial_stats,
+                    label + " threads=" + std::to_string(threads));
+              }
             }
           }
         }
@@ -181,7 +214,8 @@ TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, PipelineDeterminismTest,
-                         ::testing::Values("l2", "cosine", "l1"));
+                         ::testing::Values("l2", "cosine", "l1",
+                                           "l2-kernel-free"));
 
 TEST(PipelineTest, SharedIntraPoolMatchesTransientPool) {
   L2Metric metric;
@@ -237,6 +271,47 @@ TEST(PipelineTest, CollectMappingsRoutesStatsThroughSearchCounters) {
   // each joinable column, so both counters must strictly grow.
   EXPECT_GT(with.distance_computations, without.distance_computations);
   EXPECT_GT(with.lemma1_filtered, without.lemma1_filtered);
+}
+
+/// Bugfix regression: the mapping sweep is verification work, so its wall
+/// time must land in verify_seconds on both index engines (it used to land
+/// in no phase at all). The kernel-free metric sleeps in every Dist call,
+/// which bounds the phase from below by its distance count: with mappings,
+/// verify_seconds covers at least the mapping sweep's extra distances.
+TEST(PipelineTest, MappingTimeIsChargedToVerifySeconds) {
+  constexpr int kDelayUs = 50;
+  KernelFreeL2Metric metric;
+  ColumnCatalog catalog = MakeClusteredCatalog(84, 10, 25, 15);
+  VectorStore query = MakeClusteredQuery(84, 10, 40);
+  PexesoOptions popts;
+  popts.num_pivots = 3;
+  popts.levels = 4;
+  PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, popts);
+  metric.set_dist_delay_us(kDelayUs);  // after the build: searches only
+  PexesoSearcher pexeso(&index);
+  PexesoHSearcher pexeso_h(&index);
+  // A low T stops verification after a few matches per column; the
+  // mapping sweep then resolves every query record of each result column.
+  FractionalThresholds ft{0.08, 0.05};
+  for (const JoinSearchEngine* engine :
+       {static_cast<const JoinSearchEngine*>(&pexeso),
+        static_cast<const JoinSearchEngine*>(&pexeso_h)}) {
+    JoinQuery jq;
+    jq.thresholds = ft.Resolve(metric, 10, query.size());
+    SearchStats without;
+    MustSearch(*engine, query, jq, &without);
+    jq.collect_mappings = true;
+    SearchStats with;
+    ASSERT_FALSE(MustSearch(*engine, query, jq, &with).empty())
+        << engine->name();
+    ASSERT_GT(with.distance_computations, without.distance_computations)
+        << engine->name();
+    const uint64_t extra =
+        with.distance_computations - without.distance_computations;
+    EXPECT_GE(with.verify_seconds, static_cast<double>(extra) * kDelayUs * 1e-6)
+        << engine->name() << ": " << extra << " mapping distances, "
+        << without.distance_computations << " verification distances";
+  }
 }
 
 /// Regression for the Lemma-7 batch headroom clamp: an unreachable T

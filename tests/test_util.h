@@ -2,10 +2,13 @@
 #define PEXESO_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,9 +18,37 @@
 #include "core/engine.h"
 #include "core/join_result.h"
 #include "vec/column_catalog.h"
+#include "vec/metric.h"
 #include "vec/vector_store.h"
 
 namespace pexeso::testing {
+
+/// L2 distance with no kernels: kernels() stays nullptr, so every search
+/// loop takes its per-pair virtual-Dist fallback. set_dist_delay_us() makes
+/// each Dist call sleep at least that long, so a test can bound a phase's
+/// wall time from below by its distance count.
+class KernelFreeL2Metric final : public Metric {
+ public:
+  double Dist(const float* a, const float* b, uint32_t dim) const override {
+    const int delay = delay_us_.load(std::memory_order_relaxed);
+    if (delay > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay));
+    }
+    return l2_.Dist(a, b, dim);
+  }
+  double MaxUnitDistance(uint32_t dim) const override {
+    return l2_.MaxUnitDistance(dim);
+  }
+  std::string Name() const override { return "l2-kernel-free"; }
+
+  void set_dist_delay_us(int us) {
+    delay_us_.store(us, std::memory_order_relaxed);
+  }
+
+ private:
+  L2Metric l2_;
+  std::atomic<int> delay_us_{0};
+};
 
 /// Executes `jq` (with its vectors field pointed at `query`) against
 /// `engine` and returns the collected results, aborting on a non-OK status.

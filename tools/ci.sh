@@ -237,6 +237,12 @@ done
 SMOKE_COORD_PID="" SMOKE_SHARD0_PID="" SMOKE_SHARD1_PID=""
 echo "shard smoke: OK ($(wc -l < "$SMOKE_DIR/sharded.txt") result lines byte-identical through the coordinator)"
 
+# End-to-end smoke: all four bench_e2e workloads at 1/20 size over a real
+# loopback server, every answer checked against a reference — the mapping
+# queries of wire-openloop included. Builds its own Release tree under
+# .bench_build/ and exits non-zero on any wrong answer.
+bash bench_e2e/run_e2e.sh --smoke
+
 if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   SAN_DIR="${SAN_BUILD_DIR:-build-asan}"
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
