@@ -40,11 +40,7 @@ namespace {
 struct ShardRow {
   std::string config;
   bool share_floor = false;
-  uint64_t distance_computations = 0;
-  uint64_t pruned_columns = 0;
-  uint64_t floor_updates_sent = 0;
-  uint64_t floor_updates_received = 0;
-  uint64_t bytes_moved = 0;
+  SearchStats stats;
   double seconds = 0.0;
   bool identical = true;
 };
@@ -77,13 +73,19 @@ void RunWorkload(const JoinSearchEngine& engine,
       const Status st = engine.Execute(jq, &sink, &stats);
       if (!st.ok()) std::abort();
     });
-    row->distance_computations += stats.distance_computations;
-    row->pruned_columns += stats.columns_pruned_topk;
-    row->floor_updates_sent += stats.floor_updates_sent;
-    row->floor_updates_received += stats.floor_updates_received;
-    row->bytes_moved += stats.shard_bytes_moved;
+    row->stats += stats;
     row->identical = row->identical && SameResults(sink.columns(), oracles[i]);
   }
+}
+
+void PrintRow(const ShardRow& r) {
+  std::printf("%-22s %6s %16llu %10llu %12llu %12llu %10s\n",
+              r.config.c_str(), r.share_floor ? "on" : "off",
+              static_cast<unsigned long long>(r.stats.distance_computations),
+              static_cast<unsigned long long>(r.stats.columns_pruned_topk),
+              static_cast<unsigned long long>(r.stats.floor_updates_sent),
+              static_cast<unsigned long long>(r.stats.floor_updates_received),
+              r.identical ? "yes" : "NO");
 }
 
 void WriteShardBenchJson(const std::vector<ShardRow>& rows) {
@@ -112,11 +114,11 @@ void WriteShardBenchJson(const std::vector<ShardRow>& rows) {
         "\"seconds\": %.4f, \"identical\": %s}",
         i == 0 ? "" : ",", r.config.c_str(),
         r.share_floor ? "true" : "false",
-        static_cast<unsigned long long>(r.distance_computations),
-        static_cast<unsigned long long>(r.pruned_columns),
-        static_cast<unsigned long long>(r.floor_updates_sent),
-        static_cast<unsigned long long>(r.floor_updates_received),
-        static_cast<unsigned long long>(r.bytes_moved), r.seconds,
+        static_cast<unsigned long long>(r.stats.distance_computations),
+        static_cast<unsigned long long>(r.stats.columns_pruned_topk),
+        static_cast<unsigned long long>(r.stats.floor_updates_sent),
+        static_cast<unsigned long long>(r.stats.floor_updates_received),
+        static_cast<unsigned long long>(r.stats.shard_bytes_moved), r.seconds,
         r.identical ? "true" : "false");
   }
   std::fprintf(f, "\n  ]\n}\n");
@@ -182,8 +184,7 @@ void ShardExperiment() {
       const Status st = parts.Execute(jq, &sink, &stats);
       if (!st.ok()) std::abort();
     });
-    single.distance_computations += stats.distance_computations;
-    single.pruned_columns += stats.columns_pruned_topk;
+    single.stats += stats;
     oracles[i] = std::move(sink).TakeColumns();
   }
   std::vector<ShardRow> rows;
@@ -194,10 +195,7 @@ void ShardExperiment() {
   std::printf("%-22s %6s %16s %10s %12s %12s %10s\n", "config", "floor",
               "distance comps", "pruned", "floor sent", "floor rcvd",
               "identical");
-  std::printf("%-22s %6s %16llu %10llu %12s %12s %10s\n", "single", "-",
-              static_cast<unsigned long long>(single.distance_computations),
-              static_cast<unsigned long long>(single.pruned_columns), "-",
-              "-", "yes");
+  PrintRow(single);
 
   // Virtual 4-shard coordinator, floor sharing on vs off.
   shard::VirtualShardRouter vrouter(&parts, 4);
@@ -210,13 +208,7 @@ void ShardExperiment() {
     row.share_floor = share;
     RunWorkload(sharded, queries, topk, oracles, &row);
     rows.push_back(row);
-    std::printf("%-22s %6s %16llu %10llu %12llu %12llu %10s\n",
-                row.config.c_str(), share ? "on" : "off",
-                static_cast<unsigned long long>(row.distance_computations),
-                static_cast<unsigned long long>(row.pruned_columns),
-                static_cast<unsigned long long>(row.floor_updates_sent),
-                static_cast<unsigned long long>(row.floor_updates_received),
-                row.identical ? "yes" : "NO");
+    PrintRow(row);
   }
 
   // Remote 2-shard loopback fleet, floor sharing on vs off.
@@ -252,13 +244,7 @@ void ShardExperiment() {
     row.share_floor = share;
     RunWorkload(sharded, queries, topk, oracles, &row);
     rows.push_back(row);
-    std::printf("%-22s %6s %16llu %10llu %12llu %12llu %10s\n",
-                row.config.c_str(), share ? "on" : "off",
-                static_cast<unsigned long long>(row.distance_computations),
-                static_cast<unsigned long long>(row.pruned_columns),
-                static_cast<unsigned long long>(row.floor_updates_sent),
-                static_cast<unsigned long long>(row.floor_updates_received),
-                row.identical ? "yes" : "NO");
+    PrintRow(row);
   }
   server0.Shutdown();
   server1.Shutdown();

@@ -263,7 +263,9 @@ void PexesoServer::HandleHello(Connection* conn, const Frame& frame) {
   if (hello.version != kProtocolVersion) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     conn->SendErrorAndClose(Status::NotSupported(
-        "protocol version mismatch (server speaks v1)"));
+        "protocol version mismatch: server speaks v" +
+        std::to_string(kProtocolVersion) + ", peer sent v" +
+        std::to_string(hello.version)));
     return;
   }
   conn->set_tenant(hello.tenant);
@@ -598,31 +600,7 @@ std::string PexesoServer::MetricsText() const {
     }
   }
 
-  SearchStats stats;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats = total_stats_;
-  }
-  AppendCounter(&out, "search_distance_computations",
-                stats.distance_computations);
-  AppendCounter(&out, "search_quant_tile_skips", stats.quant_tile_skips);
-  AppendCounter(&out, "search_columns_pruned_topk",
-                stats.columns_pruned_topk);
-  AppendCounter(&out, "search_deadline_expired", stats.deadline_expired);
-  AppendCounter(&out, "search_io_retries", stats.io_retries);
-  AppendCounter(&out, "search_corruption_detected",
-                stats.corruption_detected);
-  AppendCounter(&out, "search_parts_quarantined", stats.parts_quarantined);
-  AppendCounter(&out, "search_degraded_merges", stats.degraded_merges);
-  AppendCounter(&out, "search_partial_responses", stats.partial_responses);
-  AppendCounter(&out, "search_shard_scatters", stats.scatters);
-  AppendCounter(&out, "search_floor_updates_sent", stats.floor_updates_sent);
-  AppendCounter(&out, "search_floor_updates_received",
-                stats.floor_updates_received);
-  AppendCounter(&out, "search_hedged_requests", stats.hedged_requests);
-  AppendCounter(&out, "search_failovers", stats.failovers);
-  AppendCounter(&out, "search_shards_degraded", stats.shards_degraded);
-  AppendCounter(&out, "search_shard_bytes_moved", stats.shard_bytes_moved);
+  AppendStatLines(SearchStatsSnapshot(), &out);
 
   if (options_.cache != nullptr) {
     const serve::IndexCacheStats cs = options_.cache->stats();

@@ -78,7 +78,8 @@ class PexesoServer {
 
   /// The STATS verb's text snapshot (also callable in-process from any
   /// thread). One "name value" pair per line, prometheus-style labels for
-  /// the per-tenant counters.
+  /// the per-tenant counters; every SearchStats field appears under its
+  /// exported name from PEXESO_SEARCH_STATS_FIELDS.
   std::string MetricsText() const;
 
   /// Server-lifetime totals over every completed query's SearchStats (the

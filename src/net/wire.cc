@@ -1,13 +1,16 @@
 #include "net/wire.h"
 
+#include <bit>
+#include <bitset>
+
 namespace pexeso::net {
 
 namespace {
 
-/// Status codes travel as a fixed u8 (the enum's numeric values are part of
-/// the wire contract for protocol version 1); a byte outside the known range
-/// decodes as kInternal rather than Corruption, so a newer peer's extra
-/// codes degrade instead of killing the connection.
+/// Status codes travel as a fixed u8 (the enum's numeric values have been
+/// part of the wire contract since protocol version 1); a byte outside the
+/// known range decodes as kInternal rather than Corruption, so a newer
+/// peer's extra codes degrade instead of killing the connection.
 constexpr uint8_t kMaxStatusCode = static_cast<uint8_t>(
     Status::Code::kResourceExhausted);
 
@@ -228,12 +231,17 @@ void EncodeDone(const DoneMsg& m, std::string* out) {
   w.Write<uint64_t>(m.query_id);
   w.WriteStatus(m.status);
   w.Write<uint8_t>(m.merge_parts ? 1 : 0);
-  // SearchStats is a flat block of u64/double counters with no padding;
-  // both ends run the same build of this library, and the frame is already
-  // version-gated by kProtocolVersion, so the raw image is the serde.
-  static_assert(std::is_trivially_copyable_v<SearchStats>);
-  w.Write<uint64_t>(sizeof(SearchStats));
-  w.Write(m.stats);
+  const auto bits = [](auto v) { return std::bit_cast<uint64_t>(v); };
+  uint16_t count = 0;
+  m.stats.ForEachField([&](const StatField&, auto v) {
+    if (bits(v) != 0) ++count;
+  });
+  w.Write<uint16_t>(count);
+  m.stats.ForEachField([&](const StatField& f, auto v) {
+    if (bits(v) == 0) return;
+    w.Write<uint16_t>(f.id);
+    w.Write<uint64_t>(bits(v));
+  });
   EncodeFrame(FrameType::kDone, w.buffer(), out);
 }
 
@@ -244,12 +252,22 @@ Status DecodeDone(std::string_view payload, DoneMsg* m) {
   uint8_t merge = 0;
   PEXESO_RETURN_NOT_OK(r.Read(&merge));
   m->merge_parts = merge != 0;
-  uint64_t stats_bytes = 0;
-  PEXESO_RETURN_NOT_OK(r.Read(&stats_bytes));
-  if (stats_bytes != sizeof(SearchStats)) {
-    return Status::Corruption("stats block size mismatch");
+  // The u16 count bounds the loop; a count past the payload's end fails on
+  // the truncated read.
+  uint16_t count = 0;
+  PEXESO_RETURN_NOT_OK(r.Read(&count));
+  m->stats = SearchStats{};
+  std::bitset<1u << 16> seen;
+  for (uint16_t i = 0; i < count; ++i) {
+    uint16_t id = 0;
+    uint64_t bits = 0;
+    PEXESO_RETURN_NOT_OK(r.Read(&id));
+    PEXESO_RETURN_NOT_OK(r.Read(&bits));
+    if (seen.test(id)) return Status::Corruption("duplicate stats id");
+    seen.set(id);
+    // An id this build does not know is a newer peer's counter: skip it.
+    m->stats.SetFieldBits(id, bits);
   }
-  PEXESO_RETURN_NOT_OK(r.Read(&m->stats));
   return r.ExpectEnd();
 }
 

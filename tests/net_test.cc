@@ -1,5 +1,6 @@
 // Networked serving tests: wire-codec round-trips for every query mode,
-// the corruption corpus (every single-bit flip and every truncation of a
+// DONE stats blocks from builds with more or fewer counters, refusal of an
+// older protocol version at HELLO, the corruption corpus (every single-bit flip and every truncation of a
 // frame must be detected or left incomplete, never mis-decoded), loopback
 // byte-parity between a socket round-trip and the in-process engine,
 // per-tenant admission control determinism (rejects, FIFO drain), and
@@ -13,10 +14,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/admission.h"
@@ -233,6 +237,135 @@ TEST(WireCodec, MessageRoundTrips) {
   std::string text;
   ASSERT_TRUE(net::DecodeStatsText(frame.payload, &text).ok());
   EXPECT_EQ(text, "queries_completed 3\n");
+}
+
+// ------------------------------------------ DONE stats across schemas
+
+using StatEntries = std::vector<std::pair<uint16_t, uint64_t>>;
+
+/// Every table field nonzero and distinct; the doubles carry fractional
+/// bits, so a lossy round trip shows.
+SearchStats EveryFieldSet() {
+  SearchStats s;
+  uint64_t next = 1;
+  SearchStats{}.ForEachField([&](const StatField& f, auto v) {
+    const uint64_t bits =
+        std::is_same_v<decltype(v), double>
+            ? std::bit_cast<uint64_t>(0.1 * static_cast<double>(next))
+            : next * 1000003;
+    ++next;
+    EXPECT_TRUE(s.SetFieldBits(f.id, bits));
+  });
+  return s;
+}
+
+/// (wire id, value bits) of every nonzero field, in table order.
+StatEntries EntriesOf(const SearchStats& s) {
+  StatEntries out;
+  s.ForEachField([&](const StatField& f, auto v) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    if (bits != 0) out.emplace_back(f.id, bits);
+  });
+  return out;
+}
+
+/// (name, value bits) of every field: a bitwise comparison, doubles too.
+std::vector<std::pair<std::string, uint64_t>> BitsOf(const SearchStats& s) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  s.ForEachField([&](const StatField& f, auto v) {
+    out.emplace_back(f.name, std::bit_cast<uint64_t>(v));
+  });
+  return out;
+}
+
+/// A DONE payload as a peer of another build might send it: the header,
+/// then `count` and the given entries verbatim.
+std::string DonePayload(uint16_t count, const StatEntries& entries) {
+  net::WireWriter w;
+  w.Write<uint64_t>(5);
+  w.WriteStatus(Status::OK());
+  w.Write<uint8_t>(1);
+  w.Write<uint16_t>(count);
+  for (const auto& [id, bits] : entries) {
+    w.Write<uint16_t>(id);
+    w.Write<uint64_t>(bits);
+  }
+  return w.TakeBuffer();
+}
+
+TEST(WireCodec, DoneStatsBlockInteroperatesAcrossSchemas) {
+  const SearchStats full = EveryFieldSet();
+  const StatEntries entries = EntriesOf(full);
+  ASSERT_GE(entries.size(), 3u);
+
+  // This build's encoder round-trips every field bit-exactly.
+  net::DoneMsg done;
+  done.query_id = 5;
+  done.merge_parts = true;
+  done.stats = full;
+  std::string bytes;
+  net::EncodeDone(done, &bytes);
+  FrameDecoder decoder;
+  decoder.Append(bytes.data(), bytes.size());
+  Frame frame;
+  bool has_frame = false;
+  ASSERT_TRUE(decoder.Next(&frame, &has_frame).ok() && has_frame);
+  net::DoneMsg decoded;
+  ASSERT_TRUE(net::DecodeDone(frame.payload, &decoded).ok());
+  EXPECT_EQ(BitsOf(decoded.stats), BitsOf(full));
+  EXPECT_EQ(frame.payload, DonePayload(entries.size(), entries));
+
+  // A newer peer: one id this build does not know, mid-block, is skipped.
+  StatEntries newer = entries;
+  newer.insert(newer.begin() + 2, {0x7ffe, 42});
+  decoded = net::DoneMsg{};
+  ASSERT_TRUE(
+      net::DecodeDone(DonePayload(newer.size(), newer), &decoded).ok());
+  EXPECT_EQ(BitsOf(decoded.stats), BitsOf(full));
+
+  // An older peer lacking every id but the first and the last: the rest
+  // read zero, even when the message decoded into held old values.
+  const StatEntries older = {entries.front(), entries.back()};
+  SearchStats want;
+  want.SetFieldBits(older[0].first, older[0].second);
+  want.SetFieldBits(older[1].first, older[1].second);
+  // (This build's encoder omits zero fields, so it sends exactly that.)
+  std::string sparse;
+  done.stats = want;
+  net::EncodeDone(done, &sparse);
+  EXPECT_EQ(sparse.substr(net::kFrameHeaderBytes,
+                          sparse.size() - net::kFrameOverhead),
+            DonePayload(older.size(), older));
+  decoded.stats = full;
+  ASSERT_TRUE(
+      net::DecodeDone(DonePayload(older.size(), older), &decoded).ok());
+  EXPECT_EQ(BitsOf(decoded.stats), BitsOf(want));
+
+  // A repeated id, known or unknown, is Corruption.
+  StatEntries dup = entries;
+  dup.push_back(entries[1]);
+  EXPECT_EQ(net::DecodeDone(DonePayload(dup.size(), dup), &decoded).code(),
+            Status::Code::kCorruption);
+  const StatEntries dup_unknown = {{0x7ffe, 1}, {0x7ffe, 2}};
+  EXPECT_EQ(net::DecodeDone(DonePayload(2, dup_unknown), &decoded).code(),
+            Status::Code::kCorruption);
+
+  // A count the remaining bytes cannot hold is Corruption.
+  for (const uint16_t count : {static_cast<uint16_t>(entries.size() + 1),
+                               static_cast<uint16_t>(0xffff)}) {
+    EXPECT_EQ(net::DecodeDone(DonePayload(count, entries), &decoded).code(),
+              Status::Code::kCorruption)
+        << "count " << count;
+  }
+
+  // So is every truncated prefix of a real payload.
+  for (size_t cut = 0; cut < frame.payload.size(); ++cut) {
+    EXPECT_EQ(net::DecodeDone(std::string_view(frame.payload).substr(0, cut),
+                              &decoded)
+                  .code(),
+              Status::Code::kCorruption)
+        << "cut=" << cut;
+  }
 }
 
 TEST(WireCodec, ImplausibleChunkPartHeadersAreRejected) {
@@ -463,9 +596,11 @@ int RawConnect(uint16_t port) {
   return fd;
 }
 
-/// Sends `bytes`, then reads until the server closes. Returns true when the
-/// server hung up (orderly close) within the receive timeout.
-bool SendAndExpectClose(uint16_t port, const std::string& bytes) {
+/// Sends `bytes`, then reads until the server closes, appending what it
+/// sent back to `received` when given. Returns true when the server hung up
+/// (orderly close) within the receive timeout.
+bool SendAndExpectClose(uint16_t port, const std::string& bytes,
+                        std::string* received = nullptr) {
   const int fd = RawConnect(port);
   size_t sent = 0;
   while (sent < bytes.size()) {
@@ -483,6 +618,7 @@ bool SendAndExpectClose(uint16_t port, const std::string& bytes) {
       break;
     }
     if (n < 0) break;  // timeout: the server kept the connection open
+    if (received != nullptr) received->append(buf, static_cast<size_t>(n));
   }
   close(fd);
   return closed;
@@ -537,6 +673,59 @@ TEST_F(NetTest, MalformedStreamsCloseTheConnectionServerSurvives) {
   ASSERT_TRUE(remote.status.ok()) << remote.status.ToString();
   const std::vector<JoinableColumn> local = MustSearch(parts, query, jq);
   ExpectIdenticalResults(local, remote.columns);
+  server.Shutdown();
+}
+
+/// The value of the unlabelled metric `name` in a STATS text.
+uint64_t MetricValue(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = ("\n" + text).find(key);
+  EXPECT_NE(at, std::string::npos) << "STATS text lacks " << name;
+  return at == std::string::npos
+             ? 0
+             : std::stoull(text.substr(at + key.size() - 1));
+}
+
+TEST_F(NetTest, OlderProtocolVersionIsRefusedAtHello) {
+  PartitionedPexeso parts = OpenParts();
+  ServerOptions opts;
+  opts.expected_dim = kDim;
+  PexesoServer server(&parts, opts);
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t errors_before =
+      MetricValue(server.MetricsText(), "protocol_errors");
+
+  net::HelloMsg hello;
+  hello.version = net::kProtocolVersion - 1;
+  hello.tenant = "old-build";
+  std::string bytes;
+  net::EncodeHello(hello, &bytes);
+  std::string received;
+  ASSERT_TRUE(SendAndExpectClose(server.port(), bytes, &received));
+
+  // Exactly one ERROR frame, naming both versions, then the close.
+  FrameDecoder decoder;
+  decoder.Append(received.data(), received.size());
+  std::vector<Frame> frames;
+  for (;;) {
+    Frame frame;
+    bool has_frame = false;
+    ASSERT_TRUE(decoder.Next(&frame, &has_frame).ok());
+    if (!has_frame) break;
+    frames.push_back(std::move(frame));
+  }
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  net::ErrorMsg error;
+  ASSERT_TRUE(net::DecodeError(frames[0].payload, &error).ok());
+  EXPECT_EQ(error.status.code(), Status::Code::kNotSupported);
+  const std::string& msg = error.status.message();
+  EXPECT_NE(msg.find("v" + std::to_string(net::kProtocolVersion)),
+            std::string::npos) << msg;
+  EXPECT_NE(msg.find("v" + std::to_string(hello.version)), std::string::npos)
+      << msg;
+  EXPECT_EQ(MetricValue(server.MetricsText(), "protocol_errors"),
+            errors_before + 1);
   server.Shutdown();
 }
 
@@ -606,13 +795,21 @@ TEST_F(NetTest, StatsProbeReportsKeyFields) {
   for (const char* field :
        {"uptime_seconds", "connections_active", "queries_received",
         "queries_completed 1", "admission_inflight", "admission_queue_depth",
-        "tenant_admitted{tenant=\"probe\"}", "search_distance_computations",
-        "search_columns_pruned_topk", "search_deadline_expired"}) {
+        "tenant_admitted{tenant=\"probe\"}"}) {
     EXPECT_NE(stats.find(field), std::string::npos)
         << "STATS text lacks '" << field << "':\n"
         << stats;
   }
-  EXPECT_GT(server.SearchStatsSnapshot().distance_computations, 0u);
+  // Every SearchStats field, under its table name, with its value.
+  std::string want;
+  AppendStatLines(server.SearchStatsSnapshot(), &want);
+  EXPECT_NE(stats.find(want), std::string::npos) << stats;
+  SearchStats{}.ForEachField([&](const StatField& f, auto) {
+    EXPECT_NE(("\n" + stats).find("\n" + std::string(f.name) + " "),
+              std::string::npos)
+        << "STATS text lacks " << f.name;
+  });
+  EXPECT_GT(MetricValue(stats, "search_distance_computations"), 0u);
   server.Shutdown();
 }
 

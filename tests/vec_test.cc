@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <set>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "test_util.h"
@@ -180,28 +185,120 @@ TEST(ColumnCatalogTest, MetaRejectsImplausibleColumnCount) {
   EXPECT_EQ(loaded.DeserializeMeta(&br).code(), Status::Code::kCorruption);
 }
 
+/// One SearchStats table entry as the table-driven tests see it.
+struct StatEntry {
+  uint16_t id;
+  std::string name;
+  StatMerge merge;
+  bool is_double;
+};
+
+std::vector<StatEntry> StatTable() {
+  std::vector<StatEntry> table;
+  SearchStats{}.ForEachField([&](const StatField& f, auto v) {
+    table.push_back(
+        {f.id, f.name, f.merge, std::is_same_v<decltype(v), double>});
+  });
+  return table;
+}
+
+/// A SearchStats whose i-th table field holds value(i).
+template <typename ValueFn>
+SearchStats FillStats(const std::vector<StatEntry>& table, ValueFn value) {
+  SearchStats s;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint64_t bits =
+        table[i].is_double ? std::bit_cast<uint64_t>(double(value(i)))
+                           : static_cast<uint64_t>(value(i));
+    EXPECT_TRUE(s.SetFieldBits(table[i].id, bits)) << table[i].name;
+  }
+  return s;
+}
+
 TEST(SearchStatsTest, AccumulateAndReset) {
-  SearchStats a, b;
-  a.distance_computations = 5;
-  b.distance_computations = 7;
-  b.lemma7_kills = 2;
-  // Pipeline counters: sums for blocks/tiles, MAX for the shard-imbalance
-  // diagnostic (a sum across shards/queries would be meaningless).
-  a.candidate_blocks = 3;
-  b.candidate_blocks = 4;
-  a.tiles_evaluated = 10;
-  b.tiles_evaluated = 1;
-  a.shard_max_blocks = 9;
-  b.shard_max_blocks = 6;
-  a += b;
-  EXPECT_EQ(a.distance_computations, 12u);
-  EXPECT_EQ(a.lemma7_kills, 2u);
-  EXPECT_EQ(a.candidate_blocks, 7u);
-  EXPECT_EQ(a.tiles_evaluated, 11u);
-  EXPECT_EQ(a.shard_max_blocks, 9u);  // max-merge, not sum
-  a.Reset();
-  EXPECT_EQ(a.distance_computations, 0u);
-  EXPECT_EQ(a.shard_max_blocks, 0u);
+  // The wire ids and exported names are a contract between builds (DONE
+  // tags, STATS lines): reordering, renumbering or renaming an entry must
+  // fail here. Append new entries at the end with fresh ids.
+  const std::vector<std::pair<uint16_t, std::string>> golden = {
+      {1, "search_distance_computations"},
+      {2, "search_sqrt_free_comparisons"},
+      {3, "search_lemma1_filtered"},
+      {4, "search_lemma2_matched"},
+      {5, "search_cells_filtered"},
+      {6, "search_cells_matched"},
+      {7, "search_candidate_pairs"},
+      {8, "search_matching_pairs"},
+      {9, "search_lemma7_kills"},
+      {10, "search_early_joinable"},
+      {11, "search_candidate_blocks"},
+      {12, "search_tiles_evaluated"},
+      {13, "search_quant_tile_skips"},
+      {14, "search_shard_max_blocks"},
+      {15, "search_columns_pruned_topk"},
+      {16, "search_deadline_expired"},
+      {17, "search_delta_columns_searched"},
+      {18, "search_tombstones_masked"},
+      {19, "search_io_retries"},
+      {20, "search_corruption_detected"},
+      {21, "search_parts_quarantined"},
+      {22, "search_degraded_merges"},
+      {23, "search_partial_responses"},
+      {24, "search_shard_scatters"},
+      {25, "search_floor_updates_sent"},
+      {26, "search_floor_updates_received"},
+      {27, "search_hedged_requests"},
+      {28, "search_failovers"},
+      {29, "search_shards_degraded"},
+      {30, "search_shard_bytes_moved"},
+      {31, "search_block_seconds"},
+      {32, "search_verify_seconds"},
+  };
+  const std::vector<StatEntry> table = StatTable();
+  std::vector<std::pair<uint16_t, std::string>> listed;
+  std::set<uint16_t> ids;
+  std::set<std::string> names;
+  for (const StatEntry& e : table) {
+    listed.emplace_back(e.id, e.name);
+    EXPECT_TRUE(ids.insert(e.id).second) << "duplicate id " << e.id;
+    EXPECT_TRUE(names.insert(e.name).second) << "duplicate name " << e.name;
+    // The shard-imbalance diagnostic is the one MAX-merged field: a sum
+    // across shards/queries would be meaningless.
+    EXPECT_EQ(e.merge == StatMerge::kMax, e.name == "search_shard_max_blocks")
+        << e.name;
+  }
+  EXPECT_EQ(listed, golden);
+
+  // All 64 values distinct; merging both ways round checks a MAX field
+  // against either operand winning.
+  const auto value_a = [](size_t i) { return 1 + i; };
+  const auto value_b = [](size_t i) { return 1000 - 7 * i; };
+  const SearchStats a = FillStats(table, value_a);
+  const SearchStats b = FillStats(table, value_b);
+  EXPECT_EQ(a.distance_computations, 1u);
+  EXPECT_EQ(a.scatters, 24u);
+  EXPECT_EQ(b.verify_seconds, 1000.0 - 7 * 31);
+  const auto expect_merged = [&](const SearchStats& merged) {
+    size_t i = 0;
+    merged.ForEachField([&](const StatField& f, auto v) {
+      const double x = value_a(i), y = value_b(i);
+      EXPECT_EQ(static_cast<double>(v),
+                f.merge == StatMerge::kMax ? std::max(x, y) : x + y)
+          << f.name;
+      ++i;
+    });
+  };
+  SearchStats ab = a;
+  ab += b;
+  expect_merged(ab);
+  SearchStats ba = b;
+  ba += a;
+  expect_merged(ba);
+
+  ab.Reset();
+  ab.ForEachField([](const StatField& f, auto v) {
+    EXPECT_EQ(static_cast<double>(v), 0.0) << f.name;
+  });
+  EXPECT_FALSE(ab.SetFieldBits(0xFFFF, 1));  // an id this build lacks
 }
 
 }  // namespace

@@ -231,6 +231,12 @@ for field in search_shard_scatters search_floor_updates_sent \
     exit 1
   fi
 done
+# An engine counter only the shards produce reaches the coordinator's totals
+# through the tagged stats block of each shard's DONE frame.
+if ! grep -Eq '^search_candidate_pairs [1-9]' "$SMOKE_DIR/coord_stats.txt"; then
+  echo "shard smoke: coordinator STATS lacks a nonzero search_candidate_pairs" >&2
+  exit 1
+fi
 for pid in "$SMOKE_COORD_PID" "$SMOKE_SHARD0_PID" "$SMOKE_SHARD1_PID"; do
   kill "$pid" && wait "$pid" 2>/dev/null || true
 done

@@ -149,68 +149,13 @@ std::unique_ptr<Metric> MakeMetricOrExplain(const Flags& flags) {
   return metric;
 }
 
-/// Prints the instrumentation counters behind --stats.
+/// Prints the instrumentation counters behind --stats: one line per
+/// SearchStats field, named as in the server's STATS text.
 void PrintStats(const SearchStats& stats) {
-  std::printf("stats (simd=%s):\n", SimdLevelName(ActiveSimdLevel()));
-  std::printf("  distance computations:   %llu\n",
-              static_cast<unsigned long long>(stats.distance_computations));
-  std::printf("  quant tile skips:        %llu\n",
-              static_cast<unsigned long long>(stats.quant_tile_skips));
-  std::printf("  sqrt-free (squared-cmp): %llu\n",
-              static_cast<unsigned long long>(stats.sqrt_free_comparisons));
-  std::printf("  lemma1 filtered:         %llu\n",
-              static_cast<unsigned long long>(stats.lemma1_filtered));
-  std::printf("  lemma2 matched:          %llu\n",
-              static_cast<unsigned long long>(stats.lemma2_matched));
-  std::printf("  cells filtered/matched:  %llu / %llu\n",
-              static_cast<unsigned long long>(stats.cells_filtered),
-              static_cast<unsigned long long>(stats.cells_matched));
-  std::printf("  candidate/matching prs:  %llu / %llu\n",
-              static_cast<unsigned long long>(stats.candidate_pairs),
-              static_cast<unsigned long long>(stats.matching_pairs));
-  std::printf("  lemma7 kills:            %llu\n",
-              static_cast<unsigned long long>(stats.lemma7_kills));
-  std::printf("  early joinable:          %llu\n",
-              static_cast<unsigned long long>(stats.early_joinable));
-  std::printf("  candidate blocks:        %llu\n",
-              static_cast<unsigned long long>(stats.candidate_blocks));
-  std::printf("  verify tiles:            %llu\n",
-              static_cast<unsigned long long>(stats.tiles_evaluated));
-  std::printf("  max shard blocks:        %llu\n",
-              static_cast<unsigned long long>(stats.shard_max_blocks));
-  std::printf("  topk-pruned columns:     %llu\n",
-              static_cast<unsigned long long>(stats.columns_pruned_topk));
-  std::printf("  deadline expirations:    %llu\n",
-              static_cast<unsigned long long>(stats.deadline_expired));
-  std::printf("  delta columns searched:  %llu\n",
-              static_cast<unsigned long long>(stats.delta_columns_searched));
-  std::printf("  tombstones masked:       %llu\n",
-              static_cast<unsigned long long>(stats.tombstones_masked));
-  std::printf("  io retries:              %llu\n",
-              static_cast<unsigned long long>(stats.io_retries));
-  std::printf("  corruption detected:     %llu\n",
-              static_cast<unsigned long long>(stats.corruption_detected));
-  std::printf("  quarantined parts hit:   %llu\n",
-              static_cast<unsigned long long>(stats.parts_quarantined));
-  std::printf("  degraded parts hit:      %llu\n",
-              static_cast<unsigned long long>(stats.degraded_merges));
-  std::printf("  partial responses:       %llu\n",
-              static_cast<unsigned long long>(stats.partial_responses));
-  std::printf("  shard scatters:          %llu\n",
-              static_cast<unsigned long long>(stats.scatters));
-  std::printf("  floor updates sent/rcvd: %llu / %llu\n",
-              static_cast<unsigned long long>(stats.floor_updates_sent),
-              static_cast<unsigned long long>(stats.floor_updates_received));
-  std::printf("  hedged requests:         %llu\n",
-              static_cast<unsigned long long>(stats.hedged_requests));
-  std::printf("  failovers:               %llu\n",
-              static_cast<unsigned long long>(stats.failovers));
-  std::printf("  shards degraded:         %llu\n",
-              static_cast<unsigned long long>(stats.shards_degraded));
-  std::printf("  shard bytes moved:       %llu\n",
-              static_cast<unsigned long long>(stats.shard_bytes_moved));
-  std::printf("  block/verify seconds:    %.4f / %.4f\n", stats.block_seconds,
-              stats.verify_seconds);
+  std::string lines;
+  AppendStatLines(stats, &lines);
+  std::printf("stats (simd=%s):\n%s", SimdLevelName(ActiveSimdLevel()),
+              lines.c_str());
 }
 
 /// Prints the serving-layer cache counters behind --stats (partition-dir
