@@ -1,9 +1,12 @@
 // Reproduces Figure 6: (a) the number of exact distance computations per
 // method and (b) the index sizes, on the OPEN-like and SWDC-like profiles at
-// the default thresholds (tau = 6%, T = 60%).
+// the default thresholds (tau = 6%, T = 60%). BENCH_fig6.json
+// ("BENCH_fig6/v1") holds one row per profile x method, with its
+// SearchStats and index bytes gated.
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "baseline/cover_tree.h"
 #include "baseline/ept.h"
@@ -14,7 +17,8 @@
 namespace pexeso::bench {
 namespace {
 
-void RunProfile(const char* name, const VectorLakeOptions& profile) {
+void RunProfile(const char* name, const VectorLakeOptions& profile,
+                BenchJson* json) {
   L2Metric metric;
   ColumnCatalog catalog = GenerateVectorLake(profile);
   ColumnCatalog copy = catalog;
@@ -42,25 +46,31 @@ void RunProfile(const char* name, const VectorLakeOptions& profile) {
     MustSearch(PexesoSearcher(&index), q, sopts, &s_px);
   }
 
+  struct Method {
+    const char* label;
+    const SearchStats& stats;
+    size_t index_bytes;
+  };
+  // PEXESO-H shares PEXESO's structures minus the inverted index.
+  const Method methods[] = {
+      {"CTREE", s_ctree, ctree.MemoryBytes()},
+      {"EPT", s_ept, ept.MemoryBytes()},
+      {"PEXESO-H", s_h,
+       index.IndexSizeBytes() - index.inverted_index().MemoryBytes()},
+      {"PEXESO", s_px, index.IndexSizeBytes()},
+  };
   std::printf("\n%s: %zu vectors, dim %u (%zu queries)\n", name,
               catalog.num_vectors(), catalog.dim(), nq);
-  std::printf("(a) distance computations (total over queries)\n");
-  std::printf("  %-10s %14llu\n", "CTREE",
-              static_cast<unsigned long long>(s_ctree.distance_computations));
-  std::printf("  %-10s %14llu\n", "EPT",
-              static_cast<unsigned long long>(s_ept.distance_computations));
-  std::printf("  %-10s %14llu\n", "PEXESO-H",
-              static_cast<unsigned long long>(s_h.distance_computations));
-  std::printf("  %-10s %14llu\n", "PEXESO",
-              static_cast<unsigned long long>(s_px.distance_computations));
-  std::printf("(b) index size (MB)\n");
-  std::printf("  %-10s %10.2f\n", "CTREE", ctree.MemoryBytes() / 1e6);
-  std::printf("  %-10s %10.2f\n", "EPT", ept.MemoryBytes() / 1e6);
-  // PEXESO-H shares PEXESO's structures minus the inverted index.
-  std::printf("  %-10s %10.2f\n", "PEXESO-H",
-              (index.IndexSizeBytes() - index.inverted_index().MemoryBytes()) /
-                  1e6);
-  std::printf("  %-10s %10.2f\n", "PEXESO", index.IndexSizeBytes() / 1e6);
+  std::printf("  %-10s %14s %10s\n", "method", "(a) distances",
+              "(b) MB");
+  for (const Method& m : methods) {
+    std::printf("  %-10s %14llu %10.2f\n", m.label,
+                static_cast<unsigned long long>(m.stats.distance_computations),
+                m.index_bytes / 1e6);
+    json->Row(std::string(name) + " " + m.label)
+        .Stats(m.stats)
+        .Count("index_bytes", m.index_bytes);
+  }
 }
 
 }  // namespace
@@ -72,12 +82,13 @@ int main() {
   Banner("bench_fig6: distance computations and index sizes",
          "Figure 6 of the PEXESO paper");
   const double scale = BenchProfiles::EnvScale();
-  RunProfile("OPEN-like", BenchProfiles::OpenLike(scale));
-  RunProfile("SWDC-like", BenchProfiles::SwdcLike(scale));
+  BenchJson json("fig6", 1);
+  RunProfile("OPEN-like", BenchProfiles::OpenLike(scale), &json);
+  RunProfile("SWDC-like", BenchProfiles::SwdcLike(scale), &json);
   std::printf(
       "\nExpected shape: PEXESO far fewer distance computations than CTREE / "
       "EPT, and fewer than PEXESO-H; PEXESO's index is the\nlargest (within "
       "a small constant factor of the others), the price of the grid + "
       "inverted index.\n");
-  return 0;
+  return json.Write();
 }

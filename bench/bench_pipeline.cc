@@ -17,12 +17,11 @@
 //               speedup needs physical cores; hw_threads is recorded so a
 //               1-core CI box's ~1.0x reads as what it is.
 //
-// Results go to stdout and BENCH_pipeline.json ("BENCH_pipeline/v1"), like
-// BENCH_kernels.json / BENCH_serve.json, so successive PRs track the
-// trajectory.
+// Results go to stdout and BENCH_pipeline.json ("BENCH_pipeline/v2"). The
+// candidate-generation row gates its SearchStats (blocking plus stage 1);
+// every rate and wall time is ungated.
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,96 +112,24 @@ TileRow TileExperiment(const char* metric_name, uint32_t dim) {
   return row;
 }
 
-struct ScaleRow {
-  size_t threads;
-  double wall_seconds = 0.0;
-  bool identical = true;
-};
-
-struct CandidateGenResult {
-  uint64_t blocks = 0;
-  double seconds = 0.0;
-  double blocks_per_sec = 0.0;
-};
-
-bool SameResults(const std::vector<JoinableColumn>& a,
-                 const std::vector<JoinableColumn>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].match_count != b[i].match_count) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void WritePipelineBenchJson(const std::vector<TileRow>& tiles,
-                            const CandidateGenResult& gen,
-                            const std::vector<ScaleRow>& scaling) {
-  const char* path_env = std::getenv("PEXESO_BENCH_PIPELINE_JSON");
-  const std::string path =
-      path_env != nullptr ? path_env : "BENCH_pipeline.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"BENCH_pipeline/v1\",\n");
-  std::fprintf(f, "  \"simd_level\": \"%s\",\n",
-               SimdLevelName(ActiveSimdLevel()));
-  std::fprintf(f, "  \"hw_threads\": %u,\n",
-               std::max(1u, std::thread::hardware_concurrency()));
-  std::fprintf(f, "  \"tile\": [");
-  for (size_t i = 0; i < tiles.size(); ++i) {
-    const TileRow& t = tiles[i];
-    std::fprintf(f,
-                 "%s\n    {\"metric\": \"%s\", \"dim\": %u, "
-                 "\"per_pair_pairs_per_sec\": %.0f, "
-                 "\"one_to_many_pairs_per_sec\": %.0f, "
-                 "\"tile_pairs_per_sec\": %.0f, "
-                 "\"tile_speedup_vs_per_pair\": %.2f}",
-                 i == 0 ? "" : ",", t.metric, t.dim, t.per_pair, t.one_to_many,
-                 t.tile, t.tile / std::max(t.per_pair, 1e-9));
-  }
-  std::fprintf(f, "\n  ],\n");
-  std::fprintf(f,
-               "  \"candidate_gen\": {\"blocks\": %llu, \"seconds\": %.6f, "
-               "\"blocks_per_sec\": %.0f, \"note\": \"bulk make_heap init "
-               "per query record; was per-entry push after element-wise "
-               "clear\"},\n",
-               static_cast<unsigned long long>(gen.blocks), gen.seconds,
-               gen.blocks_per_sec);
-  const double serial_wall =
-      scaling.empty() ? 0.0 : scaling.front().wall_seconds;
-  std::fprintf(f, "  \"intra_query_scaling\": [");
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    std::fprintf(f,
-                 "%s\n    {\"threads\": %zu, \"wall_seconds\": %.4f, "
-                 "\"speedup_vs_serial\": %.2f, \"identical\": %s}",
-                 i == 0 ? "" : ",", scaling[i].threads,
-                 scaling[i].wall_seconds,
-                 serial_wall / std::max(scaling[i].wall_seconds, 1e-9),
-                 scaling[i].identical ? "true" : "false");
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-void PipelineExperiment() {
+int PipelineExperiment() {
   // ---------------------------------------------------------------- tiles
   std::printf("\ntiled vs per-pair verification (pairs/sec, 8 rows x 2048 "
               "candidates)\n");
   std::printf("%8s %5s %14s %14s %14s %9s\n", "metric", "dim", "per-pair",
               "one-to-many", "tile", "speedup");
-  std::vector<TileRow> tiles;
+  BenchJson json("pipeline", 2);
   for (const char* name : {"l2", "cosine", "l1"}) {
     for (uint32_t dim : {50u, 300u}) {
-      TileRow row = TileExperiment(name, dim);
-      tiles.push_back(row);
+      const TileRow row = TileExperiment(name, dim);
+      const double speedup = row.tile / std::max(row.per_pair, 1e-9);
       std::printf("%8s %5u %14.0f %14.0f %14.0f %8.2fx\n", row.metric,
-                  row.dim, row.per_pair, row.one_to_many, row.tile,
-                  row.tile / std::max(row.per_pair, 1e-9));
+                  row.dim, row.per_pair, row.one_to_many, row.tile, speedup);
+      json.Row(std::string("tile ") + name + " dim=" + std::to_string(dim))
+          .Num("per_pair_pairs_per_sec", row.per_pair, 0)
+          .Num("one_to_many_pairs_per_sec", row.one_to_many, 0)
+          .Num("tile_pairs_per_sec", row.tile, 0)
+          .Num("tile_speedup_vs_per_pair", speedup, 2);
     }
   }
 
@@ -245,28 +172,26 @@ void PipelineExperiment() {
   const BlockResult blocks = blocker.Run(hgq, mapped_q, sopts.thresholds.tau,
                                          sopts.ablation, &gen_stats);
   VerifyPipeline pipeline(&index);
-  CandidateGenResult gen;
-  {
-    CandidateSet cands;
-    Stopwatch watch;
+  CandidateSet cands;
+  const double gen_seconds = TimeIt([&] {
     pipeline.GenerateCandidates(blocks, static_cast<uint32_t>(query.size()),
                                 &cands, &gen_stats);
-    gen.seconds = watch.ElapsedSeconds();
-    gen.blocks = cands.blocks.size();
-    gen.blocks_per_sec =
-        static_cast<double>(gen.blocks) / std::max(gen.seconds, 1e-9);
-  }
-  std::printf("\ncandidate generation: %llu blocks in %.4fs (%.0f blocks/s)\n"
+  });
+  const double blocks_per_sec =
+      static_cast<double>(cands.blocks.size()) / std::max(gen_seconds, 1e-9);
+  std::printf("\ncandidate generation: %zu blocks in %.4fs (%.0f blocks/s)\n"
               "  note: per-query DaaT heap is bulk make_heap-initialized "
               "(O(k)); the old\n  loop drained a priority_queue and "
               "re-pushed every cursor (O(k log k)).\n",
-              static_cast<unsigned long long>(gen.blocks), gen.seconds,
-              gen.blocks_per_sec);
+              cands.blocks.size(), gen_seconds, blocks_per_sec);
+  json.Row("candidate_gen")
+      .Stats(gen_stats)
+      .Num("seconds", gen_seconds, 6)
+      .Num("blocks_per_sec", blocks_per_sec, 0);
 
   // ------------------------------------------------ intra-query scaling
-  SearchStats serial_stats;
   std::vector<JoinableColumn> serial_results;
-  std::vector<ScaleRow> scaling;
+  double serial_wall = 0.0;
   std::printf("\nintra-query scaling, one query column of %zu vectors "
               "(hw threads: %u)\n",
               query.size(), std::thread::hardware_concurrency());
@@ -281,24 +206,24 @@ void PipelineExperiment() {
     double best = 1e30;
     for (int rep = 0; rep < 3; ++rep) {
       const double t = TimeIt([&] {
-        results = MustSearch(searcher, query, topts,
-                                  threads == 1 ? &serial_stats : nullptr);
+        results = MustSearch(searcher, query, topts);
       });
       best = std::min(best, t);
     }
-    ScaleRow row{threads, best, true};
     if (threads == 1) {
       serial_results = results;
-    } else {
-      row.identical = SameResults(results, serial_results);
+      serial_wall = best;
     }
-    scaling.push_back(row);
-    std::printf("%8zu %12.4f %8.2fx %10s\n", threads, best,
-                scaling.front().wall_seconds / std::max(best, 1e-9),
-                row.identical ? "yes" : "NO");
+    const bool identical = SameResults(results, serial_results);
+    const double speedup = serial_wall / std::max(best, 1e-9);
+    std::printf("%8zu %12.4f %8.2fx %10s\n", threads, best, speedup,
+                identical ? "yes" : "NO");
+    json.Row("threads=" + std::to_string(threads))
+        .Num("wall_seconds", best)
+        .Num("speedup_vs_serial", speedup, 2)
+        .Check("identical", identical);
   }
-
-  WritePipelineBenchJson(tiles, gen, scaling);
+  return json.Write();
 }
 
 }  // namespace
@@ -308,6 +233,5 @@ int main() {
   using namespace pexeso::bench;
   Banner("bench_pipeline: staged verification pipeline",
          "the tiled-verification and intra-query-parallelism levers");
-  PipelineExperiment();
-  return 0;
+  return PipelineExperiment();
 }

@@ -14,13 +14,17 @@
 // computations (the counter-based win — meaningful on a 1-core CI box),
 // floor update counts, wire bytes moved (remote), and a byte-identical
 // results check. Results go to stdout and BENCH_shard.json
-// ("BENCH_shard/v1") so successive PRs track the trajectory.
+// ("BENCH_shard/v2"). Only the rows whose work does not depend on thread
+// scheduling gate their SearchStats: the single-node oracle and the
+// virtual fleet without floor sharing. A shared floor is raised in
+// whatever order the shards finish, and the remote rows' counts differ
+// from run to run even with sharing off, so those rows write their stats
+// ungated.
 
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -40,22 +44,11 @@ namespace {
 struct ShardRow {
   std::string config;
   bool share_floor = false;
+  bool gated = false;  ///< stats independent of scheduling
   SearchStats stats;
   double seconds = 0.0;
   bool identical = true;
 };
-
-bool SameResults(const std::vector<JoinableColumn>& a,
-                 const std::vector<JoinableColumn>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].match_count != b[i].match_count ||
-        a[i].joinability != b[i].joinability) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Runs the whole kTopK workload through `engine`, accumulating into `row`
 /// and checking every query against `oracles`.
@@ -78,55 +71,19 @@ void RunWorkload(const JoinSearchEngine& engine,
   }
 }
 
-void PrintRow(const ShardRow& r) {
-  std::printf("%-22s %6s %16llu %10llu %12llu %12llu %10s\n",
-              r.config.c_str(), r.share_floor ? "on" : "off",
+void AddRow(const ShardRow& r, BenchJson* json) {
+  std::printf("%-22s %6s %16llu %10llu %10s\n", r.config.c_str(),
+              r.share_floor ? "on" : "off",
               static_cast<unsigned long long>(r.stats.distance_computations),
               static_cast<unsigned long long>(r.stats.columns_pruned_topk),
-              static_cast<unsigned long long>(r.stats.floor_updates_sent),
-              static_cast<unsigned long long>(r.stats.floor_updates_received),
               r.identical ? "yes" : "NO");
+  json->Row(r.config + (r.share_floor ? " floor=on" : " floor=off"))
+      .Stats(r.stats, r.gated)
+      .Num("seconds", r.seconds)
+      .Check("identical", r.identical);
 }
 
-void WriteShardBenchJson(const std::vector<ShardRow>& rows) {
-  const char* path_env = std::getenv("PEXESO_BENCH_SHARD_JSON");
-  const std::string path =
-      path_env != nullptr ? path_env : "BENCH_shard.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"BENCH_shard/v1\",\n");
-  std::fprintf(f, "  \"hw_threads\": %u,\n",
-               std::max(1u, std::thread::hardware_concurrency()));
-  std::fprintf(f, "  \"configs\": [");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ShardRow& r = rows[i];
-    std::fprintf(
-        f,
-        "%s\n    {\"config\": \"%s\", \"share_floor\": %s, "
-        "\"distance_computations\": %llu, "
-        "\"columns_pruned_topk\": %llu, "
-        "\"floor_updates_sent\": %llu, "
-        "\"floor_updates_received\": %llu, "
-        "\"shard_bytes_moved\": %llu, "
-        "\"seconds\": %.4f, \"identical\": %s}",
-        i == 0 ? "" : ",", r.config.c_str(),
-        r.share_floor ? "true" : "false",
-        static_cast<unsigned long long>(r.stats.distance_computations),
-        static_cast<unsigned long long>(r.stats.columns_pruned_topk),
-        static_cast<unsigned long long>(r.stats.floor_updates_sent),
-        static_cast<unsigned long long>(r.stats.floor_updates_received),
-        static_cast<unsigned long long>(r.stats.shard_bytes_moved), r.seconds,
-        r.identical ? "true" : "false");
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-void ShardExperiment() {
+int ShardExperiment() {
   namespace fs = std::filesystem;
   const double scale = BenchProfiles::EnvScale();
   VectorLakeOptions profile;
@@ -153,7 +110,7 @@ void ShardExperiment() {
   if (!built.ok()) {
     std::fprintf(stderr, "build failed: %s\n",
                  built.status().ToString().c_str());
-    return;
+    return 1;
   }
   PartitionedPexeso& parts = built.value();
   serve::IndexCache cache(
@@ -175,6 +132,7 @@ void ShardExperiment() {
   std::vector<std::vector<JoinableColumn>> oracles(queries.size());
   ShardRow single;
   single.config = "single";
+  single.gated = true;
   for (size_t i = 0; i < queries.size(); ++i) {
     JoinQuery jq = topk;
     jq.vectors = &queries[i];
@@ -187,15 +145,13 @@ void ShardExperiment() {
     single.stats += stats;
     oracles[i] = std::move(sink).TakeColumns();
   }
-  std::vector<ShardRow> rows;
-  rows.push_back(single);
 
+  BenchJson json("shard", 2);
   std::printf("\nkTopK k=%zu over %zu query columns; floor sharing on/off\n",
               topk.k, queries.size());
-  std::printf("%-22s %6s %16s %10s %12s %12s %10s\n", "config", "floor",
-              "distance comps", "pruned", "floor sent", "floor rcvd",
-              "identical");
-  PrintRow(single);
+  std::printf("%-22s %6s %16s %10s %10s\n", "config", "floor",
+              "distance comps", "pruned", "identical");
+  AddRow(single, &json);
 
   // Virtual 4-shard coordinator, floor sharing on vs off.
   shard::VirtualShardRouter vrouter(&parts, 4);
@@ -206,9 +162,9 @@ void ShardExperiment() {
     ShardRow row;
     row.config = "virtual-4shard";
     row.share_floor = share;
+    row.gated = !share;
     RunWorkload(sharded, queries, topk, oracles, &row);
-    rows.push_back(row);
-    PrintRow(row);
+    AddRow(row, &json);
   }
 
   // Remote 2-shard loopback fleet, floor sharing on vs off.
@@ -225,14 +181,14 @@ void ShardExperiment() {
   net::PexesoServer server1(&shard1, sopts1);
   if (!server0.Start().ok() || !server1.Start().ok()) {
     std::fprintf(stderr, "loopback shard servers failed to start\n");
-    return;
+    return 1;
   }
   auto probed = shard::RemoteShardRouter::Probe(
       {{{"127.0.0.1", server0.port()}}, {{"127.0.0.1", server1.port()}}});
   if (!probed.ok()) {
     std::fprintf(stderr, "probe failed: %s\n",
                  probed.status().ToString().c_str());
-    return;
+    return 1;
   }
   auto router = std::move(probed).ValueOrDie();
   for (bool share : {true, false}) {
@@ -243,14 +199,13 @@ void ShardExperiment() {
     row.config = "remote-2shard";
     row.share_floor = share;
     RunWorkload(sharded, queries, topk, oracles, &row);
-    rows.push_back(row);
-    PrintRow(row);
+    AddRow(row, &json);
   }
   server0.Shutdown();
   server1.Shutdown();
 
-  WriteShardBenchJson(rows);
   fs::remove_all(dir);
+  return json.Write();
 }
 
 }  // namespace
@@ -260,6 +215,5 @@ int main() {
   using namespace pexeso::bench;
   Banner("bench_shard: scatter-gather sharding + global top-k floor",
          "the distributed-discussion scale-out of Section VII");
-  ShardExperiment();
-  return 0;
+  return ShardExperiment();
 }

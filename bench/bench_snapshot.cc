@@ -12,12 +12,12 @@
 //                 single-core CI box. Acceptance: >= 30% of float
 //                 distances skipped, results identical.
 //
-// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v2").
+// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v3"): a
+// snapshot row (byte counts gated, load time not) and one row per quant
+// setting with its SearchStats gated.
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -26,73 +26,7 @@
 namespace pexeso::bench {
 namespace {
 
-struct SnapshotNumbers {
-  double load_seconds = 0.0;
-  size_t file_bytes = 0;
-  size_t resident_bytes = 0;
-  size_t mapped_bytes = 0;
-  uint64_t dc_off = 0;   ///< float distance computations, quant off
-  uint64_t dc_on = 0;    ///< float distance computations, quant on
-  uint64_t skips_on = 0; ///< quant-proven skips, quant on
-  bool identical = true;
-};
-
-void WriteSnapshotBenchJson(const VectorLakeOptions& profile, size_t loads,
-                            size_t queries, const SnapshotNumbers& n) {
-  const char* path_env = std::getenv("PEXESO_BENCH_SNAPSHOT_JSON");
-  const std::string path =
-      path_env != nullptr ? path_env : "BENCH_snapshot.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  const double reduction =
-      n.dc_off == 0 ? 0.0
-                    : static_cast<double>(n.skips_on) /
-                          static_cast<double>(n.dc_off);
-  std::fprintf(f, "{\n  \"schema\": \"BENCH_snapshot/v2\",\n");
-  std::fprintf(f, "  \"hw_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"columns\": %u,\n  \"dim\": %u,\n",
-               profile.num_columns, profile.dim);
-  std::fprintf(f, "  \"cold_loads\": %zu,\n  \"queries\": %zu,\n", loads,
-               queries);
-  std::fprintf(f, "  \"cold_load\": {\"seconds\": %.6f},\n",
-               n.load_seconds);
-  std::fprintf(f,
-               "  \"bytes\": {\"file\": %zu, \"resident\": %zu, "
-               "\"mapped\": %zu},\n",
-               n.file_bytes, n.resident_bytes, n.mapped_bytes);
-  std::fprintf(f,
-               "  \"quant_prefilter\": {\"distance_computations_off\": "
-               "%llu, \"distance_computations_on\": %llu, "
-               "\"quant_tile_skips\": %llu, \"float_distance_reduction\": "
-               "%.4f, \"identical\": %s}\n}\n",
-               static_cast<unsigned long long>(n.dc_off),
-               static_cast<unsigned long long>(n.dc_on),
-               static_cast<unsigned long long>(n.skips_on), reduction,
-               n.identical ? "true" : "false");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-bool SameResults(const std::vector<std::vector<JoinableColumn>>& a,
-                 const std::vector<std::vector<JoinableColumn>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (a[i][j].column != b[i][j].column ||
-          a[i][j].match_count != b[i][j].match_count) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void SnapshotExperiment(const VectorLakeOptions& profile) {
+int SnapshotExperiment(const VectorLakeOptions& profile) {
   namespace fs = std::filesystem;
   ColumnCatalog catalog = GenerateVectorLake(profile);
   std::printf("lake: %zu columns, %zu vectors, dim %u\n",
@@ -111,25 +45,36 @@ void SnapshotExperiment(const VectorLakeOptions& profile) {
   PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, opts);
   PEXESO_CHECK(index.Save(path).ok());
 
-  SnapshotNumbers n;
-  n.file_bytes = static_cast<size_t>(fs::file_size(path));
+  const size_t file_bytes = static_cast<size_t>(fs::file_size(path));
+  size_t resident_bytes = 0;
+  size_t mapped_bytes = 0;
 
   // Cold loads: every iteration is a full Load from disk.
   const size_t loads = 5;
+  double load_seconds = 0.0;
   for (size_t i = 0; i < loads; ++i) {
-    n.load_seconds += TimeIt([&] {
+    load_seconds += TimeIt([&] {
       auto loaded = PexesoIndex::Load(path, &metric);
       PEXESO_CHECK(loaded.ok());
-      n.resident_bytes = serve::IndexCache::ResidentBytes(loaded.value());
-      n.mapped_bytes = loaded.value().MappedBytes();
+      resident_bytes = serve::IndexCache::ResidentBytes(loaded.value());
+      mapped_bytes = loaded.value().MappedBytes();
     });
   }
-  n.load_seconds /= static_cast<double>(loads);
+  load_seconds /= static_cast<double>(loads);
 
   std::printf("\ncold load (avg of %zu): %.2f ms  (%zu bytes on disk, %zu "
               "resident, %zu mapped)\n",
-              loads, n.load_seconds * 1e3, n.file_bytes, n.resident_bytes,
-              n.mapped_bytes);
+              loads, load_seconds * 1e3, file_bytes, resident_bytes,
+              mapped_bytes);
+  BenchJson json("snapshot", 3);
+  json.Row("snapshot")
+      .Int("columns", profile.num_columns)
+      .Int("dim", profile.dim)
+      .Count("file_bytes", file_bytes)
+      .Count("resident_bytes", resident_bytes)
+      .Count("mapped_bytes", mapped_bytes)
+      .Int("cold_loads", loads)
+      .Num("cold_load_seconds", load_seconds, 6);
 
   // Quant tier: one threshold workload, pre-filter off vs on, over the
   // mapped snapshot. Counters, not wall time.
@@ -143,37 +88,42 @@ void SnapshotExperiment(const VectorLakeOptions& profile) {
   JoinQuery jq;
   jq.thresholds = ft.Resolve(metric, profile.dim, 20);
 
-  std::vector<std::vector<JoinableColumn>> results_off, results_on;
   SearchStats off_stats, on_stats;
+  bool identical = true;
   for (const auto& q : queries) {
     JoinQuery off = jq;
     off.ablation.use_quant_prefilter = false;
-    results_off.push_back(MustSearch(engine, q, off, &off_stats));
     JoinQuery on = jq;
     on.ablation.use_quant_prefilter = true;
-    results_on.push_back(MustSearch(engine, q, on, &on_stats));
+    identical = SameResults(MustSearch(engine, q, off, &off_stats),
+                            MustSearch(engine, q, on, &on_stats)) &&
+                identical;
   }
-  n.dc_off = off_stats.distance_computations;
-  n.dc_on = on_stats.distance_computations;
-  n.skips_on = on_stats.quant_tile_skips;
-  n.identical = SameResults(results_off, results_on);
+  const uint64_t dc_off = off_stats.distance_computations;
+  const uint64_t skips_on = on_stats.quant_tile_skips;
+  const double reduction =
+      dc_off == 0 ? 0.0
+                  : static_cast<double>(skips_on) / static_cast<double>(dc_off);
 
   std::printf("\nquant pre-filter (%zu queries):\n", num_queries);
   std::printf("  float distances off  %12llu\n",
-              static_cast<unsigned long long>(n.dc_off));
+              static_cast<unsigned long long>(dc_off));
   std::printf("  float distances on   %12llu\n",
-              static_cast<unsigned long long>(n.dc_on));
+              static_cast<unsigned long long>(on_stats.distance_computations));
   std::printf("  quant tile skips     %12llu\n",
-              static_cast<unsigned long long>(n.skips_on));
+              static_cast<unsigned long long>(skips_on));
   std::printf("  reduction            %11.1f%%  (acceptance floor: 30%%)\n",
-              n.dc_off == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(n.skips_on) /
-                        static_cast<double>(n.dc_off));
-  std::printf("  identical results    %12s\n", n.identical ? "yes" : "NO");
+              100.0 * reduction);
+  std::printf("  identical results    %12s\n", identical ? "yes" : "NO");
 
-  WriteSnapshotBenchJson(profile, loads, num_queries, n);
+  json.Row("quant=off").Int("queries", num_queries).Stats(off_stats);
+  json.Row("quant=on")
+      .Int("queries", num_queries)
+      .Stats(on_stats)
+      .Num("float_distance_reduction", reduction)
+      .Check("identical", identical);
   fs::remove_all(dir);
+  return json.Write();
 }
 
 }  // namespace
@@ -185,6 +135,5 @@ int main() {
   Banner("bench_snapshot: flat mmap snapshots + int8 quant pre-filter",
          "the serving-layer cold-start and verification cost");
   const double scale = BenchProfiles::EnvScale();
-  SnapshotExperiment(BenchProfiles::LwdcLike(scale));
-  return 0;
+  return SnapshotExperiment(BenchProfiles::LwdcLike(scale));
 }

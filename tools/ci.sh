@@ -4,8 +4,8 @@
 # Pass 1 (the tier-1 gate): Release, PEXESO_NATIVE_ARCH off — portable
 # codegen plus the runtime-dispatched SIMD kernels, i.e. what a shipped
 # binary runs. Builds everything (library, CLI, examples, benches, tests),
-# runs the whole ctest suite, then records kernel throughput into
-# BENCH_kernels.json when bench_micro was built.
+# runs the whole ctest suite, then regenerates the BENCH_*.json baselines
+# and gates their work counts against the committed copies.
 #
 # Pass 2: Debug with Address+UB sanitizers, sanitizer-friendly flags
 # (frame pointers, no march tuning). The kernels must be correct under
@@ -29,56 +29,45 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-if [[ -x "$BUILD_DIR/bench/bench_micro" ]]; then
-  # Writes BENCH_kernels.json (scalar-vs-dispatched throughput trajectory);
-  # the empty filter skips the Google-Benchmark timing loops themselves.
-  "$BUILD_DIR/bench/bench_micro" --benchmark_filter='^$'
+# Bench baselines and the counter gate. Each bench rewrites its
+# BENCH_<name>.json in the repo root through the one writer in
+# bench/bench_common.h and exits non-zero on a parity failure. The gate then
+# compares every row's "counts" with the committed copy set aside first; a
+# changed count fails unless the same change regenerates the JSON and
+# explains it in CHANGES.md (tools/bench_gate.py -h). The counts are
+# measured at the default scale, so PEXESO_BENCH_SCALE/QUERIES are unset.
+# bench_micro needs Google Benchmark; without it BENCH_kernels.json (rates
+# only, nothing gated) keeps its committed copy.
+BENCH_BASELINE="$(mktemp -d)"
+cp BENCH_*.json "$BENCH_BASELINE/"
+for bench in bench_micro bench_pipeline bench_topk bench_snapshot bench_shard \
+    bench_fig6 bench_fig9; do
+  bench_args=()
+  if [[ "$bench" == bench_micro ]]; then
+    [[ -x "$BUILD_DIR/bench/bench_micro" ]] || continue
+    bench_args=(--benchmark_filter='^$')  # the JSON only, no timing loops
+  fi
+  env -u PEXESO_BENCH_SCALE -u PEXESO_BENCH_QUERIES \
+    "$BUILD_DIR/bench/$bench" "${bench_args[@]}"
+done
+python3 tools/bench_gate.py "$BENCH_BASELINE" .
+# The gate must bite: a baseline that is the fresh BENCH_topk.json with one
+# count bumped fails it. Copying the fresh file keeps the headers equal, so
+# the check holds on every simd_level.
+python3 - BENCH_topk.json "$BENCH_BASELINE/BENCH_topk.json" <<'EOF_BUMP'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+counts = doc["rows"][0]["counts"]
+counts[next(iter(counts))] += 1
+json.dump(doc, open(sys.argv[2], "w"))
+EOF_BUMP
+if python3 tools/bench_gate.py "$BENCH_BASELINE" . \
+    > "$BENCH_BASELINE/bite.txt"; then
+  echo "bench gate: a bumped count in BENCH_topk.json went unnoticed" >&2
+  exit 1
 fi
-
-if [[ -x "$BUILD_DIR/bench/bench_serve" ]]; then
-  # Writes BENCH_serve.json (cold vs warm partitioned batch throughput
-  # through the serving-layer index cache).
-  "$BUILD_DIR/bench/bench_serve"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_pipeline" ]]; then
-  # Writes BENCH_pipeline.json (tiled-vs-per-pair verification throughput,
-  # candidate-generation regression guard, intra-query thread scaling).
-  "$BUILD_DIR/bench/bench_pipeline"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_topk" ]]; then
-  # Writes BENCH_topk.json (kTopK pushdown vs the legacy verify-everything
-  # wrapper: distance-computation reduction, prune counts, parity check —
-  # counter-based, so meaningful on the 1-core CI box too).
-  "$BUILD_DIR/bench/bench_topk"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_ingest" ]]; then
-  # Writes BENCH_ingest.json (live-lake query throughput while appends,
-  # drops and background merges churn, vs the compacted static lake).
-  "$BUILD_DIR/bench/bench_ingest"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_snapshot" ]]; then
-  # Writes BENCH_snapshot.json (flat-snapshot cold-load wall time, file /
-  # resident / mapped bytes, and the quant pre-filter's float-distance
-  # reduction — the reduction is counter-based, so 1-core stable).
-  "$BUILD_DIR/bench/bench_snapshot"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_net" ]]; then
-  # Writes BENCH_net.json (loopback wire-protocol serving: queries/sec,
-  # protocol bytes per query, parity vs the in-process engine).
-  "$BUILD_DIR/bench/bench_net"
-fi
-
-if [[ -x "$BUILD_DIR/bench/bench_shard" ]]; then
-  # Writes BENCH_shard.json (scatter-gather sharding: distance computations
-  # with the global top-k floor shared vs not, wire bytes over a loopback
-  # 2-shard fleet, parity vs the single-node engine — counter-based).
-  "$BUILD_DIR/bench/bench_shard"
-fi
+grep "FAIL BENCH_topk.json" "$BENCH_BASELINE/bite.txt"
+rm -rf "$BENCH_BASELINE"
 
 # Loopback smoke: a real pexeso_server process on an ephemeral port, a real
 # pexeso_cli client, and byte-parity between the socket round-trip and the
