@@ -6,11 +6,9 @@
 //               metric. This is the arithmetic-intensity win: a tile
 //               streams each candidate row once per 4-row block instead of
 //               once per (query, candidate) pair.
-//   candidate   stage-1 throughput (DaaT merge -> CandidateBlocks). The
-//               per-query heap is now bulk make_heap-initialized (O(k));
-//               the old loop cleared a priority_queue element-by-element
-//               and re-pushed every cursor (O(k log k)) — this cell guards
-//               against that regressing.
+//   candidate   stage-1 throughput (postings -> CandidateBlocks): a
+//               two-pass counting scatter by column, linear in the postings
+//               walked. Any per-record merge or sort would show here.
 //   scaling     intra-query thread scaling of one large query column
 //               (JoinQuery::intra_query_threads 1/2/4/8), with a
 //               byte-identical check against the serial search. Wall-clock
@@ -180,9 +178,8 @@ int PipelineExperiment() {
   const double blocks_per_sec =
       static_cast<double>(cands.blocks.size()) / std::max(gen_seconds, 1e-9);
   std::printf("\ncandidate generation: %zu blocks in %.4fs (%.0f blocks/s)\n"
-              "  note: per-query DaaT heap is bulk make_heap-initialized "
-              "(O(k)); the old\n  loop drained a priority_queue and "
-              "re-pushed every cursor (O(k log k)).\n",
+              "  note: two-pass counting scatter by column, linear in the "
+              "postings walked.\n",
               cands.blocks.size(), gen_seconds, blocks_per_sec);
   json.Row("candidate_gen")
       .Stats(gen_stats)

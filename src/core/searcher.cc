@@ -53,20 +53,21 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   // The staged verification pipeline: candidate generation (stage 1),
   // column-sharded tiled verification (stage 2), deterministic reduction
   // (stage 3). Serial when jq.intra_query_threads <= 1.
-  Stopwatch verify_watch;
+  Stopwatch candidate_watch;
   VerifyPipeline pipeline(index_);
   CandidateSet cands;
   pipeline.GenerateCandidates(blocks, num_q, &cands, out_stats);
+  out_stats->candidate_seconds += candidate_watch.ElapsedSeconds();
 
   // Checkpoint between candidate generation and the tiled stage: a query
   // that expired during blocking never dispatches a verification tile.
   live = jq.CheckLive();
   if (!live.ok()) {
     ++out_stats->deadline_expired;
-    out_stats->verify_seconds += verify_watch.ElapsedSeconds();
     return finish(live);
   }
 
+  Stopwatch verify_watch;
   TopKBound topk_bound(jq.k, jq.topk_floor);
   std::vector<uint8_t> pruned;
   if (topk_mode) pruned.assign(num_cols, 0);

@@ -140,128 +140,74 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   out->total_weight = 0;
   if (num_q == 0) return;
 
-  struct Cursor {
-    std::span<const InvertedIndex::Posting> postings;
-    size_t pos = 0;
-    bool is_match = false;
-  };
-  // Emission-order staging; the CSR scatter below regroups by column.
-  struct TmpBlock {
-    ColumnId column;
-    uint32_t query;
-    uint32_t range_begin;
-    uint32_t range_count;
-    uint8_t cell_matched;
-  };
-  std::vector<Cursor> cursors;
-  std::vector<TmpBlock> tmp;
-  std::vector<VecIdRange> tmp_ranges;
-  using HeapEntry = std::pair<ColumnId, uint32_t>;  // (current column, cursor)
-  std::vector<HeapEntry> heap;
-  std::vector<uint32_t> active;  // cursors positioned on the current column
-
-  for (uint32_t q = 0; q < num_q; ++q) {
-    cursors.clear();
-    for (uint32_t cell : blocks.match_cells[q]) {
-      auto span = inv.PostingsOf(cell);
-      if (!span.empty()) cursors.push_back(Cursor{span, 0, true});
-    }
-    for (uint32_t cell : blocks.cand_cells[q]) {
-      auto span = inv.PostingsOf(cell);
-      if (!span.empty()) cursors.push_back(Cursor{span, 0, false});
-    }
-    if (cursors.empty()) continue;
-    // Bulk O(k) heap construction per query record (the old loop pushed
-    // entries one by one after an element-wise clear: O(k log k)).
-    heap.clear();
-    for (uint32_t c = 0; c < cursors.size(); ++c) {
-      heap.emplace_back(cursors[c].postings[0].column, c);
-    }
-    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-    // DaaT: emit the (q, column) pairs in increasing column-id order so each
-    // pair appears exactly once even when a column spans many cells.
-    while (!heap.empty()) {
-      const ColumnId col = heap.front().first;
-      active.clear();
-      while (!heap.empty() && heap.front().first == col) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-        active.push_back(heap.back().second);
-        heap.pop_back();
+  // Per-column stamps of the record being walked: `seen[c] == q` once the
+  // (q, c) block exists, `matched[c] == q` once one of q's match cells held
+  // c. Match cells are walked first, so a cand posting already knows whether
+  // its column is cell-matched (Lemma 5/6 decided the pair: no ranges).
+  std::vector<uint32_t> seen(ncols), matched(ncols);
+  // Calls on_block(q, c, cell_matched) once per live (q, c) pair and
+  // on_range(c, posting) per cand posting of an unmatched pair, in ascending
+  // q and, within a pair, in the order of q's cand_cells. Tombstoned
+  // postings stay in place until Compact(); they emit nothing, so the shard
+  // weights skip columns the verifier would only skip.
+  const auto walk = [&](auto&& on_block, auto&& on_range) {
+    std::fill(seen.begin(), seen.end(), UINT32_MAX);
+    std::fill(matched.begin(), matched.end(), UINT32_MAX);
+    for (uint32_t q = 0; q < num_q; ++q) {
+      for (uint32_t cell : blocks.match_cells[q]) {
+        for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
+          if (seen[p.column] == q || index_->IsDeleted(p.column)) continue;
+          seen[p.column] = matched[p.column] = q;
+          on_block(q, p.column, uint8_t{1});
+        }
       }
-      if (index_->IsDeleted(col)) {
-        // Tombstoned postings stay in place until Compact(); emitting
-        // blocks for them would skew the shard weights toward columns the
-        // verifier is only going to skip.
-        for (uint32_t c : active) {
-          if (++cursors[c].pos < cursors[c].postings.size()) {
-            heap.emplace_back(cursors[c].postings[cursors[c].pos].column, c);
-            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      for (uint32_t cell : blocks.cand_cells[q]) {
+        for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
+          if (matched[p.column] == q || index_->IsDeleted(p.column)) continue;
+          if (seen[p.column] != q) {
+            seen[p.column] = q;
+            on_block(q, p.column, uint8_t{0});
           }
-        }
-        continue;
-      }
-      bool cell_matched = false;
-      for (uint32_t c : active) {
-        if (cursors[c].is_match) {
-          // Lemma 5/6 guaranteed every vector in this cell matches q, and
-          // the column has at least one vector here: no ranges needed.
-          cell_matched = true;
-          break;
-        }
-      }
-      const uint32_t rb = static_cast<uint32_t>(tmp_ranges.size());
-      uint32_t rc = 0;
-      if (!cell_matched) {
-        for (uint32_t c : active) {
-          const auto& p = cursors[c].postings[cursors[c].pos];
-          if (p.vec_count > 0) {
-            tmp_ranges.push_back(VecIdRange{p.vec_begin, p.vec_count});
-            ++rc;
-          }
-        }
-      }
-      tmp.push_back(
-          TmpBlock{col, q, rb, rc, static_cast<uint8_t>(cell_matched)});
-      for (uint32_t c : active) {
-        if (++cursors[c].pos < cursors[c].postings.size()) {
-          heap.emplace_back(cursors[c].postings[cursors[c].pos].column, c);
-          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+          if (p.vec_count > 0) on_range(p.column, p);
         }
       }
     }
-  }
-  stats->candidate_blocks += tmp.size();
+  };
 
-  // CSR scatter by column. Emission order is ascending q (outer loop) with
-  // each column at most once per q, so every column's slice lands in
-  // ascending query order — the order the serial state machine requires.
-  for (const TmpBlock& b : tmp) ++out->block_begin[b.column + 1];
+  // Pass 1 counts blocks and ranges per column; prefix sums place them.
+  // next_range then holds each column's range cursor.
+  std::vector<uint32_t> next_range(ncols + 1, 0);
+  walk([&](uint32_t, ColumnId c, uint8_t) { ++out->block_begin[c + 1]; },
+       [&](ColumnId c, const InvertedIndex::Posting&) {
+         ++next_range[c + 1];
+       });
   for (size_t c = 1; c <= ncols; ++c) {
     out->block_begin[c] += out->block_begin[c - 1];
+    next_range[c] += next_range[c - 1];
   }
-  std::vector<uint32_t> range_begin(ncols + 1, 0);
-  for (const TmpBlock& b : tmp) range_begin[b.column + 1] += b.range_count;
-  for (size_t c = 1; c <= ncols; ++c) range_begin[c] += range_begin[c - 1];
+  out->blocks.resize(out->block_begin[ncols]);
+  out->ranges.resize(next_range[ncols]);
+  stats->candidate_blocks += out->blocks.size();
 
-  out->blocks.resize(tmp.size());
-  out->ranges.resize(tmp_ranges.size());
+  // Pass 2 writes each block at its column's cursor. Records are walked in
+  // ascending order, so every column's slice lands in ascending query order
+  // — the order the serial state machine requires — and a block's ranges
+  // are contiguous because its column's range cursor only moves for it
+  // until the next record.
   std::vector<uint32_t> next_block(out->block_begin.begin(),
                                    out->block_begin.end() - 1);
-  std::vector<uint32_t> next_range(range_begin.begin(), range_begin.end() - 1);
-  for (const TmpBlock& b : tmp) {
-    const uint32_t dst = next_block[b.column]++;
-    const uint32_t rdst = next_range[b.column];
-    next_range[b.column] += b.range_count;
-    uint64_t w = b.cell_matched ? 1 : 0;
-    for (uint32_t r = 0; r < b.range_count; ++r) {
-      out->ranges[rdst + r] = tmp_ranges[b.range_begin + r];
-      w += tmp_ranges[b.range_begin + r].count;
-    }
-    out->blocks[dst] = CandidateBlock{b.query, rdst, b.range_count,
-                                      b.cell_matched};
-    out->weight[b.column] += w;
-    out->total_weight += w;
-  }
+  walk(
+      [&](uint32_t q, ColumnId c, uint8_t cell_matched) {
+        out->blocks[next_block[c]++] =
+            CandidateBlock{q, next_range[c], 0, cell_matched};
+        out->weight[c] += cell_matched;
+      },
+      [&](ColumnId c, const InvertedIndex::Posting& p) {
+        ++out->blocks[next_block[c] - 1].range_count;
+        out->ranges[next_range[c]++] = VecIdRange{p.vec_begin, p.vec_count};
+        out->weight[c] += p.vec_count;
+      });
+  for (uint64_t w : out->weight) out->total_weight += w;
 }
 
 Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,

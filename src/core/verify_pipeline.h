@@ -33,9 +33,10 @@ struct VecIdRange {
 
 /// \brief Stage-1 output: every (query record, column) pair of the search,
 /// CSR-grouped by column with each column's pairs in ascending query order —
-/// exactly the order the serial DaaT loop resolves them in. That ordering is
-/// what lets stage 2 replay the per-column Lemma-7 / early-joinable state
-/// machine bit-for-bit under any shard layout.
+/// exactly the order the paper's serial document-at-a-time scan (Algorithm
+/// 2) resolves them in. That ordering is what lets stage 2 replay the
+/// per-column Lemma-7 / early-joinable state machine bit-for-bit under any
+/// shard layout.
 struct CandidateSet {
   std::vector<CandidateBlock> blocks;
   std::vector<VecIdRange> ranges;  ///< each block's ranges are contiguous
@@ -52,9 +53,9 @@ struct CandidateSet {
 /// \brief The staged online verification pipeline: Algorithm 2 restructured
 /// from a monolithic per-query DaaT loop into three explicit stages.
 ///
-///   stage 1  candidate generation — the DaaT merge over the blocking
-///            output emits CandidateBlocks instead of deciding pairs
-///            inline (GenerateCandidates);
+///   stage 1  candidate generation — a linear two-pass counting scatter
+///            of the blocking output's postings emits CandidateBlocks
+///            instead of deciding pairs inline (GenerateCandidates);
 ///   stage 2  tiled verification — columns are sharded into contiguous,
 ///            weight-balanced ranges across JoinQuery::intra_query_threads
 ///            workers; each shard replays the serial per-column state
@@ -105,6 +106,13 @@ class VerifyPipeline {
   explicit VerifyPipeline(const PexesoIndex* index) : index_(index) {}
 
   /// Stage 1. `blocks` is the blocking output for `num_q` query records.
+  /// Two passes walk each record's match cells, then its cand cells, over
+  /// the inverted index's postings: the first counts blocks and ranges per
+  /// column, prefix sums place them, the second writes each (record,
+  /// column) block at its column's cursor. A column in any match cell
+  /// gives one cell-matched block without ranges; otherwise the block's
+  /// ranges follow the order of the record's cand cells. Tombstoned
+  /// columns emit nothing. Linear in the postings walked; no merge.
   void GenerateCandidates(const BlockResult& blocks, uint32_t num_q,
                           CandidateSet* out, SearchStats* stats) const;
 

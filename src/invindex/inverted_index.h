@@ -15,10 +15,11 @@ namespace pexeso {
 ///
 /// Keys are leaf-cell indices; each key maps to a postings list of columns
 /// having at least one vector in that cell, together with the ids of those
-/// vectors. Postings are sorted by ColumnId so verification can proceed
-/// document-at-a-time (column-at-a-time) across the candidate cells of a
-/// query vector, which is what enables the Lemma 7 early termination and the
-/// joinable-skip to bypass whole columns.
+/// vectors. Postings are sorted by ColumnId, the order the paper's
+/// document-at-a-time verification merges them in. Candidate generation
+/// does not depend on it: it scatters postings by column in two linear
+/// passes, and the Lemma 7 early termination and the joinable-skip then run
+/// per column (core/verify_pipeline.h).
 ///
 /// Postings lists are growable per cell: appending a column (Section III-E)
 /// appends to the lists of the cells its vectors fall in, in O(1) per cell,

@@ -141,8 +141,12 @@ struct StatField {
   X(30, uint64_t, shard_bytes_moved, "search_shard_bytes_moved", kSum)        \
   /* Wall-clock seconds of the blocking phase. */                             \
   X(31, double, block_seconds, "search_block_seconds", kSum)                  \
-  /* Wall-clock seconds of the verification phase. */                         \
-  X(32, double, verify_seconds, "search_verify_seconds", kSum)
+  /* Wall-clock seconds of the verification phase: stages 2-3 of the         \
+     pipeline plus the mapping sweep (stage 1 has its own field below). */    \
+  X(32, double, verify_seconds, "search_verify_seconds", kSum)                \
+  /* Wall-clock seconds of stage 1 of the verification pipeline (candidate    \
+     generation over the blocking output's postings). */                      \
+  X(33, double, candidate_seconds, "search_candidate_seconds", kSum)
 
 /// \brief Instrumentation counters shared by every searcher. Figure 6a of
 /// the paper compares the number of exact distance computations per method;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/pexeso_index.h"
 #include "core/searcher.h"
 #include "core/verify_pipeline.h"
+#include "invindex/inverted_index.h"
 #include "test_util.h"
 #include "vec/metric.h"
 
@@ -406,6 +408,142 @@ TEST(PipelineTest, CandidateSetIsColumnGroupedAndQueryOrdered) {
     weight_sum += col_weight;
   }
   EXPECT_EQ(cands.total_weight, weight_sum);
+}
+
+/// The leaf cell whose postings hold vector `v`.
+uint32_t CellOf(const InvertedIndex& inv, VecId v) {
+  for (uint32_t cell = 0; cell < inv.num_cells(); ++cell) {
+    for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
+      for (uint32_t i = 0; i < p.vec_count; ++i) {
+        if (inv.vec_ids_data()[p.vec_begin + i] == v) return cell;
+      }
+    }
+  }
+  ADD_FAILURE() << "vector " << v << " is in no cell";
+  return 0;
+}
+
+/// Column `col`'s postings range in leaf cell `cell`.
+VecIdRange RangeOf(const InvertedIndex& inv, uint32_t cell, ColumnId col) {
+  for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
+    if (p.column == col) return VecIdRange{p.vec_begin, p.vec_count};
+  }
+  ADD_FAILURE() << "column " << col << " has no posting in cell " << cell;
+  return VecIdRange{};
+}
+
+void ExpectSameCandidates(const CandidateSet& got, const CandidateSet& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.block_begin, want.block_begin) << label;
+  EXPECT_EQ(got.weight, want.weight) << label;
+  EXPECT_EQ(got.total_weight, want.total_weight) << label;
+  ASSERT_EQ(got.blocks.size(), want.blocks.size()) << label;
+  for (size_t b = 0; b < want.blocks.size(); ++b) {
+    EXPECT_EQ(got.blocks[b].query, want.blocks[b].query)
+        << label << " block " << b;
+    EXPECT_EQ(got.blocks[b].range_begin, want.blocks[b].range_begin)
+        << label << " block " << b;
+    EXPECT_EQ(got.blocks[b].range_count, want.blocks[b].range_count)
+        << label << " block " << b;
+    EXPECT_EQ(got.blocks[b].cell_matched, want.blocks[b].cell_matched)
+        << label << " block " << b;
+  }
+  ASSERT_EQ(got.ranges.size(), want.ranges.size()) << label;
+  for (size_t r = 0; r < want.ranges.size(); ++r) {
+    EXPECT_EQ(got.ranges[r].begin, want.ranges[r].begin)
+        << label << " range " << r;
+    EXPECT_EQ(got.ranges[r].count, want.ranges[r].count)
+        << label << " range " << r;
+  }
+}
+
+/// Stage 1's exact output on a hand-written blocking result over a lake
+/// whose cells are known: columns 0, 1 and 3 share the leaf cell of point
+/// A, columns 1 and 2 that of point B, and column 3 is tombstoned. Checks
+/// cell-matched pairs, range order with a repeated cand cell, tombstone
+/// skipping, and a mapped snapshot of the same index.
+TEST(PipelineTest, CandidateSetHasExactShape) {
+  L2Metric metric;
+  constexpr uint32_t kDim = 4;
+  const auto point = [](uint32_t axis) {
+    std::vector<float> v(kDim, 0.0f);
+    v[axis] = 1.0f;
+    return v;
+  };
+  // Column c holds the given points; A = axis 0, B = axis 1, and axes 2/3
+  // only widen the pivot space.
+  const std::vector<std::vector<uint32_t>> layout = {
+      {0, 0, 0}, {0, 0, 1, 1}, {1, 1, 1}, {0, 0}, {2, 3, 2}};
+  ColumnCatalog catalog(kDim);
+  for (const auto& axes : layout) {
+    std::vector<float> packed;
+    for (uint32_t axis : axes) {
+      const std::vector<float> v = point(axis);
+      packed.insert(packed.end(), v.begin(), v.end());
+    }
+    catalog.AddColumn(ColumnMeta{}, packed.data(), axes.size());
+  }
+  PexesoOptions popts;
+  popts.num_pivots = 2;
+  popts.levels = 3;
+  PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, popts);
+  index.DeleteColumn(3);
+  const InvertedIndex& inv = index.inverted_index();
+  const uint32_t a = CellOf(inv, index.catalog().column(0).first);
+  const uint32_t b = CellOf(inv, index.catalog().column(2).first);
+  ASSERT_NE(a, b);
+  ASSERT_EQ(inv.PostingsOf(a).size(), 3u);  // columns 0, 1, 3
+  ASSERT_EQ(inv.PostingsOf(b).size(), 2u);  // columns 1, 2
+
+  // q0: cand A, B, A (A repeated); q1: match B, cand A, B; q2: nothing;
+  // q3: match A only.
+  BlockResult blocks;
+  blocks.match_cells = {{}, {b}, {}, {a}};
+  blocks.cand_cells = {{a, b, a}, {a, b}, {}, {}};
+
+  const VecIdRange a0 = RangeOf(inv, a, 0), a1 = RangeOf(inv, a, 1);
+  const VecIdRange b1 = RangeOf(inv, b, 1), b2 = RangeOf(inv, b, 2);
+  ASSERT_EQ(a0.count, 3u);
+  ASSERT_EQ(a1.count, 2u);
+  ASSERT_EQ(b1.count, 2u);
+  ASSERT_EQ(b2.count, 3u);
+  CandidateSet want;
+  want.blocks = {
+      // column 0: q0 over A twice, q1 over A, q3 decided by match cell A
+      {0, 0, 2, 0}, {1, 2, 1, 0}, {3, 3, 0, 1},
+      // column 1: q0 in cand-cell order A, B, A; q1 (B is also its match
+      // cell) and q3 cell-matched, their range_begin at the column's end
+      {0, 3, 3, 0}, {1, 6, 0, 1}, {3, 6, 0, 1},
+      // column 2: q0 over B; q1 cell-matched by B
+      {0, 6, 1, 0}, {1, 7, 0, 1},
+      // column 3 is tombstoned, column 4 never blocked
+  };
+  want.ranges = {a0, a0, a0, a1, b1, a1, b2};
+  want.block_begin = {0, 3, 6, 8, 8, 8};
+  want.weight = {3 * a0.count + 1, 2 * a1.count + b1.count + 2,
+                 b2.count + 1, 0, 0};
+  want.total_weight = 3 * a0.count + 1 + 2 * a1.count + b1.count + 2 +
+                      b2.count + 1;
+
+  SearchStats stats;
+  CandidateSet got;
+  VerifyPipeline(&index).GenerateCandidates(blocks, 4, &got, &stats);
+  ExpectSameCandidates(got, want, "heap index");
+  EXPECT_EQ(stats.candidate_blocks, 8u);
+
+  // The same index served from a mapped snapshot (view-mode postings).
+  const std::string path = ::testing::TempDir() + "/pipeline_exact_shape.pxso";
+  ASSERT_TRUE(index.Save(path).ok());
+  auto loaded = PexesoIndex::Load(path, &metric);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded.value().inverted_index().is_view());
+  SearchStats view_stats;
+  CandidateSet view;
+  VerifyPipeline(&loaded.value())
+      .GenerateCandidates(blocks, 4, &view, &view_stats);
+  ExpectSameCandidates(view, want, "mapped snapshot");
+  EXPECT_EQ(view_stats.candidate_blocks, 8u);
+  std::remove(path.c_str());
 }
 
 /// A deleted column's candidate blocks are skipped by every shard layout.

@@ -252,6 +252,7 @@ TEST(SearchStatsTest, AccumulateAndReset) {
       {30, "search_shard_bytes_moved"},
       {31, "search_block_seconds"},
       {32, "search_verify_seconds"},
+      {33, "search_candidate_seconds"},
   };
   const std::vector<StatEntry> table = StatTable();
   std::vector<std::pair<uint16_t, std::string>> listed;

@@ -266,12 +266,16 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # use-after-scope on the attempt frame would live. part_conformance_test
   # joins for the truncated-snapshot matrix driven through every
   # partitioned entry point, wire and shard paths included.
+  # core_search_test joins for stage 1's per-column arrays: exactness
+  # against the naive searcher under every lemma ablation (match cells on
+  # and off), appended and deleted columns and save/load are every input
+  # shape the candidate scatter's column stamps and cursors index.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
     topk_test lake_test fault_test net_test snapshot_test shard_test \
-    part_conformance_test
+    part_conformance_test core_search_test
   ctest --test-dir "$SAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_conformance_test)$'
+    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_conformance_test|core_search_test)$'
 fi
 
 if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
