@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <functional>
@@ -47,6 +48,24 @@ bool SameRanges(const CandidateSet& cands, const CandidateBlock& a,
     if (ra[i].begin != rb[i].begin || ra[i].count != rb[i].count) return false;
   }
   return true;
+}
+
+/// Lemma 1 over one mapped query record `mq` and n candidates, candidate c
+/// mapped at mx_of(c): mrow[c] = 0 when some pivot separates the two by
+/// more than tau, 1 otherwise. Every pivot is tested without a branch.
+/// Returns the number filtered.
+template <typename MappedOf>
+uint64_t Lemma1Row(const double* mq, uint32_t np, double tau, size_t n,
+                   MappedOf mx_of, uint8_t* mrow) {
+  uint64_t filtered = 0;
+  for (size_t c = 0; c < n; ++c) {
+    const double* mx = mx_of(c);
+    bool out = false;
+    for (uint32_t p = 0; p < np; ++p) out |= std::fabs(mq[p] - mx[p]) > tau;
+    mrow[c] = !out;
+    filtered += out;
+  }
+  return filtered;
 }
 
 /// Runs task(i, &stats_i) for i in [0, n) on the query's shared intra-query
@@ -458,35 +477,31 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   // Pivot-space pass per row: Lemma-1 survivor mask, then Lemma-2 pivot
   // matching over the survivors. Rows Lemma-2 resolves never reach the
   // distance stage.
+  const double* mapped = index_->MappedVec(0);
+  const auto mapped_of = [&](size_t c) {
+    return mapped + static_cast<size_t>(ids[c]) * np;
+  };
   auto& mask = scratch->mask;
   mask.assign(m * nv, 1);
   auto& rows = scratch->rows;
   rows.clear();
+  uint64_t filtered = 0;
   for (size_t r = 0; r < m; ++r) {
     const double* mq =
         mapped_q.data() + static_cast<size_t>(group[r].query) * np;
     uint8_t* mrow = mask.data() + r * nv;
     size_t survivors = nv;
     if (use_l1) {
-      for (size_t c = 0; c < nv; ++c) {
-        const double* mx = index_->MappedVec(ids[c]);
-        for (uint32_t p = 0; p < np; ++p) {
-          const double diff = mq[p] - mx[p];
-          if (diff > tau || diff < -tau) {
-            mrow[c] = 0;
-            --survivors;
-            ++stats->lemma1_filtered;
-            break;
-          }
-        }
-      }
+      const uint64_t f = Lemma1Row(mq, np, tau, nv, mapped_of, mrow);
+      filtered += f;
+      survivors -= f;
     }
     if (survivors == 0) continue;  // Lemma 1 cleared the row: mismatched
     if (use_l2) {
       bool row_matched = false;
       for (size_t c = 0; c < nv && !row_matched; ++c) {
         if (!mrow[c]) continue;
-        const double* mx = index_->MappedVec(ids[c]);
+        const double* mx = mapped_of(c);
         for (uint32_t p = 0; p < np; ++p) {
           if (mq[p] + mx[p] <= tau) {
             row_matched = true;
@@ -502,11 +517,13 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
     }
     rows.push_back(static_cast<uint32_t>(r));
   }
+  stats->lemma1_filtered += filtered;
   if (rows.empty()) return;
 
-  // Union of the unresolved rows' survivor sets: the tile evaluates every
-  // union slot for every row (rows consult only their own mask afterwards),
-  // trading a few wasted slots for dense many-to-many kernel calls.
+  // Union of the unresolved rows' survivor sets: a dense tile evaluates
+  // every union slot for every row (rows consult only their own mask
+  // afterwards), trading a few wasted slots for dense many-to-many kernel
+  // calls; a sub-block sweep reads each row's own survivors only.
   auto& uni = scratch->uni;
   uni.clear();
   if (use_l1) {
@@ -526,7 +543,7 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   if (uni.empty()) return;  // Lemma 1 cleared every candidate of every row
 
   // Vec-tiles over the union; rows that match in one drop out before the
-  // next. Every live row takes part in every tile.
+  // next. Every live row takes part in every vec-tile's sweep.
   const size_t un = uni.size();
   auto& live = rows;  // unresolved rows, ascending — shrinks per vec-tile
   auto& next_live = scratch->next_rows;
@@ -627,22 +644,14 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
     // Lemma-1 survivor masks of the live rows over this vec-tile (applied
     // unconditionally, matching the serial mapping scan).
     auto& mask = scratch->mask;
-    mask.assign(live.size() * vlen, 1);
+    mask.resize(live.size() * vlen);
+    const double* mapped = index_->MappedVec(meta.first + v0);
+    const auto mapped_of = [&](size_t c) { return mapped + c * np; };
     for (size_t t = 0; t < live.size(); ++t) {
       const double* mq =
           mapped_q.data() + static_cast<size_t>(live[t]) * np;
-      uint8_t* mrow = mask.data() + t * vlen;
-      for (size_t c = 0; c < vlen; ++c) {
-        const double* mx = index_->MappedVec(meta.first + v0 + c);
-        for (uint32_t p = 0; p < np; ++p) {
-          const double diff = mq[p] - mx[p];
-          if (diff > tau || diff < -tau) {
-            mrow[c] = 0;
-            ++stats->lemma1_filtered;
-            break;
-          }
-        }
-      }
+      stats->lemma1_filtered += Lemma1Row(mq, np, tau, vlen, mapped_of,
+                                          mask.data() + t * vlen);
     }
 
     // Rows with at least one survivor in this tile do the work; fully
@@ -722,19 +731,34 @@ void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
 
   const RangePredicate pred(*index_->metric(), tau);
   const KernelSet* ks = pred.kernels();
-  if (ks == nullptr) {
-    // Metric without kernels: per-pair scan, first match wins.
+  if (ks == nullptr || rows.size() * nslots <= kTileRows * kTileRows) {
+    // No more pairs than one dense block, or a metric without kernels: each
+    // row reads its Lemma-1 survivors in place, in slot order, up to its
+    // first match — the pairs Algorithm 2 computes, with no gather, no
+    // int8 tier and no tile. Cmp1Normed equals the tile's cell bit for bit,
+    // so the routing never changes a decision; it does not look at the
+    // quant option, so distances + quant skips stay equal to the quant-off
+    // distances.
+    uint64_t pairs = 0;
     for (size_t t = 0; t < rows.size(); ++t) {
-      const float* qv = query.View(rows[t].query);
+      const uint32_t q = rows[t].query;
+      const float* qv = query.View(q);
+      const double qn =
+          query_norms != nullptr ? static_cast<double>(query_norms[q]) : 1.0;
       for (size_t c = 0; c < nslots; ++c) {
         if (!survives(t, c)) continue;
-        ++stats->distance_computations;
-        if (pred.Match(qv, rstore.View(slots[c]), dim)) {
+        const VecId id = slots[c];
+        const double rn =
+            repo_norms != nullptr ? static_cast<double>(repo_norms[id]) : 1.0;
+        ++pairs;
+        if (pred.MatchNormed(qv, rstore.View(id), dim, qn, rn)) {
           first[t] = static_cast<uint32_t>(c);
           break;
         }
       }
     }
+    stats->distance_computations += pairs;
+    stats->sqrt_free_comparisons += pairs * pred.sqrt_saved();
     return;
   }
 
@@ -799,12 +823,12 @@ void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
       // Quantized pre-filter: an int8 tile classifies every slot as a
       // provable match, a provable miss, or too-close-to-call; only maybe
       // slots reach the exact float tile. That tile keeps ALL rlen rows of
-      // the block — a slot's float kernel value depends only on its row's
-      // position category within the block, never on which columns sit
-      // beside it — so every float comparison performed is bit-identical to
-      // the quant-off run, and distance_computations + quant_tile_skips
-      // equals the quant-off distance count exactly (snapshot_test.cc and
-      // pipeline_test.cc assert both).
+      // the block — a tile cell equals the one-pair kernel value, whatever
+      // rows and columns sit beside it — so every float comparison
+      // performed is bit-identical to the quant-off run, and
+      // distance_computations + quant_tile_skips equals the quant-off
+      // distance count exactly (snapshot_test.cc and pipeline_test.cc
+      // assert both).
       auto& qcodes = scratch->qcodes;
       qcodes.resize(rlen * dim);
       auto& qeps = scratch->qeps;

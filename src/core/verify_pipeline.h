@@ -66,12 +66,14 @@ struct CandidateSet {
 ///
 /// One tile sweep: verification and the record-mapping pass (CollectMappings)
 /// both resolve a vec-tile through SweepTile — Lemma-1-masked rows against a
-/// slot list, the int8 quant tier first when enabled, then exact float tiles
-/// over the slots it cannot decide (a per-pair scan for metrics without
-/// kernels). The callers differ in one rule only. Verification needs
-/// existence, so a row with a provable int8 match is settled without any
-/// float work; a mapping needs the first witness, so the undecided slots
-/// before that match are float-checked first.
+/// slot list. A sweep of no more pairs than one dense 8x8 block (and every
+/// sweep of a metric without kernels) runs pair by pair in place: each row
+/// reads its own survivors up to its first match, Algorithm 2's pair set. A
+/// larger one runs the int8 quant tier first when enabled, then exact float
+/// tiles over the slots it cannot decide. The callers differ in one rule
+/// only. Verification needs existence, so a row with a provable int8 match
+/// is settled without any float work; a mapping needs the first witness,
+/// so the undecided slots before that match are float-checked first.
 ///
 /// Determinism contract: because a column's pairs are always resolved by
 /// one shard, in ascending query order, with Lemma-7 kills and t_abs
@@ -166,7 +168,8 @@ class VerifyPipeline {
                    SearchStats* stats) const;
 
   /// Resolves one group of `m` consecutive pairs of column `col` sharing an
-  /// identical range list via gather + masked many-to-many tiles.
+  /// identical range list: one gather, the Lemma-1/2 pivot pass per row,
+  /// then SweepTile over the union of the unresolved rows' survivors.
   void EvaluateGroup(const CandidateSet& cands, ColumnId col,
                      const CandidateBlock* group, size_t m,
                      const VectorStore& query,
@@ -191,13 +194,16 @@ class VerifyPipeline {
   /// against `slots` (VecIds of column `col`; row t checks slot c only when
   /// rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and writes each
   /// row's first matching slot, or UINT32_MAX, to first[0..rows.size()).
-  /// Runs the int8 tier when the query enables it and the index's codes fit
-  /// the metric, then exact CmpTileNormed tiles over the slots it cannot
-  /// decide; a metric without kernels takes a per-pair Match scan instead.
-  /// With `first_witness` false a provable int8 match settles its row
-  /// outright; with it true the undecided slots before that match are
-  /// float-checked first, so the answer is the row's first match in slot
-  /// order.
+  /// With rows x slots <= 8 x 8, or a metric without kernels, each row reads
+  /// its survivors straight from the store in slot order and stops at its
+  /// first match (RangePredicate::MatchNormed, one distance per pair read).
+  /// Otherwise it runs the int8 tier when the query enables it and the
+  /// index's codes fit the metric, then exact CmpTileNormed tiles over the
+  /// slots it cannot decide: with `first_witness` false a provable int8
+  /// match settles its row outright; with it true the undecided slots
+  /// before that match are float-checked first. Either way the answer is a
+  /// match, and with `first_witness` the row's first in slot order; the
+  /// kernels give a pair the same value on both paths.
   void SweepTile(std::span<const TileRow> rows, std::span<const VecId> slots,
                  const uint32_t* mask_col, ColumnId col, bool first_witness,
                  const VectorStore& query, const JoinQuery& jq,

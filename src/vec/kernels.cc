@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -108,96 +109,80 @@ void ScalarNorms(const float* base, size_t n, uint32_t dim, float* out) {
 
 // Tiles process four query rows per pass over a base row, so each base row
 // is read from memory once per row-block instead of once per query row.
+// Each row of a 4-row group keeps the one-pair kernel's exact summation
+// order: lane l of its accumulator is that kernel's acc_l (elements
+// i = l mod 4), the tail joins lane 0, and the lanes sum as
+// (l0 + l1) + (l2 + l3). A tile cell therefore equals the one-pair value
+// bit for bit whatever the row's position in the tile; leftover rows call
+// the one-to-many kernel.
+
+/// Four float lanes (a GCC/Clang vector extension): SSE/NEON registers
+/// where the target has them, plain scalars otherwise. Each lane rounds
+/// exactly as the scalar code does.
+typedef float Lanes4 __attribute__((vector_size(16)));
+
+template <typename Term>
+void ScalarTile(const float* qs, size_t nq, const float* base, size_t nv,
+                uint32_t dim, double* out, Term term,
+                void (*many)(const float*, const float*, size_t, uint32_t,
+                             double*)) {
+  const auto load = [](const float* p) {
+    Lanes4 x;
+    std::memcpy(&x, p, sizeof(x));
+    return x;
+  };
+  size_t r = 0;
+  for (; r + 4 <= nq; r += 4) {
+    const float* q[4] = {qs + r * dim, qs + (r + 1) * dim,
+                         qs + (r + 2) * dim, qs + (r + 3) * dim};
+    for (size_t c = 0; c < nv; ++c) {
+      const float* v = base + c * dim;
+      Lanes4 acc[4] = {};
+      uint32_t i = 0;
+      for (; i + 4 <= dim; i += 4) {
+        const Lanes4 x = load(v + i);
+        for (int k = 0; k < 4; ++k) acc[k] += term(load(q[k] + i), x);
+      }
+      float tail[4] = {acc[0][0], acc[1][0], acc[2][0], acc[3][0]};
+      for (; i < dim; ++i) {
+        for (int k = 0; k < 4; ++k) tail[k] += term(q[k][i], v[i]);
+      }
+      for (int k = 0; k < 4; ++k) {
+        out[(r + k) * nv + c] = static_cast<double>(
+            (tail[k] + acc[k][1]) + (acc[k][2] + acc[k][3]));
+      }
+    }
+  }
+  for (; r < nq; ++r) many(qs + r * dim, base, nv, dim, out + r * nv);
+}
 
 void ScalarSqL2Tile(const float* qs, size_t nq, const float* base, size_t nv,
                     uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-      for (uint32_t i = 0; i < dim; ++i) {
-        const float x = v[i];
-        const float d0 = q0[i] - x;
-        const float d1 = q1[i] - x;
-        const float d2 = q2[i] - x;
-        const float d3 = q3[i] - x;
-        a0 += d0 * d0;
-        a1 += d1 * d1;
-        a2 += d2 * d2;
-        a3 += d3 * d3;
-      }
-      out[(r + 0) * nv + c] = static_cast<double>(a0);
-      out[(r + 1) * nv + c] = static_cast<double>(a1);
-      out[(r + 2) * nv + c] = static_cast<double>(a2);
-      out[(r + 3) * nv + c] = static_cast<double>(a3);
-    }
-  }
-  for (; r < nq; ++r) {
-    ScalarSqL2Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  ScalarTile(
+      qs, nq, base, nv, dim, out,
+      [](auto a, auto b) {
+        const auto d = a - b;
+        return d * d;
+      },
+      &ScalarSqL2Many);
 }
 
 void ScalarDotTile(const float* qs, size_t nq, const float* base, size_t nv,
                    uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-      for (uint32_t i = 0; i < dim; ++i) {
-        const float x = v[i];
-        a0 += q0[i] * x;
-        a1 += q1[i] * x;
-        a2 += q2[i] * x;
-        a3 += q3[i] * x;
-      }
-      out[(r + 0) * nv + c] = static_cast<double>(a0);
-      out[(r + 1) * nv + c] = static_cast<double>(a1);
-      out[(r + 2) * nv + c] = static_cast<double>(a2);
-      out[(r + 3) * nv + c] = static_cast<double>(a3);
-    }
-  }
-  for (; r < nq; ++r) {
-    ScalarDotMany(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  ScalarTile(
+      qs, nq, base, nv, dim, out, [](auto a, auto b) { return a * b; },
+      &ScalarDotMany);
 }
 
 void ScalarL1Tile(const float* qs, size_t nq, const float* base, size_t nv,
                   uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-      for (uint32_t i = 0; i < dim; ++i) {
-        const float x = v[i];
-        a0 += std::fabs(q0[i] - x);
-        a1 += std::fabs(q1[i] - x);
-        a2 += std::fabs(q2[i] - x);
-        a3 += std::fabs(q3[i] - x);
-      }
-      out[(r + 0) * nv + c] = static_cast<double>(a0);
-      out[(r + 1) * nv + c] = static_cast<double>(a1);
-      out[(r + 2) * nv + c] = static_cast<double>(a2);
-      out[(r + 3) * nv + c] = static_cast<double>(a3);
-    }
-  }
-  for (; r < nq; ++r) {
-    ScalarL1Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  ScalarTile(
+      qs, nq, base, nv, dim, out,
+      [](auto a, auto b) {
+        const auto d = a - b;
+        return d < 0 ? -d : d;  // |d|, also on Lanes4
+      },
+      &ScalarL1Many);
 }
 
 // int8 code tiles: plain int accumulation (widening to int32 per element);

@@ -66,7 +66,9 @@ struct Ops {
   // out[r * nv + c] = f(qs_r, base_c). Row-blocked so each base row is
   // streamed from memory once per block of query rows instead of once per
   // row — the arithmetic-intensity win the verification pipeline's tiled
-  // stage is built on.
+  // stage is built on. Each cell is bit-identical to the one-pair kernel
+  // (sq_l2 / dot / l1) on the same rows, whatever the row's position in
+  // the tile, so a pair's decision never depends on the path that took it.
 
   /// out[r*nv + c] = sum_i (qs[r*dim+i] - base[c*dim+i])^2
   void (*sq_l2_tile)(const float* qs, size_t nq, const float* base, size_t nv,
@@ -169,7 +171,7 @@ struct KernelSet {
                       uint32_t dim, double* out) const;
 
   /// Many-to-many comparison-space tile: out[r*nv + c] = Cmp1Normed(qs_r,
-  /// base_c) — squared distance for L2/cosine (compare against
+  /// base_c), bit for bit — squared distance for L2/cosine (compare against
   /// CmpBound(tau), no sqrt per slot), identity for L1. The workhorse of
   /// the staged verification pipeline (core/verify_pipeline.cc).
   void CmpTileNormed(const float* qs, const double* qnorms, const float* base,

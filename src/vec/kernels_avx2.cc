@@ -150,12 +150,38 @@ PEXESO_AVX2 void Avx2Norms(const float* base, size_t n, uint32_t dim,
   }
 }
 
-// Many-to-many tiles, blocked four query rows deep: each 8-float chunk of a
-// base row is loaded once and fed to four FMA accumulators, so the tile is
-// ~4x less load-bound than four independent one-to-many sweeps.
+// Many-to-many tiles, blocked four query rows deep: each chunk of a base
+// row is loaded once and fed to all four rows' accumulators, so the tile is
+// ~4x less load-bound than four independent one-to-many sweeps. Each row
+// keeps the one-pair kernel's exact order (two accumulators over 16-float
+// chunks, a last 8-float chunk on the first, a scalar tail added after the
+// horizontal sum), so a tile cell equals the one-pair value bit for bit
+// whatever the row's position in the tile; leftover rows call the
+// one-to-many kernel.
 
-PEXESO_AVX2 void Avx2SqL2Tile(const float* qs, size_t nq, const float* base,
-                              size_t nv, uint32_t dim, double* out) {
+PEXESO_AVX2 inline __m256 SqStep(__m256 acc, __m256 q, __m256 v) {
+  const __m256 d = _mm256_sub_ps(q, v);
+  return _mm256_fmadd_ps(d, d, acc);
+}
+PEXESO_AVX2 inline float SqTerm(float q, float v) {
+  const float d = q - v;
+  return d * d;
+}
+PEXESO_AVX2 inline __m256 DotStep(__m256 acc, __m256 q, __m256 v) {
+  return _mm256_fmadd_ps(q, v, acc);
+}
+PEXESO_AVX2 inline float DotTerm(float q, float v) { return q * v; }
+PEXESO_AVX2 inline __m256 AbsStep(__m256 acc, __m256 q, __m256 v) {
+  return _mm256_add_ps(
+      acc, _mm256_andnot_ps(_mm256_set1_ps(-0.0f), _mm256_sub_ps(q, v)));
+}
+PEXESO_AVX2 inline float AbsTerm(float q, float v) { return std::fabs(q - v); }
+
+template <__m256 (*Step)(__m256, __m256, __m256), float (*Term)(float, float)>
+PEXESO_AVX2 void Avx2Tile(const float* qs, size_t nq, const float* base,
+                          size_t nv, uint32_t dim, double* out,
+                          void (*many)(const float*, const float*, size_t,
+                                       uint32_t, double*)) {
   size_t r = 0;
   for (; r + 4 <= nq; r += 4) {
     const float* q0 = qs + (r + 0) * dim;
@@ -164,130 +190,64 @@ PEXESO_AVX2 void Avx2SqL2Tile(const float* qs, size_t nq, const float* base,
     const float* q3 = qs + (r + 3) * dim;
     for (size_t c = 0; c < nv; ++c) {
       const float* v = base + c * dim;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
+      __m256 lo0 = _mm256_setzero_ps(), hi0 = _mm256_setzero_ps();
+      __m256 lo1 = _mm256_setzero_ps(), hi1 = _mm256_setzero_ps();
+      __m256 lo2 = _mm256_setzero_ps(), hi2 = _mm256_setzero_ps();
+      __m256 lo3 = _mm256_setzero_ps(), hi3 = _mm256_setzero_ps();
       uint32_t i = 0;
+      for (; i + 16 <= dim; i += 16) {
+        const __m256 va = _mm256_loadu_ps(v + i);
+        const __m256 vb = _mm256_loadu_ps(v + i + 8);
+        lo0 = Step(lo0, _mm256_loadu_ps(q0 + i), va);
+        hi0 = Step(hi0, _mm256_loadu_ps(q0 + i + 8), vb);
+        lo1 = Step(lo1, _mm256_loadu_ps(q1 + i), va);
+        hi1 = Step(hi1, _mm256_loadu_ps(q1 + i + 8), vb);
+        lo2 = Step(lo2, _mm256_loadu_ps(q2 + i), va);
+        hi2 = Step(hi2, _mm256_loadu_ps(q2 + i + 8), vb);
+        lo3 = Step(lo3, _mm256_loadu_ps(q3 + i), va);
+        hi3 = Step(hi3, _mm256_loadu_ps(q3 + i + 8), vb);
+      }
       for (; i + 8 <= dim; i += 8) {
-        const __m256 bv = _mm256_loadu_ps(v + i);
-        const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(q0 + i), bv);
-        const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(q1 + i), bv);
-        const __m256 d2 = _mm256_sub_ps(_mm256_loadu_ps(q2 + i), bv);
-        const __m256 d3 = _mm256_sub_ps(_mm256_loadu_ps(q3 + i), bv);
-        acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-        acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-        acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-        acc3 = _mm256_fmadd_ps(d3, d3, acc3);
+        const __m256 va = _mm256_loadu_ps(v + i);
+        lo0 = Step(lo0, _mm256_loadu_ps(q0 + i), va);
+        lo1 = Step(lo1, _mm256_loadu_ps(q1 + i), va);
+        lo2 = Step(lo2, _mm256_loadu_ps(q2 + i), va);
+        lo3 = Step(lo3, _mm256_loadu_ps(q3 + i), va);
       }
       float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
       for (; i < dim; ++i) {
         const float x = v[i];
-        const float d0 = q0[i] - x;
-        const float d1 = q1[i] - x;
-        const float d2 = q2[i] - x;
-        const float d3 = q3[i] - x;
-        t0 += d0 * d0;
-        t1 += d1 * d1;
-        t2 += d2 * d2;
-        t3 += d3 * d3;
+        t0 += Term(q0[i], x);
+        t1 += Term(q1[i], x);
+        t2 += Term(q2[i], x);
+        t3 += Term(q3[i], x);
       }
-      out[(r + 0) * nv + c] = HSum(acc0) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] = HSum(acc1) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] = HSum(acc2) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] = HSum(acc3) + static_cast<double>(t3);
+      out[(r + 0) * nv + c] =
+          HSum(_mm256_add_ps(lo0, hi0)) + static_cast<double>(t0);
+      out[(r + 1) * nv + c] =
+          HSum(_mm256_add_ps(lo1, hi1)) + static_cast<double>(t1);
+      out[(r + 2) * nv + c] =
+          HSum(_mm256_add_ps(lo2, hi2)) + static_cast<double>(t2);
+      out[(r + 3) * nv + c] =
+          HSum(_mm256_add_ps(lo3, hi3)) + static_cast<double>(t3);
     }
   }
-  for (; r < nq; ++r) {
-    Avx2SqL2Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  for (; r < nq; ++r) many(qs + r * dim, base, nv, dim, out + r * nv);
+}
+
+PEXESO_AVX2 void Avx2SqL2Tile(const float* qs, size_t nq, const float* base,
+                              size_t nv, uint32_t dim, double* out) {
+  Avx2Tile<SqStep, SqTerm>(qs, nq, base, nv, dim, out, &Avx2SqL2Many);
 }
 
 PEXESO_AVX2 void Avx2DotTile(const float* qs, size_t nq, const float* base,
                              size_t nv, uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      uint32_t i = 0;
-      for (; i + 8 <= dim; i += 8) {
-        const __m256 bv = _mm256_loadu_ps(v + i);
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(q0 + i), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(q1 + i), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(q2 + i), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(q3 + i), bv, acc3);
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; i < dim; ++i) {
-        const float x = v[i];
-        t0 += q0[i] * x;
-        t1 += q1[i] * x;
-        t2 += q2[i] * x;
-        t3 += q3[i] * x;
-      }
-      out[(r + 0) * nv + c] = HSum(acc0) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] = HSum(acc1) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] = HSum(acc2) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] = HSum(acc3) + static_cast<double>(t3);
-    }
-  }
-  for (; r < nq; ++r) {
-    Avx2DotMany(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  Avx2Tile<DotStep, DotTerm>(qs, nq, base, nv, dim, out, &Avx2DotMany);
 }
 
 PEXESO_AVX2 void Avx2L1Tile(const float* qs, size_t nq, const float* base,
                             size_t nv, uint32_t dim, double* out) {
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      uint32_t i = 0;
-      for (; i + 8 <= dim; i += 8) {
-        const __m256 bv = _mm256_loadu_ps(v + i);
-        const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(q0 + i), bv);
-        const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(q1 + i), bv);
-        const __m256 d2 = _mm256_sub_ps(_mm256_loadu_ps(q2 + i), bv);
-        const __m256 d3 = _mm256_sub_ps(_mm256_loadu_ps(q3 + i), bv);
-        acc0 = _mm256_add_ps(acc0, _mm256_andnot_ps(sign_mask, d0));
-        acc1 = _mm256_add_ps(acc1, _mm256_andnot_ps(sign_mask, d1));
-        acc2 = _mm256_add_ps(acc2, _mm256_andnot_ps(sign_mask, d2));
-        acc3 = _mm256_add_ps(acc3, _mm256_andnot_ps(sign_mask, d3));
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; i < dim; ++i) {
-        const float x = v[i];
-        t0 += std::fabs(q0[i] - x);
-        t1 += std::fabs(q1[i] - x);
-        t2 += std::fabs(q2[i] - x);
-        t3 += std::fabs(q3[i] - x);
-      }
-      out[(r + 0) * nv + c] = HSum(acc0) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] = HSum(acc1) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] = HSum(acc2) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] = HSum(acc3) + static_cast<double>(t3);
-    }
-  }
-  for (; r < nq; ++r) {
-    Avx2L1Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  Avx2Tile<AbsStep, AbsTerm>(qs, nq, base, nv, dim, out, &Avx2L1Many);
 }
 
 // int8 code tiles: widen 16 codes to int16 lanes, difference, then

@@ -121,12 +121,37 @@ void NeonNorms(const float* base, size_t n, uint32_t dim, float* out) {
   }
 }
 
-// Many-to-many tiles, blocked four query rows deep: each 4-float chunk of a
-// base row is loaded once and fed to four FMA accumulators (see the AVX2 TU
-// for the rationale).
+// Many-to-many tiles, blocked four query rows deep: each chunk of a base
+// row is loaded once and fed to all four rows' accumulators (see the AVX2
+// TU for the rationale). Each row keeps the one-pair kernel's exact order
+// (two accumulators over 8-float chunks, a last 4-float chunk on the
+// first, a scalar tail added after the horizontal sum), so a tile cell
+// equals the one-pair value bit for bit whatever the row's position in the
+// tile; leftover rows call the one-to-many kernel.
 
-void NeonSqL2Tile(const float* qs, size_t nq, const float* base, size_t nv,
-                  uint32_t dim, double* out) {
+inline float32x4_t SqStep(float32x4_t acc, float32x4_t q, float32x4_t v) {
+  const float32x4_t d = vsubq_f32(q, v);
+  return vfmaq_f32(acc, d, d);
+}
+inline float SqTerm(float q, float v) {
+  const float d = q - v;
+  return d * d;
+}
+inline float32x4_t DotStep(float32x4_t acc, float32x4_t q, float32x4_t v) {
+  return vfmaq_f32(acc, q, v);
+}
+inline float DotTerm(float q, float v) { return q * v; }
+inline float32x4_t AbsStep(float32x4_t acc, float32x4_t q, float32x4_t v) {
+  return vaddq_f32(acc, vabdq_f32(q, v));
+}
+inline float AbsTerm(float q, float v) { return std::fabs(q - v); }
+
+template <float32x4_t (*Step)(float32x4_t, float32x4_t, float32x4_t),
+          float (*Term)(float, float)>
+void NeonTile(const float* qs, size_t nq, const float* base, size_t nv,
+              uint32_t dim, double* out,
+              void (*many)(const float*, const float*, size_t, uint32_t,
+                           double*)) {
   size_t r = 0;
   for (; r + 4 <= nq; r += 4) {
     const float* q0 = qs + (r + 0) * dim;
@@ -135,137 +160,68 @@ void NeonSqL2Tile(const float* qs, size_t nq, const float* base, size_t nv,
     const float* q3 = qs + (r + 3) * dim;
     for (size_t c = 0; c < nv; ++c) {
       const float* v = base + c * dim;
-      float32x4_t acc0 = vdupq_n_f32(0.0f);
-      float32x4_t acc1 = vdupq_n_f32(0.0f);
-      float32x4_t acc2 = vdupq_n_f32(0.0f);
-      float32x4_t acc3 = vdupq_n_f32(0.0f);
+      float32x4_t lo0 = vdupq_n_f32(0.0f), hi0 = vdupq_n_f32(0.0f);
+      float32x4_t lo1 = vdupq_n_f32(0.0f), hi1 = vdupq_n_f32(0.0f);
+      float32x4_t lo2 = vdupq_n_f32(0.0f), hi2 = vdupq_n_f32(0.0f);
+      float32x4_t lo3 = vdupq_n_f32(0.0f), hi3 = vdupq_n_f32(0.0f);
       uint32_t i = 0;
+      for (; i + 8 <= dim; i += 8) {
+        const float32x4_t va = vld1q_f32(v + i);
+        const float32x4_t vb = vld1q_f32(v + i + 4);
+        lo0 = Step(lo0, vld1q_f32(q0 + i), va);
+        hi0 = Step(hi0, vld1q_f32(q0 + i + 4), vb);
+        lo1 = Step(lo1, vld1q_f32(q1 + i), va);
+        hi1 = Step(hi1, vld1q_f32(q1 + i + 4), vb);
+        lo2 = Step(lo2, vld1q_f32(q2 + i), va);
+        hi2 = Step(hi2, vld1q_f32(q2 + i + 4), vb);
+        lo3 = Step(lo3, vld1q_f32(q3 + i), va);
+        hi3 = Step(hi3, vld1q_f32(q3 + i + 4), vb);
+      }
       for (; i + 4 <= dim; i += 4) {
-        const float32x4_t bv = vld1q_f32(v + i);
-        const float32x4_t d0 = vsubq_f32(vld1q_f32(q0 + i), bv);
-        const float32x4_t d1 = vsubq_f32(vld1q_f32(q1 + i), bv);
-        const float32x4_t d2 = vsubq_f32(vld1q_f32(q2 + i), bv);
-        const float32x4_t d3 = vsubq_f32(vld1q_f32(q3 + i), bv);
-        acc0 = vfmaq_f32(acc0, d0, d0);
-        acc1 = vfmaq_f32(acc1, d1, d1);
-        acc2 = vfmaq_f32(acc2, d2, d2);
-        acc3 = vfmaq_f32(acc3, d3, d3);
+        const float32x4_t va = vld1q_f32(v + i);
+        lo0 = Step(lo0, vld1q_f32(q0 + i), va);
+        lo1 = Step(lo1, vld1q_f32(q1 + i), va);
+        lo2 = Step(lo2, vld1q_f32(q2 + i), va);
+        lo3 = Step(lo3, vld1q_f32(q3 + i), va);
       }
       float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
       for (; i < dim; ++i) {
         const float x = v[i];
-        const float d0 = q0[i] - x;
-        const float d1 = q1[i] - x;
-        const float d2 = q2[i] - x;
-        const float d3 = q3[i] - x;
-        t0 += d0 * d0;
-        t1 += d1 * d1;
-        t2 += d2 * d2;
-        t3 += d3 * d3;
+        t0 += Term(q0[i], x);
+        t1 += Term(q1[i], x);
+        t2 += Term(q2[i], x);
+        t3 += Term(q3[i], x);
       }
-      out[(r + 0) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc0)) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc1)) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc2)) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc3)) + static_cast<double>(t3);
+      out[(r + 0) * nv + c] = static_cast<double>(vaddvq_f32(
+                                  vaddq_f32(lo0, hi0))) +
+                              static_cast<double>(t0);
+      out[(r + 1) * nv + c] = static_cast<double>(vaddvq_f32(
+                                  vaddq_f32(lo1, hi1))) +
+                              static_cast<double>(t1);
+      out[(r + 2) * nv + c] = static_cast<double>(vaddvq_f32(
+                                  vaddq_f32(lo2, hi2))) +
+                              static_cast<double>(t2);
+      out[(r + 3) * nv + c] = static_cast<double>(vaddvq_f32(
+                                  vaddq_f32(lo3, hi3))) +
+                              static_cast<double>(t3);
     }
   }
-  for (; r < nq; ++r) {
-    NeonSqL2Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  for (; r < nq; ++r) many(qs + r * dim, base, nv, dim, out + r * nv);
+}
+
+void NeonSqL2Tile(const float* qs, size_t nq, const float* base, size_t nv,
+                  uint32_t dim, double* out) {
+  NeonTile<SqStep, SqTerm>(qs, nq, base, nv, dim, out, &NeonSqL2Many);
 }
 
 void NeonDotTile(const float* qs, size_t nq, const float* base, size_t nv,
                  uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      float32x4_t acc0 = vdupq_n_f32(0.0f);
-      float32x4_t acc1 = vdupq_n_f32(0.0f);
-      float32x4_t acc2 = vdupq_n_f32(0.0f);
-      float32x4_t acc3 = vdupq_n_f32(0.0f);
-      uint32_t i = 0;
-      for (; i + 4 <= dim; i += 4) {
-        const float32x4_t bv = vld1q_f32(v + i);
-        acc0 = vfmaq_f32(acc0, vld1q_f32(q0 + i), bv);
-        acc1 = vfmaq_f32(acc1, vld1q_f32(q1 + i), bv);
-        acc2 = vfmaq_f32(acc2, vld1q_f32(q2 + i), bv);
-        acc3 = vfmaq_f32(acc3, vld1q_f32(q3 + i), bv);
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; i < dim; ++i) {
-        const float x = v[i];
-        t0 += q0[i] * x;
-        t1 += q1[i] * x;
-        t2 += q2[i] * x;
-        t3 += q3[i] * x;
-      }
-      out[(r + 0) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc0)) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc1)) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc2)) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc3)) + static_cast<double>(t3);
-    }
-  }
-  for (; r < nq; ++r) {
-    NeonDotMany(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  NeonTile<DotStep, DotTerm>(qs, nq, base, nv, dim, out, &NeonDotMany);
 }
 
 void NeonL1Tile(const float* qs, size_t nq, const float* base, size_t nv,
                 uint32_t dim, double* out) {
-  size_t r = 0;
-  for (; r + 4 <= nq; r += 4) {
-    const float* q0 = qs + (r + 0) * dim;
-    const float* q1 = qs + (r + 1) * dim;
-    const float* q2 = qs + (r + 2) * dim;
-    const float* q3 = qs + (r + 3) * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const float* v = base + c * dim;
-      float32x4_t acc0 = vdupq_n_f32(0.0f);
-      float32x4_t acc1 = vdupq_n_f32(0.0f);
-      float32x4_t acc2 = vdupq_n_f32(0.0f);
-      float32x4_t acc3 = vdupq_n_f32(0.0f);
-      uint32_t i = 0;
-      for (; i + 4 <= dim; i += 4) {
-        const float32x4_t bv = vld1q_f32(v + i);
-        acc0 = vaddq_f32(acc0, vabdq_f32(vld1q_f32(q0 + i), bv));
-        acc1 = vaddq_f32(acc1, vabdq_f32(vld1q_f32(q1 + i), bv));
-        acc2 = vaddq_f32(acc2, vabdq_f32(vld1q_f32(q2 + i), bv));
-        acc3 = vaddq_f32(acc3, vabdq_f32(vld1q_f32(q3 + i), bv));
-      }
-      float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
-      for (; i < dim; ++i) {
-        const float x = v[i];
-        t0 += std::fabs(q0[i] - x);
-        t1 += std::fabs(q1[i] - x);
-        t2 += std::fabs(q2[i] - x);
-        t3 += std::fabs(q3[i] - x);
-      }
-      out[(r + 0) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc0)) + static_cast<double>(t0);
-      out[(r + 1) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc1)) + static_cast<double>(t1);
-      out[(r + 2) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc2)) + static_cast<double>(t2);
-      out[(r + 3) * nv + c] =
-          static_cast<double>(vaddvq_f32(acc3)) + static_cast<double>(t3);
-    }
-  }
-  for (; r < nq; ++r) {
-    NeonL1Many(qs + r * dim, base, nv, dim, out + r * nv);
-  }
+  NeonTile<AbsStep, AbsTerm>(qs, nq, base, nv, dim, out, &NeonL1Many);
 }
 
 // int8 code tiles: widen 8 codes at a time to int16, difference, widening

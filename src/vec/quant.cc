@@ -34,12 +34,38 @@ double OracleDist(const float* a, const float* b, uint32_t dim,
 /// can never shave it below the true value.
 double PadError(double eps) { return eps * (1.0 + 1e-6) + 1e-12; }
 
-int8_t QuantizeValue(float x, float scale, float offset) {
-  const float t = (x - offset) / scale;
-  long code = std::lrintf(t);
-  if (code > 127) code = 127;
-  if (code < -127) code = -127;
-  return static_cast<int8_t>(code);
+/// Codes of one row under column params (scale, offset), returning the
+/// padded reconstruction error norm. Each code is (x - offset) / scale,
+/// clamped to ±127 in float (a NaN lands on -127), then rounded to the
+/// nearest integer, ties to even: lrintf's result for every |t| < 2^63
+/// without its libm call per element, so the loop vectorizes. The error is
+/// accumulated in element order.
+double QuantizeRow(const float* x, uint32_t dim, QuantColumnParam p,
+                   MetricKind kind, int8_t* out) {
+  // Adding then subtracting 1.5 * 2^23 leaves |t| <= 127 rounded to an
+  // integer in the default rounding mode (nearest, ties to even). This
+  // needs IEEE float semantics: -ffast-math would fold it to a truncation.
+  constexpr float kRound = 12582912.0f;
+  for (uint32_t i = 0; i < dim; ++i) {
+    float t = (x[i] - p.offset) / p.scale;
+    t = t > -127.0f ? t : -127.0f;
+    t = t < 127.0f ? t : 127.0f;
+    out[i] = static_cast<int8_t>((t + kRound) - kRound);
+  }
+  const double scale = static_cast<double>(p.scale);
+  const double offset = static_cast<double>(p.offset);
+  double eps = 0.0;
+  if (kind == MetricKind::kL1) {
+    for (uint32_t i = 0; i < dim; ++i) {
+      eps += std::fabs(static_cast<double>(x[i]) - (scale * out[i] + offset));
+    }
+    return PadError(eps);
+  }
+  for (uint32_t i = 0; i < dim; ++i) {
+    const double d = static_cast<double>(x[i]) - (scale * out[i] + offset);
+    eps += d * d;
+  }
+  return PadError(std::sqrt(eps));
 }
 
 }  // namespace
@@ -97,36 +123,19 @@ void QuantStore::QuantizeRange(const ColumnCatalog& catalog, ColumnId col) {
   const float scale = half > 0.0f ? half / 127.0f : 1.0f;
   params_.push_back(QuantColumnParam{scale, offset});
 
+  const size_t first = codes_.size();
+  codes_.resize(first + static_cast<size_t>(meta.count) * dim_);
   for (VecId v = meta.first; v < meta.end(); ++v) {
-    const float* x = store.View(v);
-    double eps = 0.0;
-    for (uint32_t i = 0; i < dim_; ++i) {
-      const int8_t code = QuantizeValue(x[i], scale, offset);
-      codes_.push_back(code);
-      const double recon =
-          static_cast<double>(scale) * code + static_cast<double>(offset);
-      const double d = static_cast<double>(x[i]) - recon;
-      eps += kind_ == MetricKind::kL1 ? std::fabs(d) : d * d;
-    }
-    if (kind_ != MetricKind::kL1) eps = std::sqrt(eps);
-    err_.push_back(static_cast<float>(PadError(eps)));
+    const double eps =
+        QuantizeRow(store.View(v), dim_, params_.back(), kind_,
+                    codes_.data() + first + (v - meta.first) * dim_);
+    err_.push_back(static_cast<float>(eps));
   }
 }
 
 double QuantStore::QuantizeQuery(const float* q, ColumnId c,
                                  int8_t* out) const {
-  const QuantColumnParam& p = params_[c];
-  double eps = 0.0;
-  for (uint32_t i = 0; i < dim_; ++i) {
-    const int8_t code = QuantizeValue(q[i], p.scale, p.offset);
-    out[i] = code;
-    const double recon =
-        static_cast<double>(p.scale) * code + static_cast<double>(p.offset);
-    const double d = static_cast<double>(q[i]) - recon;
-    eps += kind_ == MetricKind::kL1 ? std::fabs(d) : d * d;
-  }
-  if (kind_ != MetricKind::kL1) eps = std::sqrt(eps);
-  return PadError(eps);
+  return QuantizeRow(q, dim_, params_[c], kind_, out);
 }
 
 void QuantStore::Calibrate(const ColumnCatalog& catalog) {

@@ -180,24 +180,53 @@ TEST_P(KernelMetricTest, DistTileMatchesDist1OverAllRemainderDims) {
                              " c=" + std::to_string(c));
         }
       }
+    }
+  }
+}
 
-      // Normed comparison-space tile against the per-pair normed kernel.
-      std::vector<float> bnorms(nv);
-      ks->ops->norms(base.data(), nv, dim, bnorms.data());
-      std::vector<double> qnorms(nq);
-      for (size_t r = 0; r < nq; ++r) {
-        qnorms[r] = ks->QueryNorm(qs.data() + r * dim, dim);
-      }
-      std::vector<double> cmp(nq * nv);
-      ks->CmpTileNormed(qs.data(), qnorms.data(), base.data(), bnorms.data(),
-                        nq, nv, dim, cmp.data());
-      for (size_t r = 0; r < nq; ++r) {
+TEST_P(KernelMetricTest, CmpTileNormedEqualsCmp1NormedExactly) {
+  // Verification resolves a small sweep pair by pair (Cmp1Normed) and a
+  // dense one as a tile (CmpTileNormed), and a tile row's position decides
+  // whether a 4-row group or the one-to-many kernel computes it. A pair on
+  // the threshold must get one decision on every path, so each tile cell
+  // must equal the one-pair value bit for bit: every row count up to two
+  // full 4-row groups plus one, and dims astride every lane boundary.
+  auto metric = MakeMetric(GetParam());
+  const MetricKind kind = metric->kernels()->kind;
+  Rng rng(31);
+  for (SimdLevel lv : AvailableLevels()) {
+    const KernelSet* ks = GetKernels(kind, lv);
+    ASSERT_NE(ks, nullptr) << SimdLevelName(lv);
+    for (uint32_t dim : {7u, 8u, 15u, 16u, 17u, 50u, 300u}) {
+      for (size_t nq = 1; nq <= 9; ++nq) {
+        const size_t nv = 5;
+        std::vector<float> qs, base;
+        for (size_t r = 0; r < nq; ++r) {
+          const auto v = RandomVec(&rng, dim);
+          qs.insert(qs.end(), v.begin(), v.end());
+        }
         for (size_t c = 0; c < nv; ++c) {
-          const double one =
-              ks->Cmp1Normed(qs.data() + r * dim, base.data() + c * dim, dim,
-                             qnorms[r], bnorms[c]);
-          EXPECT_NEAR(cmp[r * nv + c], one, 1e-4 * (1.0 + one))
-              << SimdLevelName(lv) << " dim=" << dim;
+          const auto v = RandomVec(&rng, dim);
+          base.insert(base.end(), v.begin(), v.end());
+        }
+        std::vector<float> bnorms(nv);
+        ks->ops->norms(base.data(), nv, dim, bnorms.data());
+        std::vector<double> qnorms(nq);
+        for (size_t r = 0; r < nq; ++r) {
+          qnorms[r] = ks->QueryNorm(qs.data() + r * dim, dim);
+        }
+        std::vector<double> cmp(nq * nv);
+        ks->CmpTileNormed(qs.data(), qnorms.data(), base.data(),
+                          bnorms.data(), nq, nv, dim, cmp.data());
+        for (size_t r = 0; r < nq; ++r) {
+          for (size_t c = 0; c < nv; ++c) {
+            const double one =
+                ks->Cmp1Normed(qs.data() + r * dim, base.data() + c * dim,
+                               dim, qnorms[r], bnorms[c]);
+            EXPECT_EQ(cmp[r * nv + c], one)
+                << SimdLevelName(lv) << " dim=" << dim << " nq=" << nq
+                << " r=" << r << " c=" << c;
+          }
         }
       }
     }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "core/verify_pipeline.h"
 #include "invindex/inverted_index.h"
 #include "test_util.h"
+#include "vec/kernels.h"
 #include "vec/metric.h"
 
 namespace pexeso {
@@ -313,6 +315,214 @@ TEST(PipelineTest, MappingTimeIsChargedToVerifySeconds) {
     EXPECT_GE(with.verify_seconds, static_cast<double>(extra) * kDelayUs * 1e-6)
         << engine->name() << ": " << extra << " mapping distances, "
         << without.distance_computations << " verification distances";
+  }
+}
+
+/// A column of `col_size` vectors and a query of `num_q` records drawn
+/// around one center, so every record has Lemma-1 survivors in the column.
+struct OneClusterLake {
+  ColumnCatalog catalog;
+  VectorStore query;
+};
+
+OneClusterLake MakeOneClusterLake(uint64_t seed, uint32_t dim,
+                                  const std::vector<uint32_t>& col_sizes,
+                                  uint32_t num_q, double sigma) {
+  Rng rng(seed);
+  std::vector<float> center;
+  testing::RandomUnitVector(&rng, dim, &center);
+  OneClusterLake lake{ColumnCatalog(dim), VectorStore(dim)};
+  for (uint32_t size : col_sizes) {
+    std::vector<float> packed;
+    for (uint32_t r = 0; r < size; ++r) {
+      const auto v = testing::Perturb(&rng, center, sigma);
+      packed.insert(packed.end(), v.begin(), v.end());
+    }
+    lake.catalog.AddColumn(ColumnMeta{}, packed.data(), size);
+  }
+  for (uint32_t r = 0; r < num_q; ++r) {
+    lake.query.Add(testing::Perturb(&rng, center, sigma));
+  }
+  return lake;
+}
+
+/// Mapping sweep of column `col` for `query` straight through the pipeline.
+JoinableColumn MapOneColumn(const PexesoIndex& index, const VectorStore& query,
+                            ColumnId col, const JoinQuery& jq,
+                            SearchStats* stats) {
+  const std::vector<double> mapped_q =
+      index.pivots().MapAll(query.raw().data(), query.size());
+  std::vector<JoinableColumn> out(1);
+  out[0].column = col;
+  EXPECT_TRUE(VerifyPipeline(&index)
+                  .CollectMappings(query, mapped_q, jq, &out, stats)
+                  .ok());
+  return out[0];
+}
+
+/// A sweep of no more pairs than one dense 8x8 block is resolved pair by
+/// pair: its distance count is exactly the Lemma-1 survivors each record
+/// reads in slot order up to its first match, and it runs no tile.
+TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
+  for (const char* name : {"l2", "l1", "cosine", "l2-kernel-free"}) {
+    auto metric = MakeTestMetric(name);
+    OneClusterLake lake = MakeOneClusterLake(85, 8, {12}, 5, 0.08);
+    PexesoOptions popts;
+    popts.num_pivots = 3;
+    popts.levels = 3;
+    PexesoIndex index =
+        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
+    const VectorStore& query = lake.query;
+    const ColumnMeta& meta = index.catalog().column(0);
+    ASSERT_LE(query.size() * meta.count, 64u);  // one sweep, under a block
+    for (bool quant : {true, false}) {
+      JoinQuery jq;
+      jq.thresholds.tau = 0.12 * metric->MaxUnitDistance(8);
+      jq.ablation.use_quant_prefilter = quant;
+      const std::string label =
+          std::string(name) + " quant=" + std::to_string(quant);
+
+      // The pairs Algorithm 2 computes, spelled out: Lemma 1 masks the
+      // whole column (it fits one vec-tile), then each record reads its
+      // survivors in order up to its first match.
+      const RangePredicate pred(*metric, jq.thresholds.tau);
+      const uint32_t np = index.pivots().num_pivots();
+      const std::vector<double> mapped_q =
+          index.pivots().MapAll(query.raw().data(), query.size());
+      uint64_t read = 0, filtered = 0, matched = 0;
+      std::vector<RecordMatch> want;
+      for (uint32_t q = 0; q < query.size(); ++q) {
+        bool found = false;
+        for (VecId v = meta.first; v < meta.end(); ++v) {
+          const double* mx = index.MappedVec(v);
+          bool out = false;
+          for (uint32_t p = 0; p < np; ++p) {
+            out |= std::fabs(mapped_q[q * np + p] - mx[p]) > jq.thresholds.tau;
+          }
+          if (out) {
+            ++filtered;
+            continue;
+          }
+          if (found) continue;
+          ++read;
+          if (metric->Dist(query.View(q), index.catalog().store().View(v),
+                           8) <= jq.thresholds.tau) {
+            ++matched;
+            found = true;
+            want.push_back(RecordMatch{q, v});
+          }
+        }
+      }
+      // Not vacuous: Lemma 1 filters, some survivor misses, some matches.
+      ASSERT_GT(filtered, 0u) << label;
+      ASSERT_GT(read, matched) << label;
+      ASSERT_GT(matched, 0u) << label;
+
+      SearchStats stats;
+      const JoinableColumn jc = MapOneColumn(index, query, 0, jq, &stats);
+      EXPECT_EQ(stats.distance_computations, read) << label;
+      EXPECT_EQ(stats.sqrt_free_comparisons, read * pred.sqrt_saved())
+          << label;
+      EXPECT_EQ(stats.lemma1_filtered, filtered) << label;
+      EXPECT_EQ(stats.tiles_evaluated, 0u) << label;
+      EXPECT_EQ(stats.quant_tile_skips, 0u) << label;
+      ASSERT_EQ(jc.mapping.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(jc.mapping[i].query_index, want[i].query_index) << label;
+        EXPECT_EQ(jc.mapping[i].target_vec, want[i].target_vec) << label;
+      }
+    }
+  }
+}
+
+/// A record's first witness does not depend on the sweep's shape: the same
+/// records mapped alone (a sub-block sweep, pair by pair) and among enough
+/// others to fill dense tiles (int8 tier and float tiles) name the same
+/// vectors, with the quant tier on and off.
+TEST(PipelineTest, FirstWitnessIsTheSameInSubBlockAndDenseSweeps) {
+  for (const char* name : {"l2", "l1", "cosine"}) {
+    auto metric = MakeTestMetric(name);
+    OneClusterLake lake = MakeOneClusterLake(86, 8, {40}, 12, 0.08);
+    PexesoOptions popts;
+    popts.num_pivots = 3;
+    popts.levels = 3;
+    PexesoIndex index =
+        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
+    VectorStore small(8);
+    small.Add(std::vector<float>(lake.query.View(0), lake.query.View(0) + 8));
+    for (bool quant : {true, false}) {
+      JoinQuery jq;
+      jq.thresholds.tau = 0.1 * metric->MaxUnitDistance(8);
+      jq.ablation.use_quant_prefilter = quant;
+      const std::string label =
+          std::string(name) + " quant=" + std::to_string(quant);
+      SearchStats dense_stats, small_stats;
+      const JoinableColumn dense =
+          MapOneColumn(index, lake.query, 0, jq, &dense_stats);
+      const JoinableColumn alone = MapOneColumn(index, small, 0, jq,
+                                                &small_stats);
+      EXPECT_GT(dense_stats.tiles_evaluated + dense_stats.quant_tile_skips,
+                0u)
+          << label << ": the full query must fill a dense tile";
+      EXPECT_EQ(small_stats.tiles_evaluated + small_stats.quant_tile_skips,
+                0u)
+          << label << ": one record against 40 vectors is under a block";
+      ASSERT_EQ(alone.mapping.size(), 1u) << label;
+      ASSERT_FALSE(dense.mapping.empty()) << label;
+      ASSERT_EQ(dense.mapping[0].query_index, 0u) << label;
+      EXPECT_EQ(alone.mapping[0].target_vec, dense.mapping[0].target_vec)
+          << label;
+      // Not vacuous: the witness is not simply the column's first vector.
+      EXPECT_GT(alone.mapping[0].target_vec, index.catalog().column(0).first)
+          << label;
+    }
+  }
+}
+
+/// distances + quant skips (quant on) == distances (quant off) on a lake
+/// whose sweeps take both shapes. Six 3-vector columns can only give
+/// sub-block sweeps (16 records x 3 slots < 64 pairs); a 120-vector column
+/// fills dense tiles. Deleting the big column afterwards leaves the same
+/// index with sub-block sweeps only: they count distances and run no tile.
+TEST(PipelineTest, QuantInvariantHoldsOverSubBlockAndDenseSweeps) {
+  for (const char* name : {"l2", "l1"}) {
+    auto metric = MakeTestMetric(name);
+    OneClusterLake lake =
+        MakeOneClusterLake(87, 8, {3, 3, 3, 3, 3, 3, 120}, 16, 0.08);
+    PexesoOptions popts;
+    popts.num_pivots = 3;
+    popts.levels = 3;
+    PexesoIndex index =
+        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
+    PexesoSearcher searcher(&index);
+    JoinQuery jq;
+    jq.thresholds.tau = 0.1 * metric->MaxUnitDistance(8);
+    jq.thresholds.t_abs = 8;
+    jq.mode = QueryMode::kExactJoinability;
+
+    // Quant on and off: identical results, and every skipped slot is one
+    // distance of the quant-off run.
+    const auto run_both = [&](const std::string& label) {
+      JoinQuery on = jq, off = jq;
+      off.ablation.use_quant_prefilter = false;
+      SearchStats on_stats, off_stats;
+      const auto on_res = MustSearch(searcher, lake.query, on, &on_stats);
+      const auto off_res = MustSearch(searcher, lake.query, off, &off_stats);
+      ExpectByteIdentical(on_res, off_res, label);
+      EXPECT_EQ(off_stats.quant_tile_skips, 0u) << label;
+      EXPECT_EQ(on_stats.distance_computations + on_stats.quant_tile_skips,
+                off_stats.distance_computations)
+          << label;
+      return off_stats;
+    };
+    const SearchStats mixed = run_both(std::string(name) + " mixed");
+    EXPECT_GT(mixed.tiles_evaluated, 0u) << name;
+    index.DeleteColumn(6);
+    const SearchStats sub_block = run_both(std::string(name) + " sub-block");
+    EXPECT_EQ(sub_block.tiles_evaluated, 0u) << name;
+    EXPECT_GT(sub_block.distance_computations, 0u) << name;
+    EXPECT_LT(sub_block.distance_computations, mixed.distance_computations)
+        << name;
   }
 }
 
