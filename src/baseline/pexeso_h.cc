@@ -121,23 +121,8 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
     const float* qv = query.View(q);
     const double qn = qnorms != nullptr ? qnorms[q] : 1.0;
     const uint32_t mark = q + 1;
-    // Matching cells first: every vector inside matches q by Lemma 5/6.
-    for (uint32_t cell : blocks.match_cells[q]) {
-      for (VecId v : leaves[cell].items) {
-        const ColumnId col = vec2col[v];
-        if (stamp[col] == mark || (joinable[col] && skip_joinable) ||
-            dead[col] || index_->IsDeleted(col)) {
-          continue;
-        }
-        stamp[col] = mark;
-        if (++match_map[col] >= t_abs && !joinable[col]) {
-          joinable[col] = 1;
-          ++stats->early_joinable;
-        }
-      }
-    }
     // Candidate cells: naive verification — distance to every vector in the
-    // cell (no Lemma 1/2, no inverted index, no Lemma 7).
+    // cell (no Lemma 1, no inverted index, no Lemma 7).
     for (uint32_t cell : blocks.cand_cells[q]) {
       for (VecId v : leaves[cell].items) {
         const ColumnId col = vec2col[v];

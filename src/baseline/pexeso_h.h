@@ -13,7 +13,7 @@ namespace pexeso {
 /// blocking to PEXESO, but verification is naive — for each candidate
 /// (query vector, leaf cell) pair it computes the distance from the query
 /// vector to every vector in the cell. No inverted index, no DaaT order, no
-/// Lemma 1/2 per-vector filters, no Lemma 7. The joinable-skip early
+/// Lemma 1 per-vector filter, no Lemma 7. The joinable-skip early
 /// termination is kept (every competitor in the paper has it).
 ///
 /// Verification here is query-record-major, so the kTopK pushdown works

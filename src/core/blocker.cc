@@ -9,8 +9,6 @@ struct GridBlocker::RunState {
   const AblationConfig* ablation = nullptr;
   SearchStats* stats = nullptr;
   BlockResult* result = nullptr;
-  std::vector<uint32_t> scratch_leaves_r;
-  std::vector<uint32_t> scratch_leaves_q;
 };
 
 BlockResult GridBlocker::Run(const HierarchicalGrid& hgq,
@@ -20,7 +18,6 @@ BlockResult GridBlocker::Run(const HierarchicalGrid& hgq,
   PEXESO_CHECK(hgq.levels() == rgrid_->levels());
   PEXESO_CHECK(hgq.num_pivots() == rgrid_->num_pivots());
   BlockResult result;
-  result.match_cells.assign(hgq.num_vectors(), {});
   result.cand_cells.assign(hgq.num_vectors(), {});
 
   RunState rs;
@@ -69,20 +66,6 @@ void GridBlocker::BlockLeafPair(RunState* rs, uint32_t cq, uint32_t cr) const {
   const double tau = rs->tau;
   for (VecId q : qcell.items) {
     const double* mq = rs->mapped_q->data() + static_cast<size_t>(q) * np;
-    bool resolved = false;
-    if (rs->ablation->use_lemma56) {
-      // Lemma 5: the whole target cell sits inside RQR(q', p_i, tau) for
-      // some pivot axis i, i.e. upper_i(c) <= tau - d(q, p_i).
-      for (uint32_t i = 0; i < np; ++i) {
-        if (rgrid_->CellUpper(level, rcell, i) <= tau - mq[i]) {
-          rs->result->match_cells[q].push_back(cr);
-          ++rs->stats->matching_pairs;
-          resolved = true;
-          break;
-        }
-      }
-    }
-    if (resolved) continue;
     if (rs->ablation->use_lemma34) {
       // Lemma 3: the cell does not intersect SQR(q', tau).
       bool separated = false;
@@ -114,30 +97,6 @@ void GridBlocker::Block(RunState* rs, uint32_t level, uint32_t cq,
   const uint32_t np = rs->hgq->num_pivots();
   const double tau = rs->tau;
 
-  if (rs->ablation->use_lemma56) {
-    // Lemma 6: the target cell is covered by the minimum RQR of the query
-    // cell on some pivot axis: upper_i(cr) <= tau - upper_i(cq), where
-    // upper_i(cq) bounds d(q, p_i) for every query vector in the subtree.
-    for (uint32_t i = 0; i < np; ++i) {
-      if (rgrid_->CellUpper(level, rcell, i) <=
-          tau - rs->hgq->CellUpper(level, qcell, i)) {
-        ++rs->stats->cells_matched;
-        rs->scratch_leaves_r.clear();
-        rgrid_->CollectLeaves(level, cr, &rs->scratch_leaves_r);
-        rs->scratch_leaves_q.clear();
-        rs->hgq->CollectLeaves(level, cq, &rs->scratch_leaves_q);
-        for (uint32_t ql : rs->scratch_leaves_q) {
-          for (VecId q : rs->hgq->LeafCells()[ql].items) {
-            for (uint32_t rl : rs->scratch_leaves_r) {
-              rs->result->match_cells[q].push_back(rl);
-              ++rs->stats->matching_pairs;
-            }
-          }
-        }
-        return;
-      }
-    }
-  }
   if (rs->ablation->use_lemma34) {
     // Lemma 4: boxes further than tau apart in Chebyshev distance over the
     // pivot space cannot contain matching pairs. This is the box-box form of

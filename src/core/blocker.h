@@ -11,16 +11,13 @@
 namespace pexeso {
 
 /// \brief Output of the blocking phase: for each query vector, the leaf
-/// cells of HGRV it must be verified against. `match_cells` come from
-/// Lemmas 5/6 (every vector inside matches — no distance computation
-/// needed); `cand_cells` survived Lemmas 3/4 and need verification.
+/// cells of HGRV that survived Lemmas 3/4 and must be verified against.
 struct BlockResult {
-  std::vector<std::vector<uint32_t>> match_cells;
   std::vector<std::vector<uint32_t>> cand_cells;
 };
 
 /// \brief Algorithm 1 (plus quick browsing): the simultaneous descent over
-/// HGQ and HGRV that produces matching and candidate pairs. Shared by
+/// HGQ and HGRV that produces the candidate pairs. Shared by
 /// PexesoSearcher (inverted-index verification) and the PEXESO-H baseline
 /// (naive per-cell verification).
 class GridBlocker {

@@ -36,12 +36,11 @@ constexpr uint8_t kQuantMaybe = static_cast<uint8_t>(QuantVerdict::kMaybe);
 /// SweepTile's "no matching slot" answer (also "no limit" for a row).
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-/// True when `b` repeats `a`'s exact range list (and is a real candidate
-/// pair, not a cell-matched one): such consecutive pairs of one column form
-/// one many-to-many tile group sharing a single gather.
+/// True when `b` repeats `a`'s exact range list: such consecutive pairs of
+/// one column form one many-to-many tile group sharing a single gather.
 bool SameRanges(const CandidateSet& cands, const CandidateBlock& a,
                 const CandidateBlock& b) {
-  if (b.cell_matched || a.range_count != b.range_count) return false;
+  if (a.range_count != b.range_count) return false;
   const VecIdRange* ra = cands.ranges.data() + a.range_begin;
   const VecIdRange* rb = cands.ranges.data() + b.range_begin;
   for (uint32_t i = 0; i < a.range_count; ++i) {
@@ -159,33 +158,23 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   out->total_weight = 0;
   if (num_q == 0) return;
 
-  // Per-column stamps of the record being walked: `seen[c] == q` once the
-  // (q, c) block exists, `matched[c] == q` once one of q's match cells held
-  // c. Match cells are walked first, so a cand posting already knows whether
-  // its column is cell-matched (Lemma 5/6 decided the pair: no ranges).
-  std::vector<uint32_t> seen(ncols), matched(ncols);
-  // Calls on_block(q, c, cell_matched) once per live (q, c) pair and
-  // on_range(c, posting) per cand posting of an unmatched pair, in ascending
-  // q and, within a pair, in the order of q's cand_cells. Tombstoned
-  // postings stay in place until Compact(); they emit nothing, so the shard
-  // weights skip columns the verifier would only skip.
+  // Per-column stamp of the record being walked: `seen[c] == q` once the
+  // (q, c) block exists.
+  std::vector<uint32_t> seen(ncols);
+  // Calls on_block(q, c) once per live (q, c) pair and on_range(c, posting)
+  // per nonempty cand posting, in ascending q and, within a pair, in the
+  // order of q's cand_cells. Tombstoned postings stay in place until
+  // Compact(); they emit nothing, so the shard weights skip columns the
+  // verifier would only skip.
   const auto walk = [&](auto&& on_block, auto&& on_range) {
     std::fill(seen.begin(), seen.end(), UINT32_MAX);
-    std::fill(matched.begin(), matched.end(), UINT32_MAX);
     for (uint32_t q = 0; q < num_q; ++q) {
-      for (uint32_t cell : blocks.match_cells[q]) {
-        for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
-          if (seen[p.column] == q || index_->IsDeleted(p.column)) continue;
-          seen[p.column] = matched[p.column] = q;
-          on_block(q, p.column, uint8_t{1});
-        }
-      }
       for (uint32_t cell : blocks.cand_cells[q]) {
         for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
-          if (matched[p.column] == q || index_->IsDeleted(p.column)) continue;
+          if (index_->IsDeleted(p.column)) continue;
           if (seen[p.column] != q) {
             seen[p.column] = q;
-            on_block(q, p.column, uint8_t{0});
+            on_block(q, p.column);
           }
           if (p.vec_count > 0) on_range(p.column, p);
         }
@@ -196,7 +185,7 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   // Pass 1 counts blocks and ranges per column; prefix sums place them.
   // next_range then holds each column's range cursor.
   std::vector<uint32_t> next_range(ncols + 1, 0);
-  walk([&](uint32_t, ColumnId c, uint8_t) { ++out->block_begin[c + 1]; },
+  walk([&](uint32_t, ColumnId c) { ++out->block_begin[c + 1]; },
        [&](ColumnId c, const InvertedIndex::Posting&) {
          ++next_range[c + 1];
        });
@@ -216,10 +205,8 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   std::vector<uint32_t> next_block(out->block_begin.begin(),
                                    out->block_begin.end() - 1);
   walk(
-      [&](uint32_t q, ColumnId c, uint8_t cell_matched) {
-        out->blocks[next_block[c]++] =
-            CandidateBlock{q, next_range[c], 0, cell_matched};
-        out->weight[c] += cell_matched;
+      [&](uint32_t q, ColumnId c) {
+        out->blocks[next_block[c]++] = CandidateBlock{q, next_range[c], 0};
       },
       [&](ColumnId c, const InvertedIndex::Posting& p) {
         ++out->blocks[next_block[c] - 1].range_count;
@@ -425,11 +412,6 @@ void VerifyPipeline::EvaluateRun(const CandidateSet& cands, ColumnId col,
   size_t j = 0;
   while (j < k) {
     const CandidateBlock& b = cands.blocks[i + j];
-    if (b.cell_matched) {
-      matched[j] = 1;
-      ++j;
-      continue;
-    }
     if (b.range_count == 0) {
       matched[j] = 0;
       ++j;
@@ -459,7 +441,6 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   const uint32_t np = index_->pivots().num_pivots();
   const double tau = jq.thresholds.tau;
   const bool use_l1 = jq.ablation.use_lemma1;
-  const bool use_l2 = jq.ablation.use_lemma2;
   const VecId* vec_ids = index_->inverted_index().vec_ids_data();
 
   // Gather the shared candidate list once for the whole group.
@@ -474,9 +455,8 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   const size_t nv = ids.size();
   if (nv == 0) return;  // matched[] pre-zeroed by the caller
 
-  // Pivot-space pass per row: Lemma-1 survivor mask, then Lemma-2 pivot
-  // matching over the survivors. Rows Lemma-2 resolves never reach the
-  // distance stage.
+  // Pivot-space pass per row: the Lemma-1 survivor mask. A row with no
+  // survivor is mismatched; every other row goes to the distance stage.
   const double* mapped = index_->MappedVec(0);
   const auto mapped_of = [&](size_t c) {
     return mapped + static_cast<size_t>(ids[c]) * np;
@@ -489,41 +469,22 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
   for (size_t r = 0; r < m; ++r) {
     const double* mq =
         mapped_q.data() + static_cast<size_t>(group[r].query) * np;
-    uint8_t* mrow = mask.data() + r * nv;
-    size_t survivors = nv;
     if (use_l1) {
-      const uint64_t f = Lemma1Row(mq, np, tau, nv, mapped_of, mrow);
+      const uint64_t f =
+          Lemma1Row(mq, np, tau, nv, mapped_of, mask.data() + r * nv);
       filtered += f;
-      survivors -= f;
-    }
-    if (survivors == 0) continue;  // Lemma 1 cleared the row: mismatched
-    if (use_l2) {
-      bool row_matched = false;
-      for (size_t c = 0; c < nv && !row_matched; ++c) {
-        if (!mrow[c]) continue;
-        const double* mx = mapped_of(c);
-        for (uint32_t p = 0; p < np; ++p) {
-          if (mq[p] + mx[p] <= tau) {
-            row_matched = true;
-            break;
-          }
-        }
-      }
-      if (row_matched) {
-        ++stats->lemma2_matched;
-        matched[r] = 1;
-        continue;
-      }
+      if (f == nv) continue;
     }
     rows.push_back(static_cast<uint32_t>(r));
   }
   stats->lemma1_filtered += filtered;
   if (rows.empty()) return;
 
-  // Union of the unresolved rows' survivor sets: a dense tile evaluates
-  // every union slot for every row (rows consult only their own mask
-  // afterwards), trading a few wasted slots for dense many-to-many kernel
-  // calls; a sub-block sweep reads each row's own survivors only.
+  // Union of the live rows' survivor sets (never empty: every live row has
+  // a survivor): a dense tile evaluates every union slot for every row
+  // (rows consult only their own mask afterwards), trading a few wasted
+  // slots for dense many-to-many kernel calls; a sub-block sweep reads each
+  // row's own survivors only.
   auto& uni = scratch->uni;
   uni.clear();
   if (use_l1) {
@@ -540,7 +501,6 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
     uni.resize(nv);
     for (size_t c = 0; c < nv; ++c) uni[c] = static_cast<uint32_t>(c);
   }
-  if (uni.empty()) return;  // Lemma 1 cleared every candidate of every row
 
   // Vec-tiles over the union; rows that match in one drop out before the
   // next. Every live row takes part in every vec-tile's sweep.

@@ -13,15 +13,13 @@
 namespace pexeso {
 
 /// \brief One (query record, column) pair emitted by candidate generation:
-/// the unit of work the tiled verification stage resolves. `cell_matched`
-/// pairs were decided by the blocking lemmas (5/6) alone and carry no
-/// ranges; the rest name the postings ranges whose vectors must be checked,
-/// in the exact order the serial scan would have visited them.
+/// the unit of work the tiled verification stage resolves. It names the
+/// postings ranges whose vectors must be checked, in the exact order the
+/// serial scan would have visited them.
 struct CandidateBlock {
   uint32_t query = 0;        ///< query record index
   uint32_t range_begin = 0;  ///< first VecIdRange of this pair
   uint32_t range_count = 0;  ///< number of ranges
-  uint8_t cell_matched = 0;  ///< 1: a Lemma 5/6 match cell decided the pair
 };
 
 /// Contiguous run of InvertedIndex::vec_ids() holding one cell's candidate
@@ -42,8 +40,8 @@ struct CandidateSet {
   std::vector<VecIdRange> ranges;  ///< each block's ranges are contiguous
   /// Blocks of column c occupy [block_begin[c], block_begin[c+1]).
   std::vector<uint32_t> block_begin;
-  /// Verification cost estimate per column (candidate vector count, 1 for a
-  /// cell-matched pair); drives the weight-balanced sharding of stage 2.
+  /// Verification cost estimate per column (candidate vector count); drives
+  /// the weight-balanced sharding of stage 2.
   std::vector<uint64_t> weight;
   uint64_t total_weight = 0;
 
@@ -108,13 +106,12 @@ class VerifyPipeline {
   explicit VerifyPipeline(const PexesoIndex* index) : index_(index) {}
 
   /// Stage 1. `blocks` is the blocking output for `num_q` query records.
-  /// Two passes walk each record's match cells, then its cand cells, over
-  /// the inverted index's postings: the first counts blocks and ranges per
-  /// column, prefix sums place them, the second writes each (record,
-  /// column) block at its column's cursor. A column in any match cell
-  /// gives one cell-matched block without ranges; otherwise the block's
-  /// ranges follow the order of the record's cand cells. Tombstoned
-  /// columns emit nothing. Linear in the postings walked; no merge.
+  /// Two passes walk each record's cand cells over the inverted index's
+  /// postings: the first counts blocks and ranges per column, prefix sums
+  /// place them, the second writes each (record, column) block at its
+  /// column's cursor. A block's ranges follow the order of the record's
+  /// cand cells. Tombstoned columns emit nothing. Linear in the postings
+  /// walked; no merge.
   void GenerateCandidates(const BlockResult& blocks, uint32_t num_q,
                           CandidateSet* out, SearchStats* stats) const;
 
@@ -168,8 +165,8 @@ class VerifyPipeline {
                    SearchStats* stats) const;
 
   /// Resolves one group of `m` consecutive pairs of column `col` sharing an
-  /// identical range list: one gather, the Lemma-1/2 pivot pass per row,
-  /// then SweepTile over the union of the unresolved rows' survivors.
+  /// identical range list: one gather, the Lemma-1 pivot pass per row, then
+  /// SweepTile over the union of the rows' survivors.
   void EvaluateGroup(const CandidateSet& cands, ColumnId col,
                      const CandidateBlock* group, size_t m,
                      const VectorStore& query,

@@ -85,28 +85,11 @@ uint32_t HierarchicalGrid::Insert(const double* mapped_vec, VecId id,
   return leaf_idx;
 }
 
-std::vector<uint32_t> HierarchicalGrid::RootChildren() const {
-  std::vector<uint32_t> out(levels_cells_[0].size());
-  for (uint32_t i = 0; i < out.size(); ++i) out[i] = i;
-  return out;
-}
-
 int64_t HierarchicalGrid::FindLeaf(const CellCoord& coords) const {
   const auto& lk = lookups_[levels_ - 1];
   auto it = lk.find(coords);
   if (it == lk.end()) return -1;
   return static_cast<int64_t>(it->second);
-}
-
-void HierarchicalGrid::CollectLeaves(uint32_t l, uint32_t idx,
-                                     std::vector<uint32_t>* out) const {
-  if (l == levels_) {
-    out->push_back(idx);
-    return;
-  }
-  for (uint32_t child : levels_cells_[l - 1][idx].children) {
-    CollectLeaves(l + 1, child, out);
-  }
 }
 
 size_t HierarchicalGrid::MemoryBytes() const {

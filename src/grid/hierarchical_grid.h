@@ -52,9 +52,6 @@ class HierarchicalGrid {
     return levels_cells_[l - 1];
   }
 
-  /// Indices of the level-1 cells (children of the conceptual root).
-  std::vector<uint32_t> RootChildren() const;
-
   /// Leaf cells (level == levels()).
   const std::vector<Cell>& LeafCells() const { return levels_cells_.back(); }
 
@@ -79,10 +76,6 @@ class HierarchicalGrid {
 
   /// Looks up a leaf cell by coordinates; returns -1 if empty/absent.
   int64_t FindLeaf(const CellCoord& coords) const;
-
-  /// Collects the leaf-cell indices of the subtree rooted at cell `idx` of
-  /// level `l` into `out` (appended).
-  void CollectLeaves(uint32_t l, uint32_t idx, std::vector<uint32_t>* out) const;
 
   /// Grid coordinates of a mapped vector at level l.
   CellCoord CoordsOf(const double* mapped_vec, uint32_t l) const;

@@ -265,7 +265,8 @@ Status DecodeDone(std::string_view payload, DoneMsg* m) {
     PEXESO_RETURN_NOT_OK(r.Read(&bits));
     if (seen.test(id)) return Status::Corruption("duplicate stats id");
     seen.set(id);
-    // An id this build does not know is a newer peer's counter: skip it.
+    // An id this build does not know is a newer peer's counter or an older
+    // peer's retired one: skip it.
     m->stats.SetFieldBits(id, bits);
   }
   return r.ExpectEnd();

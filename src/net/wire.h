@@ -47,8 +47,8 @@ namespace pexeso::net {
 /// Version 2 carries SearchStats in kDone as a tagged block: a u16 count,
 /// then one (u16 wire id, u64 value bits) entry per nonzero field of the
 /// PEXESO_SEARCH_STATS_FIELDS table. A reader skips ids it does not know
-/// and leaves absent ones at zero, so adding a counter needs no version
-/// bump; a peer speaking another version is refused at kHello.
+/// and leaves absent ones at zero, so adding or retiring a counter needs no
+/// version bump; a peer speaking another version is refused at kHello.
 inline constexpr uint32_t kFrameMagic = 0x31575850u;  // "PXW1" little-endian
 inline constexpr uint32_t kProtocolVersion = 2;
 /// magic + length + type before the payload, CRC after it.

@@ -23,8 +23,9 @@ struct StatField {
 /// operator+=, the server's STATS lines, the CLI's `--stats` lines and the
 /// tagged DONE block are all expanded from it. Ids and names are a contract
 /// between builds (vec_test pins them): a new counter takes a fresh id and
-/// name; never renumber, rename or reuse an entry. Every type is 8 bytes, so
-/// a value travels as its 64 bits.
+/// name; never renumber, rename or reuse an entry. A deleted counter retires
+/// its id for good (id 8 is retired); readers skip ids they do not know.
+/// Every type is 8 bytes, so a value travels as its 64 bits.
 #define PEXESO_SEARCH_STATS_FIELDS(X)                                         \
   /* Exact d(.,.) evaluations in the original (embedding) space. The tiled    \
      verification pipeline counts every tile slot it evaluates (a tile may    \
@@ -40,16 +41,14 @@ struct StatField {
   /* Vector pairs ruled out by Lemma 1 (pivot filtering) during               \
      verification. */                                                         \
   X(3, uint64_t, lemma1_filtered, "search_lemma1_filtered", kSum)             \
-  /* Vector pairs confirmed by Lemma 2 (pivot matching) without distance. */  \
+  /* Always 0: Lemma 2 (pivot matching) is deleted; bench_e2e reads it. */    \
   X(4, uint64_t, lemma2_matched, "search_lemma2_matched", kSum)               \
   /* Cell pairs pruned by Lemmas 3/4 during blocking. */                      \
   X(5, uint64_t, cells_filtered, "search_cells_filtered", kSum)               \
-  /* Cell pairs fully matched by Lemmas 5/6 during blocking. */               \
+  /* Always 0: Lemmas 5/6 (cell matching) are deleted; bench_e2e reads it. */ \
   X(6, uint64_t, cells_matched, "search_cells_matched", kSum)                 \
   /* Candidate (query vector, leaf cell) pairs emitted by blocking. */        \
   X(7, uint64_t, candidate_pairs, "search_candidate_pairs", kSum)             \
-  /* Matching (query vector, leaf cell) pairs emitted by blocking. */         \
-  X(8, uint64_t, matching_pairs, "search_matching_pairs", kSum)               \
   /* Columns skipped by the Lemma 7 early-termination rule. */                \
   X(9, uint64_t, lemma7_kills, "search_lemma7_kills", kSum)                   \
   /* Columns confirmed joinable before exhausting their candidates. */        \

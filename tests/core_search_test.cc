@@ -100,18 +100,16 @@ TEST_P(AblationExactnessTest, AblatedSearchStaysExact) {
   sopts.thresholds = th;
   switch (variant) {
     case 0: sopts.ablation.use_lemma1 = false; break;
-    case 1: sopts.ablation.use_lemma2 = false; break;
-    case 2: sopts.ablation.use_lemma34 = false; break;
-    case 3: sopts.ablation.use_lemma56 = false; break;
-    case 4: sopts.ablation.use_lemma7 = false; break;
-    case 5: sopts.ablation.use_quick_browsing = false; break;
-    case 6:
+    case 1: sopts.ablation.use_lemma34 = false; break;
+    case 2: sopts.ablation.use_lemma7 = false; break;
+    case 3: sopts.ablation.use_quick_browsing = false; break;
+    case 4: sopts.ablation.use_quant_prefilter = false; break;
+    case 5:
       sopts.ablation.use_lemma1 = false;
-      sopts.ablation.use_lemma2 = false;
       sopts.ablation.use_lemma34 = false;
-      sopts.ablation.use_lemma56 = false;
       sopts.ablation.use_lemma7 = false;
       sopts.ablation.use_quick_browsing = false;
+      sopts.ablation.use_quant_prefilter = false;
       break;
     default: break;
   }
@@ -120,7 +118,7 @@ TEST_P(AblationExactnessTest, AblatedSearchStaysExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSwitches, AblationExactnessTest,
-                         ::testing::Range(0, 7));
+                         ::testing::Range(0, 6));
 
 TEST(PexesoSearchTest, EmptyQueryReturnsNothing) {
   L2Metric metric;
@@ -243,7 +241,7 @@ TEST(PexesoSearchTest, StatsArepopulated) {
   sopts.thresholds = th;
   SearchStats stats;
   MustSearch(searcher, query, sopts, &stats);
-  EXPECT_GT(stats.candidate_pairs + stats.matching_pairs, 0u);
+  EXPECT_GT(stats.candidate_pairs, 0u);
   EXPECT_GE(stats.block_seconds, 0.0);
   EXPECT_GE(stats.verify_seconds, 0.0);
 }

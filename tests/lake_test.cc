@@ -260,9 +260,7 @@ TEST_F(LakeEquivalenceTest, PostMergeCountersEqualFromScratchRebuild) {
   // verification work, and none of the live-lake counters ticking.
   EXPECT_EQ(lake_stats.distance_computations, ref_stats.distance_computations);
   EXPECT_EQ(lake_stats.candidate_pairs, ref_stats.candidate_pairs);
-  EXPECT_EQ(lake_stats.matching_pairs, ref_stats.matching_pairs);
   EXPECT_EQ(lake_stats.lemma1_filtered, ref_stats.lemma1_filtered);
-  EXPECT_EQ(lake_stats.lemma2_matched, ref_stats.lemma2_matched);
   EXPECT_EQ(lake_stats.delta_columns_searched, 0u);
   EXPECT_EQ(lake_stats.tombstones_masked, 0u);
 }

@@ -315,13 +315,17 @@ TEST(WireCodec, DoneStatsBlockInteroperatesAcrossSchemas) {
   EXPECT_EQ(BitsOf(decoded.stats), BitsOf(full));
   EXPECT_EQ(frame.payload, DonePayload(entries.size(), entries));
 
-  // A newer peer: one id this build does not know, mid-block, is skipped.
-  StatEntries newer = entries;
-  newer.insert(newer.begin() + 2, {0x7ffe, 42});
-  decoded = net::DoneMsg{};
-  ASSERT_TRUE(
-      net::DecodeDone(DonePayload(newer.size(), newer), &decoded).ok());
-  EXPECT_EQ(BitsOf(decoded.stats), BitsOf(full));
+  // A newer peer: an id this build does not know, mid-block, is skipped.
+  // So is an older peer's value under a retired id (8).
+  for (const uint16_t unknown : {uint16_t{0x7ffe}, uint16_t{8}}) {
+    StatEntries newer = entries;
+    newer.insert(newer.begin() + 2, {unknown, 42});
+    decoded = net::DoneMsg{};
+    ASSERT_TRUE(
+        net::DecodeDone(DonePayload(newer.size(), newer), &decoded).ok())
+        << unknown;
+    EXPECT_EQ(BitsOf(decoded.stats), BitsOf(full)) << unknown;
+  }
 
   // An older peer lacking every id but the first and the last: the rest
   // read zero, even when the message decoded into held old values.

@@ -97,11 +97,8 @@ void ExpectSameCounters(const SearchStats& a, const SearchStats& b,
   EXPECT_EQ(a.distance_computations, b.distance_computations) << label;
   EXPECT_EQ(a.sqrt_free_comparisons, b.sqrt_free_comparisons) << label;
   EXPECT_EQ(a.lemma1_filtered, b.lemma1_filtered) << label;
-  EXPECT_EQ(a.lemma2_matched, b.lemma2_matched) << label;
   EXPECT_EQ(a.cells_filtered, b.cells_filtered) << label;
-  EXPECT_EQ(a.cells_matched, b.cells_matched) << label;
   EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << label;
-  EXPECT_EQ(a.matching_pairs, b.matching_pairs) << label;
   EXPECT_EQ(a.lemma7_kills, b.lemma7_kills) << label;
   EXPECT_EQ(a.early_joinable, b.early_joinable) << label;
   EXPECT_EQ(a.candidate_blocks, b.candidate_blocks) << label;
@@ -140,75 +137,68 @@ TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
   PexesoSearcher searcher(&index);
 
   for (bool use_l1 : {true, false}) {
-    for (bool use_l2 : {true, false}) {
-      for (bool use_l7 : {true, false}) {
-        for (bool exact : {false, true}) {
-          for (bool mappings : {false, true}) {
-            std::vector<JoinableColumn> quant_on;
-            SearchStats quant_on_stats;
-            for (bool quant : {true, false}) {
-              JoinQuery sopts;
-              sopts.thresholds = ft.Resolve(*metric, dim, query.size());
-              sopts.ablation.use_lemma1 = use_l1;
-              sopts.ablation.use_lemma2 = use_l2;
-              sopts.ablation.use_lemma7 = use_l7;
-              sopts.ablation.use_quant_prefilter = quant;
-              sopts.mode = exact ? QueryMode::kExactJoinability
-                                 : QueryMode::kThreshold;
-              sopts.collect_mappings = mappings;
-              const std::string label =
-                  std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
-                  " l2=" + std::to_string(use_l2) +
-                  " l7=" + std::to_string(use_l7) +
-                  " exact=" + std::to_string(exact) +
-                  " map=" + std::to_string(mappings) +
-                  " quant=" + std::to_string(quant);
+    for (bool use_l7 : {true, false}) {
+      for (bool exact : {false, true}) {
+        for (bool mappings : {false, true}) {
+          std::vector<JoinableColumn> quant_on;
+          SearchStats quant_on_stats;
+          for (bool quant : {true, false}) {
+            JoinQuery sopts;
+            sopts.thresholds = ft.Resolve(*metric, dim, query.size());
+            sopts.ablation.use_lemma1 = use_l1;
+            sopts.ablation.use_lemma7 = use_l7;
+            sopts.ablation.use_quant_prefilter = quant;
+            sopts.mode = exact ? QueryMode::kExactJoinability
+                               : QueryMode::kThreshold;
+            sopts.collect_mappings = mappings;
+            const std::string label =
+                std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
+                " l7=" + std::to_string(use_l7) +
+                " exact=" + std::to_string(exact) +
+                " map=" + std::to_string(mappings) +
+                " quant=" + std::to_string(quant);
 
-              SearchStats serial_stats;
-              const auto serial =
-                  MustSearch(searcher, query, sopts, &serial_stats);
+            SearchStats serial_stats;
+            const auto serial =
+                MustSearch(searcher, query, sopts, &serial_stats);
 
-              // Oracle agreement: the joinable set is always identical; the
-              // counts are exact whenever the search reports exact counts
-              // (exact mode, or the mapping post-pass upgrade).
-              const auto oracle = OracleJoin(catalog, *metric, query,
-                                             sopts.thresholds, mappings);
-              ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
-              if (exact || mappings) {
-                for (size_t i = 0; i < serial.size(); ++i) {
-                  EXPECT_EQ(serial[i].match_count, oracle[i].match_count)
-                      << label;
-                }
-              }
-              if (mappings) {
-                ExpectByteIdentical(serial, oracle, label + " vs oracle");
-              }
-
-              if (quant) {
-                quant_on = serial;
-                quant_on_stats = serial_stats;
-              } else {
-                ExpectByteIdentical(quant_on, serial, label + " vs quant on");
-                EXPECT_EQ(serial_stats.quant_tile_skips, 0u) << label;
-                EXPECT_EQ(quant_on_stats.distance_computations +
-                              quant_on_stats.quant_tile_skips,
-                          serial_stats.distance_computations)
+            // Oracle agreement: the joinable set is always identical; the
+            // counts are exact whenever the search reports exact counts
+            // (exact mode, or the mapping post-pass upgrade).
+            const auto oracle = OracleJoin(catalog, *metric, query,
+                                           sopts.thresholds, mappings);
+            ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
+            if (exact || mappings) {
+              for (size_t i = 0; i < serial.size(); ++i) {
+                EXPECT_EQ(serial[i].match_count, oracle[i].match_count)
                     << label;
               }
+            }
+            if (mappings) {
+              ExpectByteIdentical(serial, oracle, label + " vs oracle");
+            }
 
-              for (size_t threads : {1, 2, 8}) {
-                JoinQuery topts = sopts;
-                topts.intra_query_threads = threads;
-                SearchStats tstats;
-                const auto threaded =
-                    MustSearch(searcher, query, topts, &tstats);
-                ExpectByteIdentical(
-                    threaded, serial,
-                    label + " threads=" + std::to_string(threads));
-                ExpectSameCounters(
-                    tstats, serial_stats,
-                    label + " threads=" + std::to_string(threads));
-              }
+            if (quant) {
+              quant_on = serial;
+              quant_on_stats = serial_stats;
+            } else {
+              ExpectByteIdentical(quant_on, serial, label + " vs quant on");
+              EXPECT_EQ(serial_stats.quant_tile_skips, 0u) << label;
+              EXPECT_EQ(quant_on_stats.distance_computations +
+                            quant_on_stats.quant_tile_skips,
+                        serial_stats.distance_computations)
+                  << label;
+            }
+
+            for (size_t threads : {1, 2, 8}) {
+              JoinQuery topts = sopts;
+              topts.intra_query_threads = threads;
+              SearchStats tstats;
+              const auto threaded = MustSearch(searcher, query, topts, &tstats);
+              const std::string at =
+                  label + " threads=" + std::to_string(threads);
+              ExpectByteIdentical(threaded, serial, at);
+              ExpectSameCounters(tstats, serial_stats, at);
             }
           }
         }
@@ -602,16 +592,11 @@ TEST(PipelineTest, CandidateSetIsColumnGroupedAndQueryOrdered) {
         EXPECT_LT(cands.blocks[b - 1].query, cands.blocks[b].query);
       }
       const CandidateBlock& blk = cands.blocks[b];
-      if (blk.cell_matched) {
-        EXPECT_EQ(blk.range_count, 0u);
-        col_weight += 1;
-      } else {
-        EXPECT_GT(blk.range_count, 0u);
-        for (uint32_t r = 0; r < blk.range_count; ++r) {
-          const VecIdRange& range = cands.ranges[blk.range_begin + r];
-          EXPECT_GT(range.count, 0u);
-          col_weight += range.count;
-        }
+      EXPECT_GT(blk.range_count, 0u);
+      for (uint32_t r = 0; r < blk.range_count; ++r) {
+        const VecIdRange& range = cands.ranges[blk.range_begin + r];
+        EXPECT_GT(range.count, 0u);
+        col_weight += range.count;
       }
     }
     EXPECT_EQ(cands.weight[c], col_weight);
@@ -655,8 +640,6 @@ void ExpectSameCandidates(const CandidateSet& got, const CandidateSet& want,
         << label << " block " << b;
     EXPECT_EQ(got.blocks[b].range_count, want.blocks[b].range_count)
         << label << " block " << b;
-    EXPECT_EQ(got.blocks[b].cell_matched, want.blocks[b].cell_matched)
-        << label << " block " << b;
   }
   ASSERT_EQ(got.ranges.size(), want.ranges.size()) << label;
   for (size_t r = 0; r < want.ranges.size(); ++r) {
@@ -670,8 +653,8 @@ void ExpectSameCandidates(const CandidateSet& got, const CandidateSet& want,
 /// Stage 1's exact output on a hand-written blocking result over a lake
 /// whose cells are known: columns 0, 1 and 3 share the leaf cell of point
 /// A, columns 1 and 2 that of point B, and column 3 is tombstoned. Checks
-/// cell-matched pairs, range order with a repeated cand cell, tombstone
-/// skipping, and a mapped snapshot of the same index.
+/// range order with a repeated cand cell and with the cells in either
+/// order, tombstone skipping, and a mapped snapshot of the same index.
 TEST(PipelineTest, CandidateSetHasExactShape) {
   L2Metric metric;
   constexpr uint32_t kDim = 4;
@@ -705,11 +688,9 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
   ASSERT_EQ(inv.PostingsOf(a).size(), 3u);  // columns 0, 1, 3
   ASSERT_EQ(inv.PostingsOf(b).size(), 2u);  // columns 1, 2
 
-  // q0: cand A, B, A (A repeated); q1: match B, cand A, B; q2: nothing;
-  // q3: match A only.
+  // q0: cand A, B, A (A repeated); q1: cand B, A; q2: nothing; q3: cand A.
   BlockResult blocks;
-  blocks.match_cells = {{}, {b}, {}, {a}};
-  blocks.cand_cells = {{a, b, a}, {a, b}, {}, {}};
+  blocks.cand_cells = {{a, b, a}, {b, a}, {}, {a}};
 
   const VecIdRange a0 = RangeOf(inv, a, 0), a1 = RangeOf(inv, a, 1);
   const VecIdRange b1 = RangeOf(inv, b, 1), b2 = RangeOf(inv, b, 2);
@@ -719,21 +700,21 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
   ASSERT_EQ(b2.count, 3u);
   CandidateSet want;
   want.blocks = {
-      // column 0: q0 over A twice, q1 over A, q3 decided by match cell A
-      {0, 0, 2, 0}, {1, 2, 1, 0}, {3, 3, 0, 1},
-      // column 1: q0 in cand-cell order A, B, A; q1 (B is also its match
-      // cell) and q3 cell-matched, their range_begin at the column's end
-      {0, 3, 3, 0}, {1, 6, 0, 1}, {3, 6, 0, 1},
-      // column 2: q0 over B; q1 cell-matched by B
-      {0, 6, 1, 0}, {1, 7, 0, 1},
+      // column 0: q0 over A twice, q1 and q3 over A
+      {0, 0, 2}, {1, 2, 1}, {3, 3, 1},
+      // column 1: each record in its own cand-cell order: q0 A, B, A; q1
+      // B, A; q3 A
+      {0, 4, 3}, {1, 7, 2}, {3, 9, 1},
+      // column 2: q0 and q1 over B
+      {0, 10, 1}, {1, 11, 1},
       // column 3 is tombstoned, column 4 never blocked
   };
-  want.ranges = {a0, a0, a0, a1, b1, a1, b2};
+  want.ranges = {a0, a0, a0, a0, a1, b1, a1, b1, a1, a1, b2, b2};
   want.block_begin = {0, 3, 6, 8, 8, 8};
-  want.weight = {3 * a0.count + 1, 2 * a1.count + b1.count + 2,
-                 b2.count + 1, 0, 0};
-  want.total_weight = 3 * a0.count + 1 + 2 * a1.count + b1.count + 2 +
-                      b2.count + 1;
+  want.weight = {4 * a0.count, 4 * a1.count + 2 * b1.count, 2 * b2.count, 0,
+                 0};
+  want.total_weight = 4 * a0.count + 4 * a1.count + 2 * b1.count +
+                      2 * b2.count;
 
   SearchStats stats;
   CandidateSet got;

@@ -266,24 +266,6 @@ TEST_P(GridTest, ParentChildCoordsConsistent) {
   }
 }
 
-TEST_P(GridTest, CollectLeavesCoversAllDescendants) {
-  const auto [np, levels] = GetParam();
-  Rng rng(13);
-  const size_t n = 400;
-  std::vector<double> mapped(n * np);
-  for (auto& x : mapped) x = rng.UniformDouble() * 2.0;
-  HierarchicalGrid grid;
-  HierarchicalGrid::Options opts;
-  opts.levels = levels;
-  grid.Build(mapped.data(), n, np, 2.0, opts);
-  std::vector<uint32_t> leaves;
-  for (uint32_t root : grid.RootChildren()) {
-    grid.CollectLeaves(1, root, &leaves);
-  }
-  std::set<uint32_t> uniq(leaves.begin(), leaves.end());
-  EXPECT_EQ(uniq.size(), grid.LeafCells().size());
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, GridTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5),
                                             ::testing::Values(1, 2, 4, 6)));

@@ -5,7 +5,9 @@ usage: bench_gate.py BASELINE_DIR CURRENT_DIR
 
 Every bench writes BENCH_<name>.json through the one writer in
 bench/bench_common.h: a header (schema, hw_threads, simd_level, scale,
-queries) and a list of rows. Each row holds a "counts" object of
+queries) and a list of rows. tools/e2e_counts.py writes BENCH_e2e.json in
+the same layout from traced bench_e2e runs, with the runs' seed as scale
+and their --seconds as queries. Each row holds a "counts" object of
 deterministic work counts and, beside it, ungated fields (seconds, rates,
 ratios and counts that depend on scheduling).
 
@@ -21,8 +23,9 @@ current/baseline ratios and never fail.
 
 To accept a count change, regenerate the JSON in the same change and
 explain the new counts in CHANGES.md. Run the bench from the repo root
-with PEXESO_BENCH_SCALE and PEXESO_BENCH_QUERIES unset, as tools/ci.sh
-does; a baseline written at another scale or query count fails the gate.
+with PEXESO_BENCH_SCALE and PEXESO_BENCH_QUERIES unset, and bench_e2e
+with the seed and seconds of tools/ci.sh, as tools/ci.sh does; a baseline
+written at another scale or query count fails the gate.
 """
 
 import json

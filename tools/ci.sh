@@ -50,6 +50,20 @@ for bench in bench_micro bench_pipeline bench_topk bench_snapshot bench_shard \
   env -u PEXESO_BENCH_SCALE -u PEXESO_BENCH_QUERIES \
     "$BUILD_DIR/bench/$bench" "${bench_args[@]}"
 done
+# bench_e2e's work counters join the gate as BENCH_e2e.json. A traced run
+# sums the SearchStats of a fixed counter sample (warm-search: the first 100
+# requests of each client; wire-openloop: the first 2000 of its seeded
+# schedule, which 14 s at its fixed rate fills), so its core.* and vec.*
+# counts repeat exactly for a seed. tools/e2e_counts.py writes them with the
+# seed and seconds in the header's scale and queries. run_e2e.sh builds its
+# own Release tree under .bench_build/ and exits non-zero on a wrong answer.
+for workload in warm-search wire-openloop; do
+  bash bench_e2e/run_e2e.sh --workload "$workload" --seed 7 --trace 1 \
+    --seconds 14
+done
+python3 tools/e2e_counts.py BENCH_fig9.json \
+  .bench_build/bench_out/e2e_warm-search.json \
+  .bench_build/bench_out/e2e_wire-openloop.json
 python3 tools/bench_gate.py "$BENCH_BASELINE" .
 # The gate must bite: a baseline that is the fresh BENCH_topk.json with one
 # count bumped fails it. Copying the fresh file keeps the headers equal, so
@@ -267,9 +281,9 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # joins for the truncated-snapshot matrix driven through every
   # partitioned entry point, wire and shard paths included.
   # core_search_test joins for stage 1's per-column arrays: exactness
-  # against the naive searcher under every lemma ablation (match cells on
-  # and off), appended and deleted columns and save/load are every input
-  # shape the candidate scatter's column stamps and cursors index.
+  # against the naive searcher under every ablation switch, appended and
+  # deleted columns and save/load are every input shape the candidate
+  # scatter's column stamps and cursors index.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
     topk_test lake_test fault_test net_test snapshot_test shard_test \
