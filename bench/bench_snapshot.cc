@@ -1,21 +1,16 @@
-// bench_snapshot: what the flat mmap snapshot format and the int8
-// quantized pre-filter tier cost and buy.
+// bench_snapshot: what the flat mmap snapshot format costs and buys.
 //
 //   cold load     wall time of PexesoIndex::Load on a cold cache entry
 //                 (mmap + CRC pass + section validation + view binding).
 //   residency     file size, and the bytes the IndexCache charges per
 //                 loaded snapshot, split into private heap vs
 //                 kernel-reclaimable mapped pages.
-//   quant tier    float distance computations with the pre-filter off vs
-//                 on, over one threshold-query workload. The reduction is
-//                 a counter ratio, not wall time, so it is stable on the
-//                 single-core CI box. Checked: >= 30% of float distances
-//                 skipped and identical results; a failed check fails
-//                 the bench.
+//   search        the SearchStats of one threshold-query workload over
+//                 the mapped snapshot.
 //
-// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v3"): a
-// snapshot row (byte counts gated, load time not) and one row per quant
-// setting with its SearchStats gated.
+// Results go to stdout and BENCH_snapshot.json ("BENCH_snapshot/v4"): a
+// snapshot row (byte counts gated, load time not) and a search row with
+// its SearchStats gated.
 
 #include <filesystem>
 #include <string>
@@ -67,7 +62,7 @@ int SnapshotExperiment(const VectorLakeOptions& profile) {
               "resident, %zu mapped)\n",
               loads, load_seconds * 1e3, file_bytes, resident_bytes,
               mapped_bytes);
-  BenchJson json("snapshot", 3);
+  BenchJson json("snapshot", 4);
   json.Row("snapshot")
       .Int("columns", profile.num_columns)
       .Int("dim", profile.dim)
@@ -77,8 +72,8 @@ int SnapshotExperiment(const VectorLakeOptions& profile) {
       .Int("cold_loads", loads)
       .Num("cold_load_seconds", load_seconds, 6);
 
-  // Quant tier: one threshold workload, pre-filter off vs on, over the
-  // mapped snapshot. Counters, not wall time.
+  // One threshold workload over the mapped snapshot. Counters, not wall
+  // time.
   auto loaded = PexesoIndex::Load(path, &metric);
   PEXESO_CHECK(loaded.ok());
   PexesoIndex flat = std::move(loaded).ValueOrDie();
@@ -89,41 +84,14 @@ int SnapshotExperiment(const VectorLakeOptions& profile) {
   JoinQuery jq;
   jq.thresholds = ft.Resolve(metric, profile.dim, 20);
 
-  SearchStats off_stats, on_stats;
-  bool identical = true;
-  for (const auto& q : queries) {
-    JoinQuery off = jq;
-    off.ablation.use_quant_prefilter = false;
-    JoinQuery on = jq;
-    on.ablation.use_quant_prefilter = true;
-    identical = SameResults(MustSearch(engine, q, off, &off_stats),
-                            MustSearch(engine, q, on, &on_stats)) &&
-                identical;
-  }
-  const uint64_t dc_off = off_stats.distance_computations;
-  const uint64_t skips_on = on_stats.quant_tile_skips;
-  const double reduction =
-      dc_off == 0 ? 0.0
-                  : static_cast<double>(skips_on) / static_cast<double>(dc_off);
+  SearchStats stats;
+  for (const auto& q : queries) MustSearch(engine, q, jq, &stats);
 
-  std::printf("\nquant pre-filter (%zu queries):\n", num_queries);
-  std::printf("  float distances off  %12llu\n",
-              static_cast<unsigned long long>(dc_off));
-  std::printf("  float distances on   %12llu\n",
-              static_cast<unsigned long long>(on_stats.distance_computations));
-  std::printf("  quant tile skips     %12llu\n",
-              static_cast<unsigned long long>(skips_on));
-  std::printf("  reduction            %11.1f%%  (checked floor: 30%%)\n",
-              100.0 * reduction);
-  std::printf("  identical results    %12s\n", identical ? "yes" : "NO");
-
-  json.Row("quant=off").Int("queries", num_queries).Stats(off_stats);
-  json.Row("quant=on")
-      .Int("queries", num_queries)
-      .Stats(on_stats)
-      .Num("float_distance_reduction", reduction)
-      .Check("identical", identical)
-      .Check("reduction_at_least_30pct", reduction >= 0.30);
+  std::printf("\nsearch over the mapped snapshot (%zu queries):\n",
+              num_queries);
+  std::printf("  float distances      %12llu\n",
+              static_cast<unsigned long long>(stats.distance_computations));
+  json.Row("search").Int("queries", num_queries).Stats(stats);
   fs::remove_all(dir);
   return json.Write();
 }
@@ -134,7 +102,7 @@ int SnapshotExperiment(const VectorLakeOptions& profile) {
 int main() {
   using namespace pexeso::bench;
   using pexeso::BenchProfiles;
-  Banner("bench_snapshot: flat mmap snapshots + int8 quant pre-filter",
+  Banner("bench_snapshot: flat mmap snapshots",
          "the serving-layer cold-start and verification cost");
   const double scale = BenchProfiles::EnvScale();
   return SnapshotExperiment(BenchProfiles::LwdcLike(scale));

@@ -14,10 +14,6 @@ struct AblationConfig {
   bool use_lemma34 = true;   ///< vector-cell & cell-cell filtering (block)
   bool use_lemma7 = true;    ///< column kill by mismatch counting (verify)
   bool use_quick_browsing = true;  ///< probe co-located leaf cells up front
-  /// int8 quantized tile tier ahead of the exact float tiles (verify). The
-  /// quantized bound only ever decides pairs it provably decides correctly,
-  /// so — like every other switch — results are identical on or off.
-  bool use_quant_prefilter = true;
 };
 
 }  // namespace pexeso

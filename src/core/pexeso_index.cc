@@ -10,7 +10,6 @@
 
 #include "core/cost_model.h"
 #include "pivot/pivot_selector.h"
-#include "vec/kernels.h"
 
 namespace pexeso {
 
@@ -22,7 +21,7 @@ constexpr uint32_t kMagic = 0x5058534Fu;  // "PXSO"
 constexpr uint32_t kVersion = 3;
 
 /// Section starts are aligned so every element type that is served
-/// zero-copy (double, uint64_t, Posting, float, int8_t) lands on a
+/// zero-copy (double, uint64_t, Posting, float) lands on a
 /// multiple of its alignment; 64 also keeps sections cache-line clean.
 constexpr uint64_t kSectionAlign = 64;
 
@@ -37,11 +36,12 @@ enum SectionKind : uint32_t {
   kSecCellOffsets = 7,  ///< viewed: u64[num_cells + 1] CSR offsets
   kSecPostings = 8,     ///< viewed: Posting[num_postings]
   kSecVecIds = 9,       ///< viewed: u32[num_vec_ids]
-  kSecQuantMeta = 10,   ///< parsed: quant kind/slack/per-column params
-  kSecQuantCodes = 11,  ///< viewed: int8[num_vectors * dim]
-  kSecQuantErr = 12,    ///< viewed: float[num_vectors]
+  // Kinds 10-12 are retired: they held an int8 quantized copy of the
+  // vectors (params, codes, error norms) that verification no longer reads.
+  // Snapshots written before their removal still carry them; the loader
+  // skips them like any unknown kind. Never reuse these values.
 };
-constexpr uint32_t kMaxSectionKind = kSecQuantErr;
+constexpr uint32_t kMaxSectionKind = kSecVecIds;
 
 uint64_t Align64(uint64_t n) {
   return (n + (kSectionAlign - 1)) & ~(kSectionAlign - 1);
@@ -121,23 +121,12 @@ PexesoIndex PexesoIndex::Build(ColumnCatalog catalog, const Metric* metric,
                     index.pivots_.AxisExtent(), gopts);
   index.inv_.Build(index.grid_, index.catalog_);
   index.tombstones_.assign(index.catalog_.num_columns(), 0);
-  index.RebuildQuant();
   return index;
-}
-
-void PexesoIndex::RebuildQuant() {
-  const KernelSet* ks = metric_ != nullptr ? metric_->kernels() : nullptr;
-  if (ks == nullptr || !ks->QuantSupported()) {
-    quant_.Clear();
-    return;
-  }
-  quant_.Build(catalog_, ks->kind);
 }
 
 void PexesoIndex::Materialize() {
   catalog_.mutable_store()->Materialize();
   inv_.Materialize();
-  quant_.Materialize();
   if (mapped_ext_ != nullptr) {
     mapped_.assign(mapped_ext_, mapped_ext_ + catalog_.num_vectors() *
                                                   pivots_.num_pivots());
@@ -170,7 +159,6 @@ ColumnId PexesoIndex::AppendColumn(ColumnMeta meta, const float* packed,
     inv_.Append(leaf, col, vecs);
   }
   tombstones_.push_back(0);
-  quant_.AppendLastColumn(catalog_);
   return col;
 }
 
@@ -198,15 +186,14 @@ size_t PexesoIndex::Compact() {
 
 size_t PexesoIndex::IndexSizeBytes() const {
   return pivots_.MemoryBytes() + mapped_.capacity() * sizeof(double) +
-         grid_.MemoryBytes() + inv_.MemoryBytes() + quant_.MemoryBytes() +
-         tombstones_.capacity();
+         grid_.MemoryBytes() + inv_.MemoryBytes() + tombstones_.capacity();
 }
 
 Status PexesoIndex::Save(const std::string& path) const {
   // Pre-serialize the variable-length (parsed) sections so every section
   // length — and hence every offset — is known before the table is written;
   // the CRC is a forward-only stream, so the table cannot be patched later.
-  std::string colmeta, pivots_img, grid_img, quant_meta;
+  std::string colmeta, pivots_img, grid_img;
   {
     BinaryWriter b = BinaryWriter::ToBuffer(&colmeta);
     catalog_.SerializeMeta(&b);
@@ -218,18 +205,6 @@ Status PexesoIndex::Save(const std::string& path) const {
   {
     BinaryWriter b = BinaryWriter::ToBuffer(&grid_img);
     grid_.Serialize(&b);
-  }
-  const bool has_quant = quant_.valid();
-  if (has_quant) {
-    BinaryWriter b = BinaryWriter::ToBuffer(&quant_meta);
-    b.Write<uint8_t>(static_cast<uint8_t>(quant_.kind()));
-    b.Write<double>(quant_.slack_rel());
-    b.Write<double>(quant_.slack_abs());
-    b.Write<uint64_t>(quant_.num_columns());
-    for (const auto& p : quant_.params()) {
-      b.Write<float>(p.scale);
-      b.Write<float>(p.offset);
-    }
   }
 
   const VectorStore& store = catalog_.store();
@@ -263,11 +238,6 @@ Status PexesoIndex::Save(const std::string& path) const {
       {kSecPostings, npost * sizeof(InvertedIndex::Posting), 0},
       {kSecVecIds, nvecids * sizeof(VecId), 0},
   };
-  if (has_quant) {
-    sections.push_back({kSecQuantMeta, quant_meta.size(), 0});
-    sections.push_back({kSecQuantCodes, nvec * static_cast<uint64_t>(dim), 0});
-    sections.push_back({kSecQuantErr, nvec * sizeof(float), 0});
-  }
 
   // Header: magic, version, options, dim (what PeekDim reads), counts,
   // then the section table.
@@ -275,7 +245,7 @@ Status PexesoIndex::Save(const std::string& path) const {
                                 4 + 4 + 8 + 1 +    // options
                                 4 +                // dim
                                 8 + 8 + 8 +        // nvec, ncells, nvecids
-                                1 +                // quant flag
+                                1 +                // reserved, 0
                                 4 +                // section count
                                 24 * sections.size();
   uint64_t cursor = Align64(header_bytes);
@@ -298,7 +268,9 @@ Status PexesoIndex::Save(const std::string& path) const {
   w.Write<uint64_t>(nvec);
   w.Write<uint64_t>(ncells);
   w.Write<uint64_t>(nvecids);
-  w.Write<uint8_t>(has_quant ? 1 : 0);
+  // Reserved byte, written 0: it was the retired quant-tier flag, and
+  // older builds read 0 as "no quant sections".
+  w.Write<uint8_t>(0);
   w.Write<uint32_t>(static_cast<uint32_t>(sections.size()));
   for (const auto& s : sections) {
     w.Write<uint32_t>(s.kind);
@@ -351,15 +323,6 @@ Status PexesoIndex::Save(const std::string& path) const {
         break;
       case kSecVecIds:
         w.WriteBytes(inv_.vec_ids_data(), s.length);
-        break;
-      case kSecQuantMeta:
-        w.WriteBytes(quant_meta.data(), quant_meta.size());
-        break;
-      case kSecQuantCodes:
-        w.WriteBytes(quant_.codes(), s.length);
-        break;
-      case kSecQuantErr:
-        w.WriteBytes(quant_.err(), s.length);
         break;
     }
     PEXESO_CHECK(w.bytes_written() == s.offset + s.length);
@@ -460,13 +423,13 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
                                       : PexesoOptions::PivotStrategy::kRandom;
   uint32_t dim = 0;
   uint64_t nvec = 0, ncells = 0, nvecids = 0;
-  uint8_t quant_flag = 0;
+  uint8_t reserved = 0;  // the retired quant-tier flag; ignored
   uint32_t num_sections = 0;
   PEXESO_RETURN_NOT_OK(r.Read(&dim));
   PEXESO_RETURN_NOT_OK(r.Read(&nvec));
   PEXESO_RETURN_NOT_OK(r.Read(&ncells));
   PEXESO_RETURN_NOT_OK(r.Read(&nvecids));
-  PEXESO_RETURN_NOT_OK(r.Read(&quant_flag));
+  PEXESO_RETURN_NOT_OK(r.Read(&reserved));
   PEXESO_RETURN_NOT_OK(r.Read(&num_sections));
   if (dim == 0 || nvec == 0) {
     return Status::Corruption("flat snapshot with empty repository");
@@ -492,7 +455,8 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
     PEXESO_RETURN_NOT_OK(r.Read(&reserved));
     PEXESO_RETURN_NOT_OK(r.Read(&off));
     PEXESO_RETURN_NOT_OK(r.Read(&len));
-    if (kind == 0 || kind > kMaxSectionKind) continue;  // forward-compat
+    // Unknown kinds (the retired 10-12 among them) are skipped.
+    if (kind == 0 || kind > kMaxSectionKind) continue;
     if (sec_present[kind]) {
       return Status::Corruption("flat snapshot duplicates a section");
     }
@@ -597,40 +561,6 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
   index.mapped_ext_ =
       reinterpret_cast<const double*>(data + sec_off[kSecMapped]);
   index.inv_.BindView(cell_offsets, ncells, postings, vec_ids, nvecids);
-
-  if (quant_flag != 0) {
-    if (!sec_present[kSecQuantMeta] || !sec_present[kSecQuantCodes] ||
-        !sec_present[kSecQuantErr]) {
-      return Status::Corruption("flat snapshot missing quant sections");
-    }
-    if (sec_len[kSecQuantCodes] != nvec * dim ||
-        sec_len[kSecQuantErr] != nvec * sizeof(float)) {
-      return Status::Corruption("quant section shape mismatch");
-    }
-    BinaryReader qr = section_reader(kSecQuantMeta);
-    uint8_t qkind = 0;
-    double slack_rel = 0.0, slack_abs = 0.0;
-    uint64_t qcols = 0;
-    PEXESO_RETURN_NOT_OK(qr.Read(&qkind));
-    PEXESO_RETURN_NOT_OK(qr.Read(&slack_rel));
-    PEXESO_RETURN_NOT_OK(qr.Read(&slack_abs));
-    PEXESO_RETURN_NOT_OK(qr.Read(&qcols));
-    if (qkind > static_cast<uint8_t>(MetricKind::kL1) || qcols != ncols) {
-      return Status::Corruption("quant metadata mismatch");
-    }
-    std::vector<QuantColumnParam> params(qcols);
-    for (auto& p : params) {
-      PEXESO_RETURN_NOT_OK(qr.Read(&p.scale));
-      PEXESO_RETURN_NOT_OK(qr.Read(&p.offset));
-    }
-    index.quant_.BindView(
-        std::move(params),
-        reinterpret_cast<const int8_t*>(data + sec_off[kSecQuantCodes]),
-        reinterpret_cast<const float*>(data + sec_off[kSecQuantErr]), nvec,
-        dim, static_cast<MetricKind>(qkind), slack_rel, slack_abs);
-  } else {
-    index.quant_.Clear();
-  }
   return index;
 }
 

@@ -13,7 +13,6 @@
 #include "pivot/pivot_space.h"
 #include "vec/column_catalog.h"
 #include "vec/metric.h"
-#include "vec/quant.h"
 
 namespace pexeso {
 
@@ -65,7 +64,6 @@ class PexesoIndex {
   const PivotSpace& pivots() const { return pivots_; }
   const HierarchicalGrid& grid() const { return grid_; }
   const InvertedIndex& inverted_index() const { return inv_; }
-  const QuantStore& quant() const { return quant_; }
   const Metric* metric() const { return metric_; }
   const PexesoOptions& options() const { return options_; }
 
@@ -133,8 +131,6 @@ class PexesoIndex {
   /// the mapping, or materializes before a FIFO's buffer dies).
   static Result<PexesoIndex> LoadFlat(const uint8_t* data, uint64_t size,
                                       const Metric* metric);
-  /// (Re)builds the quantized pre-filter tier from the float vectors.
-  void RebuildQuant();
 
   ColumnCatalog catalog_;
   PivotSpace pivots_;
@@ -142,7 +138,6 @@ class PexesoIndex {
   const double* mapped_ext_ = nullptr;  ///< non-null => mapped-snapshot view
   HierarchicalGrid grid_;
   InvertedIndex inv_;
-  QuantStore quant_;
   std::vector<uint8_t> tombstones_;
   const Metric* metric_ = nullptr;
   PexesoOptions options_;

@@ -1,7 +1,6 @@
 #include "core/verify_pipeline.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -13,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "invindex/inverted_index.h"
 #include "vec/kernels.h"
-#include "vec/quant.h"
 
 namespace pexeso {
 namespace {
@@ -30,10 +28,7 @@ constexpr size_t kTileVecs = 256;
 /// Per-column verification states, identical to the serial scan's.
 enum : uint8_t { kActive = 0, kJoinable = 1, kDead = 2 };
 
-/// Byte value of QuantVerdict::kMaybe as stored in TileScratch::qclass.
-constexpr uint8_t kQuantMaybe = static_cast<uint8_t>(QuantVerdict::kMaybe);
-
-/// SweepTile's "no matching slot" answer (also "no limit" for a row).
+/// SweepTile's "no matching slot" answer.
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
 /// True when `b` repeats `a`'s exact range list: such consecutive pairs of
@@ -135,15 +130,6 @@ struct VerifyPipeline::TileScratch {
   std::vector<float> qrows;        ///< packed query rows of one row-block
   std::vector<double> qnorms;      ///< their norms (cosine)
   std::vector<double> cmp;         ///< tile output (comparison space)
-
-  // Quantized pre-filter tier (int8 tiles ahead of the exact float tiles).
-  std::vector<int8_t> qcodes;    ///< packed query codes of one row-block
-  std::vector<double> qeps;      ///< their quantization error norms
-  std::vector<int8_t> cbase;     ///< gathered candidate code rows (vec-tile)
-  std::vector<int32_t> qsum;     ///< quant tile output (integer sums)
-  std::vector<uint8_t> qclass;   ///< per-slot verdicts of one row-block
-  std::vector<uint32_t> need;    ///< maybe columns needing exact re-check
-  std::vector<uint32_t> need_pos;  ///< tile column -> index into `need`
 };
 
 void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
@@ -368,8 +354,8 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
       }
       PEXESO_DCHECK(k >= 1);
       scratch.matched.assign(k, 0);
-      EvaluateRun(cands, col, i, k, query, mapped_q, jq, query_norms,
-                  repo_norms, &scratch, scratch.matched.data(), stats);
+      EvaluateRun(cands, i, k, query, mapped_q, jq, query_norms, repo_norms,
+                  &scratch, scratch.matched.data(), stats);
       // Replay the serial outcome application verbatim.
       for (size_t j = 0; j < k; ++j) {
         if (scratch.matched[j]) {
@@ -402,8 +388,8 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
   return live;
 }
 
-void VerifyPipeline::EvaluateRun(const CandidateSet& cands, ColumnId col,
-                                 size_t i, size_t k, const VectorStore& query,
+void VerifyPipeline::EvaluateRun(const CandidateSet& cands, size_t i,
+                                 size_t k, const VectorStore& query,
                                  const std::vector<double>& mapped_q,
                                  const JoinQuery& jq,
                                  const float* query_norms,
@@ -422,14 +408,13 @@ void VerifyPipeline::EvaluateRun(const CandidateSet& cands, ColumnId col,
     // the rows of one many-to-many tile group.
     size_t j2 = j + 1;
     while (j2 < k && SameRanges(cands, b, cands.blocks[i + j2])) ++j2;
-    EvaluateGroup(cands, col, cands.blocks.data() + i + j, j2 - j, query,
-                  mapped_q, jq, query_norms, repo_norms, scratch, matched + j,
-                  stats);
+    EvaluateGroup(cands, cands.blocks.data() + i + j, j2 - j, query, mapped_q,
+                  jq, query_norms, repo_norms, scratch, matched + j, stats);
     j = j2;
   }
 }
 
-void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
+void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
                                    const CandidateBlock* group, size_t m,
                                    const VectorStore& query,
                                    const std::vector<double>& mapped_q,
@@ -520,8 +505,8 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands, ColumnId col,
     }
     auto& hits = scratch->hits;
     hits.resize(live.size());
-    SweepTile(tile, slots, uni.data() + v0, col, /*first_witness=*/false,
-              query, jq, query_norms, repo_norms, scratch, hits.data(), stats);
+    SweepTile(tile, slots, uni.data() + v0, query, jq, query_norms,
+              repo_norms, scratch, hits.data(), stats);
     next_live.clear();
     for (size_t t = 0; t < live.size(); ++t) {
       if (hits[t] != kNoSlot) {
@@ -645,8 +630,8 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
 
     auto& hits = scratch->hits;
     hits.resize(tile.size());
-    SweepTile(tile, slots, uni.data(), jc->column, /*first_witness=*/true,
-              query, jq, query_norms, repo_norms, scratch, hits.data(), stats);
+    SweepTile(tile, slots, uni.data(), query, jq, query_norms, repo_norms,
+              scratch, hits.data(), stats);
     // Slots ascend and vec-tiles scan forward, so a row's first hit is its
     // column-global first match — the serial mapping's choice.
     for (size_t t = 0; t < tile.size(); ++t) {
@@ -675,9 +660,9 @@ void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
 
 void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
                                std::span<const VecId> slots,
-                               const uint32_t* mask_col, ColumnId col,
-                               bool first_witness, const VectorStore& query,
-                               const JoinQuery& jq, const float* query_norms,
+                               const uint32_t* mask_col,
+                               const VectorStore& query, const JoinQuery& jq,
+                               const float* query_norms,
                                const float* repo_norms, TileScratch* scratch,
                                uint32_t* first, SearchStats* stats) const {
   const VectorStore& rstore = index_->catalog().store();
@@ -694,11 +679,9 @@ void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
   if (ks == nullptr || rows.size() * nslots <= kTileRows * kTileRows) {
     // No more pairs than one dense block, or a metric without kernels: each
     // row reads its Lemma-1 survivors in place, in slot order, up to its
-    // first match — the pairs Algorithm 2 computes, with no gather, no
-    // int8 tier and no tile. Cmp1Normed equals the tile's cell bit for bit,
-    // so the routing never changes a decision; it does not look at the
-    // quant option, so distances + quant skips stay equal to the quant-off
-    // distances.
+    // first match — the pairs Algorithm 2 computes, with no gather and no
+    // tile. Cmp1Normed equals the tile's cell bit for bit, so the routing
+    // never changes a decision.
     uint64_t pairs = 0;
     for (size_t t = 0; t < rows.size(); ++t) {
       const uint32_t q = rows[t].query;
@@ -727,149 +710,47 @@ void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
   for (size_t c = 1; c < nslots && contiguous; ++c) {
     contiguous = slots[c] == slots[0] + c;
   }
-  const QuantStore& quant = index_->quant();
-  const float* errs = quant.err();
-  const bool use_quant =
-      jq.ablation.use_quant_prefilter && quant.CompatibleWith(ks->kind);
-  const double bound = ks->CmpBound(tau);
-  // Exact-tile operands: without the int8 tier every slot, set once per
-  // vec-tile; with it, each row-block's maybe slots.
-  const float* base = nullptr;
-  const float* bnorms = nullptr;
-  // Packs slots pick[0..n) (the first n slots when `pick` is null) into
-  // the exact-tile operands.
-  const auto gather_floats = [&](const uint32_t* pick, size_t n) {
-    scratch->base.resize(n * dim);
-    scratch->base_norms.resize(repo_norms != nullptr ? n : 0);
-    for (size_t c = 0; c < n; ++c) {
-      const VecId id = slots[pick != nullptr ? pick[c] : c];
-      std::memcpy(scratch->base.data() + c * dim, rstore.View(id),
+  const float* base = rstore.View(slots[0]);
+  const float* bnorms = repo_norms != nullptr ? repo_norms + slots[0] : nullptr;
+  if (!contiguous) {
+    scratch->base.resize(nslots * dim);
+    scratch->base_norms.resize(repo_norms != nullptr ? nslots : 0);
+    for (size_t c = 0; c < nslots; ++c) {
+      std::memcpy(scratch->base.data() + c * dim, rstore.View(slots[c]),
                   dim * sizeof(float));
-      if (repo_norms != nullptr) scratch->base_norms[c] = repo_norms[id];
+      if (repo_norms != nullptr) scratch->base_norms[c] = repo_norms[slots[c]];
     }
     base = scratch->base.data();
     bnorms = repo_norms != nullptr ? scratch->base_norms.data() : nullptr;
-  };
-  const int8_t* codes = nullptr;
-  if (use_quant) {
-    codes = quant.codes() + static_cast<size_t>(slots[0]) * dim;
-    if (!contiguous) {
-      scratch->cbase.resize(nslots * dim);
-      for (size_t c = 0; c < nslots; ++c) {
-        std::memcpy(scratch->cbase.data() + c * dim,
-                    quant.codes() + static_cast<size_t>(slots[c]) * dim, dim);
-      }
-      codes = scratch->cbase.data();
-    }
-  } else if (contiguous) {
-    base = rstore.View(slots[0]);
-    bnorms = repo_norms != nullptr ? repo_norms + slots[0] : nullptr;
-  } else {
-    gather_floats(nullptr, nslots);
   }
 
+  // One exact tile per 8-row block; each row takes its first surviving slot
+  // within bound.
+  const double bound = ks->CmpBound(tau);
+  auto& qrows = scratch->qrows;
+  auto& qn = scratch->qnorms;
+  auto& cmp = scratch->cmp;
   for (size_t r0 = 0; r0 < rows.size(); r0 += kTileRows) {
     const size_t rlen = std::min<size_t>(kTileRows, rows.size() - r0);
-    // Row t float-checks slots [0, limit[t]); dm[t] is its first provable
-    // int8 match, its answer when no float hit comes first.
-    std::array<uint32_t, kTileRows> dm;
-    dm.fill(kNoSlot);
-    std::array<uint32_t, kTileRows> limit;
-    limit.fill(kNoSlot);
-    size_t ns = nslots;  // exact-tile columns
-    auto& need = scratch->need;
-    auto& need_pos = scratch->need_pos;
-    if (use_quant) {
-      // Quantized pre-filter: an int8 tile classifies every slot as a
-      // provable match, a provable miss, or too-close-to-call; only maybe
-      // slots reach the exact float tile. That tile keeps ALL rlen rows of
-      // the block — a tile cell equals the one-pair kernel value, whatever
-      // rows and columns sit beside it — so every float comparison
-      // performed is bit-identical to the quant-off run, and
-      // distance_computations + quant_tile_skips equals the quant-off
-      // distance count exactly (snapshot_test.cc and pipeline_test.cc
-      // assert both).
-      auto& qcodes = scratch->qcodes;
-      qcodes.resize(rlen * dim);
-      auto& qeps = scratch->qeps;
-      qeps.resize(rlen);
-      for (size_t t = 0; t < rlen; ++t) {
-        qeps[t] = quant.QuantizeQuery(query.View(rows[r0 + t].query), col,
-                                      qcodes.data() + t * dim);
-      }
-      auto& qsum = scratch->qsum;
-      qsum.resize(rlen * nslots);
-      ks->QuantTile(qcodes.data(), rlen, codes, nslots, dim, qsum.data());
-      // Classify each row's surviving slots in ascending order up to its
-      // first provable match; later slots are never named.
-      auto& qclass = scratch->qclass;
-      qclass.resize(rlen * nslots);
-      for (size_t t = 0; t < rlen; ++t) {
-        uint8_t* crow = qclass.data() + t * nslots;
-        for (size_t c = 0; c < nslots; ++c) {
-          if (!survives(r0 + t, c)) continue;
-          const QuantVerdict v = quant.Classify(qsum[t * nslots + c], col,
-                                                qeps[t], errs[slots[c]], tau);
-          crow[c] = static_cast<uint8_t>(v);
-          if (v == QuantVerdict::kMatch) {
-            dm[t] = static_cast<uint32_t>(c);
-            break;
-          }
-        }
-        // The one rule that differs between the callers: existence is
-        // settled by the int8 match itself, while a first witness needs
-        // the maybe slots before it float-checked.
-        limit[t] = first_witness || dm[t] == kNoSlot ? dm[t] : 0;
-      }
-      // The rows' maybe slots below their limits (deduplicated) form the
-      // exact tile's column set.
-      need.clear();
-      need_pos.assign(nslots, kNoSlot);
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint8_t* crow = qclass.data() + t * nslots;
-        for (size_t c = 0; c < nslots && c < limit[t]; ++c) {
-          if (survives(r0 + t, c) && crow[c] == kQuantMaybe &&
-              need_pos[c] == kNoSlot) {
-            need_pos[c] = static_cast<uint32_t>(need.size());
-            need.push_back(static_cast<uint32_t>(c));
-          }
-        }
-      }
-      ns = need.size();
-      stats->quant_tile_skips += static_cast<uint64_t>(rlen) * (nslots - ns);
-      if (ns > 0) gather_floats(need.data(), ns);
-    }
-
-    auto& cmp = scratch->cmp;
-    if (ns > 0) {
-      auto& qrows = scratch->qrows;
-      qrows.resize(rlen * dim);
-      auto& qn = scratch->qnorms;
-      qn.resize(rlen);
-      for (size_t t = 0; t < rlen; ++t) {
-        const uint32_t q = rows[r0 + t].query;
-        std::memcpy(qrows.data() + t * dim, query.View(q),
-                    dim * sizeof(float));
-        qn[t] = query_norms != nullptr ? static_cast<double>(query_norms[q])
-                                       : 1.0;
-      }
-      cmp.resize(rlen * ns);
-      ks->CmpTileNormed(qrows.data(), qn.data(), base, bnorms, rlen, ns, dim,
-                        cmp.data());
-      ++stats->tiles_evaluated;
-      stats->distance_computations += static_cast<uint64_t>(rlen) * ns;
-      stats->sqrt_free_comparisons +=
-          static_cast<uint64_t>(rlen) * ns * pred.sqrt_saved();
-    }
+    qrows.resize(rlen * dim);
+    qn.resize(rlen);
     for (size_t t = 0; t < rlen; ++t) {
-      first[r0 + t] = dm[t];
-      const uint8_t* crow =
-          use_quant ? scratch->qclass.data() + t * nslots : nullptr;
-      const double* drow = cmp.data() + t * ns;
-      for (size_t c = 0; c < nslots && c < limit[t]; ++c) {
-        if (!survives(r0 + t, c)) continue;
-        if (use_quant && crow[c] != kQuantMaybe) continue;
-        if (drow[use_quant ? need_pos[c] : c] <= bound) {
+      const uint32_t q = rows[r0 + t].query;
+      std::memcpy(qrows.data() + t * dim, query.View(q), dim * sizeof(float));
+      qn[t] =
+          query_norms != nullptr ? static_cast<double>(query_norms[q]) : 1.0;
+    }
+    cmp.resize(rlen * nslots);
+    ks->CmpTileNormed(qrows.data(), qn.data(), base, bnorms, rlen, nslots, dim,
+                      cmp.data());
+    ++stats->tiles_evaluated;
+    const uint64_t pairs = static_cast<uint64_t>(rlen) * nslots;
+    stats->distance_computations += pairs;
+    stats->sqrt_free_comparisons += pairs * pred.sqrt_saved();
+    for (size_t t = 0; t < rlen; ++t) {
+      const double* drow = cmp.data() + t * nslots;
+      for (size_t c = 0; c < nslots; ++c) {
+        if (survives(r0 + t, c) && drow[c] <= bound) {
           first[r0 + t] = static_cast<uint32_t>(c);
           break;
         }

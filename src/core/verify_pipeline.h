@@ -67,11 +67,9 @@ struct CandidateSet {
 /// slot list. A sweep of no more pairs than one dense 8x8 block (and every
 /// sweep of a metric without kernels) runs pair by pair in place: each row
 /// reads its own survivors up to its first match, Algorithm 2's pair set. A
-/// larger one runs the int8 quant tier first when enabled, then exact float
-/// tiles over the slots it cannot decide. The callers differ in one rule
-/// only. Verification needs existence, so a row with a provable int8 match
-/// is settled without any float work; a mapping needs the first witness,
-/// so the undecided slots before that match are float-checked first.
+/// larger one runs exact float tiles over every slot. Both callers take
+/// each row's first match in slot order: verification only asks whether it
+/// exists, a mapping records it as the row's witness.
 ///
 /// Determinism contract: because a column's pairs are always resolved by
 /// one shard, in ascending query order, with Lemma-7 kills and t_abs
@@ -154,21 +152,21 @@ class VerifyPipeline {
                      const float* repo_norms, std::vector<uint32_t>* match_map,
                      std::vector<uint8_t>* pruned, SearchStats* stats) const;
 
-  /// Resolves pairs blocks[i..i+k) of column `col` (a safe batch: no
+  /// Resolves pairs blocks[i..i+k) of one column (a safe batch: no
   /// skip-triggering transition can occur before the last pair), filling
   /// matched[0..k).
-  void EvaluateRun(const CandidateSet& cands, ColumnId col, size_t i,
-                   size_t k, const VectorStore& query,
+  void EvaluateRun(const CandidateSet& cands, size_t i, size_t k,
+                   const VectorStore& query,
                    const std::vector<double>& mapped_q, const JoinQuery& jq,
                    const float* query_norms, const float* repo_norms,
                    TileScratch* scratch, uint8_t* matched,
                    SearchStats* stats) const;
 
-  /// Resolves one group of `m` consecutive pairs of column `col` sharing an
+  /// Resolves one group of `m` consecutive pairs of one column sharing an
   /// identical range list: one gather, the Lemma-1 pivot pass per row, then
   /// SweepTile over the union of the rows' survivors.
-  void EvaluateGroup(const CandidateSet& cands, ColumnId col,
-                     const CandidateBlock* group, size_t m,
+  void EvaluateGroup(const CandidateSet& cands, const CandidateBlock* group,
+                     size_t m,
                      const VectorStore& query,
                      const std::vector<double>& mapped_q, const JoinQuery& jq,
                      const float* query_norms, const float* repo_norms,
@@ -188,22 +186,19 @@ class VerifyPipeline {
   };
 
   /// The one tile routine behind verification and mappings: checks `rows`
-  /// against `slots` (VecIds of column `col`; row t checks slot c only when
+  /// against `slots` (VecIds of one column; row t checks slot c only when
   /// rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and writes each
   /// row's first matching slot, or UINT32_MAX, to first[0..rows.size()).
   /// With rows x slots <= 8 x 8, or a metric without kernels, each row reads
   /// its survivors straight from the store in slot order and stops at its
   /// first match (RangePredicate::MatchNormed, one distance per pair read).
-  /// Otherwise it runs the int8 tier when the query enables it and the
-  /// index's codes fit the metric, then exact CmpTileNormed tiles over the
-  /// slots it cannot decide: with `first_witness` false a provable int8
-  /// match settles its row outright; with it true the undecided slots
-  /// before that match are float-checked first. Either way the answer is a
-  /// match, and with `first_witness` the row's first in slot order; the
-  /// kernels give a pair the same value on both paths.
+  /// Otherwise the slots are viewed in place (one contiguous VecId run) or
+  /// gathered, one exact CmpTileNormed tile runs per 8-row block, and each
+  /// row takes its first surviving slot within bound. The kernels give a
+  /// pair the same value on both paths.
   void SweepTile(std::span<const TileRow> rows, std::span<const VecId> slots,
-                 const uint32_t* mask_col, ColumnId col, bool first_witness,
-                 const VectorStore& query, const JoinQuery& jq,
+                 const uint32_t* mask_col, const VectorStore& query,
+                 const JoinQuery& jq,
                  const float* query_norms, const float* repo_norms,
                  TileScratch* scratch, uint32_t* first,
                  SearchStats* stats) const;

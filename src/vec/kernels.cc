@@ -185,47 +185,11 @@ void ScalarL1Tile(const float* qs, size_t nq, const float* base, size_t nv,
       &ScalarL1Many);
 }
 
-// int8 code tiles: plain int accumulation (widening to int32 per element);
-// exact by construction, so no lane-structure concerns — only speed.
-
-void ScalarI8SqTile(const int8_t* qs, size_t nq, const int8_t* base,
-                    size_t nv, uint32_t dim, int32_t* out) {
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      int32_t acc = 0;
-      for (uint32_t i = 0; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        acc += d * d;
-      }
-      out[r * nv + c] = acc;
-    }
-  }
-}
-
-void ScalarI8L1Tile(const int8_t* qs, size_t nq, const int8_t* base,
-                    size_t nv, uint32_t dim, int32_t* out) {
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      int32_t acc = 0;
-      for (uint32_t i = 0; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        acc += d < 0 ? -d : d;
-      }
-      out[r * nv + c] = acc;
-    }
-  }
-}
-
 constexpr Ops kScalarOps = {
     SimdLevel::kScalar, &ScalarSqL2,     &ScalarSqL2Many,
     &ScalarDot,         &ScalarDotMany,  &ScalarCosCore,
     &ScalarL1,          &ScalarL1Many,   &ScalarNorms,
     &ScalarSqL2Tile,    &ScalarDotTile,  &ScalarL1Tile,
-    &ScalarI8SqTile,    &ScalarI8L1Tile,
 };
 
 // ------------------------------------------------------------ dispatch

@@ -250,73 +250,6 @@ PEXESO_AVX2 void Avx2L1Tile(const float* qs, size_t nq, const float* base,
   Avx2Tile<AbsStep, AbsTerm>(qs, nq, base, nv, dim, out, &Avx2L1Many);
 }
 
-// int8 code tiles: widen 16 codes to int16 lanes, difference, then
-// madd_epi16 pair-sums into int32 lanes (|Δ| <= 254 so the pair products
-// fit comfortably). Integer arithmetic is exact, so these need none of the
-// float tiles' lane-structure care.
-
-PEXESO_AVX2 int32_t HSumI32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  return _mm_cvtsi128_si32(s);
-}
-
-PEXESO_AVX2 void Avx2I8SqTile(const int8_t* qs, size_t nq, const int8_t* base,
-                              size_t nv, uint32_t dim, int32_t* out) {
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      __m256i acc = _mm256_setzero_si256();
-      uint32_t i = 0;
-      for (; i + 16 <= dim; i += 16) {
-        const __m256i qa = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i)));
-        const __m256i vb = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i)));
-        const __m256i d = _mm256_sub_epi16(qa, vb);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, d));
-      }
-      int32_t tail = 0;
-      for (; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        tail += d * d;
-      }
-      out[r * nv + c] = HSumI32(acc) + tail;
-    }
-  }
-}
-
-PEXESO_AVX2 void Avx2I8L1Tile(const int8_t* qs, size_t nq, const int8_t* base,
-                              size_t nv, uint32_t dim, int32_t* out) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  for (size_t r = 0; r < nq; ++r) {
-    const int8_t* q = qs + r * dim;
-    for (size_t c = 0; c < nv; ++c) {
-      const int8_t* v = base + c * dim;
-      __m256i acc = _mm256_setzero_si256();
-      uint32_t i = 0;
-      for (; i + 16 <= dim; i += 16) {
-        const __m256i qa = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i)));
-        const __m256i vb = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i)));
-        const __m256i d = _mm256_abs_epi16(_mm256_sub_epi16(qa, vb));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, ones));
-      }
-      int32_t tail = 0;
-      for (; i < dim; ++i) {
-        const int32_t d = static_cast<int32_t>(q[i]) - v[i];
-        tail += d < 0 ? -d : d;
-      }
-      out[r * nv + c] = HSumI32(acc) + tail;
-    }
-  }
-}
-
 #undef PEXESO_AVX2
 
 constexpr Ops kAvx2Ops = {
@@ -324,7 +257,6 @@ constexpr Ops kAvx2Ops = {
     &Avx2Dot,         &Avx2DotMany, &Avx2CosCore,
     &Avx2L1,          &Avx2L1Many,  &Avx2Norms,
     &Avx2SqL2Tile,    &Avx2DotTile, &Avx2L1Tile,
-    &Avx2I8SqTile,    &Avx2I8L1Tile,
 };
 
 }  // namespace

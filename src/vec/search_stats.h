@@ -61,11 +61,7 @@ struct StatField {
      never on the shard layout, so the count is identical at any              \
      intra-query thread count. */                                             \
   X(12, uint64_t, tiles_evaluated, "search_tiles_evaluated", kSum)            \
-  /* Exact float tile slots skipped because the int8 quantized pre-filter     \
-     tier decided the pair conservatively (definite match or definite miss    \
-     with calibrated slack). Each skip is a distance computation the float    \
-     tier never ran; like tiles_evaluated it is independent of the shard      \
-     layout and thread count. */                                              \
+  /* Always 0: the int8 pre-filter tier is deleted; bench_e2e reads it. */    \
   X(13, uint64_t, quant_tile_skips, "search_quant_tile_skips", kSum)          \
   /* Largest number of candidate blocks any one verification shard owned —    \
      a shard-imbalance diagnostic. Unlike every other counter this merges     \

@@ -103,13 +103,11 @@ TEST_P(AblationExactnessTest, AblatedSearchStaysExact) {
     case 1: sopts.ablation.use_lemma34 = false; break;
     case 2: sopts.ablation.use_lemma7 = false; break;
     case 3: sopts.ablation.use_quick_browsing = false; break;
-    case 4: sopts.ablation.use_quant_prefilter = false; break;
-    case 5:
+    case 4:
       sopts.ablation.use_lemma1 = false;
       sopts.ablation.use_lemma34 = false;
       sopts.ablation.use_lemma7 = false;
       sopts.ablation.use_quick_browsing = false;
-      sopts.ablation.use_quant_prefilter = false;
       break;
     default: break;
   }
@@ -118,7 +116,7 @@ TEST_P(AblationExactnessTest, AblatedSearchStaysExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSwitches, AblationExactnessTest,
-                         ::testing::Range(0, 6));
+                         ::testing::Range(0, 5));
 
 TEST(PexesoSearchTest, EmptyQueryReturnsNothing) {
   L2Metric metric;

@@ -2,8 +2,7 @@
 // (src/core/verify_pipeline.{h,cc}): the column-sharded tiled search must
 // return byte-identical results to its own serial execution at every
 // intra-query thread count, across every lemma-ablation combination, with
-// exact-joinability mode on and off, with the int8 quant tier on and off, and
-// with record-mapping collection — and the whole thing must agree with a
+// exact-joinability mode on and off, and with record-mapping collection — and the whole thing must agree with a
 // brute-force scalar oracle.
 
 #include <gtest/gtest.h>
@@ -103,7 +102,6 @@ void ExpectSameCounters(const SearchStats& a, const SearchStats& b,
   EXPECT_EQ(a.early_joinable, b.early_joinable) << label;
   EXPECT_EQ(a.candidate_blocks, b.candidate_blocks) << label;
   EXPECT_EQ(a.tiles_evaluated, b.tiles_evaluated) << label;
-  EXPECT_EQ(a.quant_tile_skips, b.quant_tile_skips) << label;
 }
 
 std::vector<ColumnId> Columns(const std::vector<JoinableColumn>& r) {
@@ -117,10 +115,8 @@ class PipelineDeterminismTest : public ::testing::TestWithParam<const char*> {
 
 /// The acceptance matrix: serial pipeline == sharded pipeline at 1/2/8
 /// intra-query threads, across the lemma-ablation lattice, exact joinability
-/// on/off, quant tier on/off and with mapping collection — and the serial run
-/// matches the brute-force oracle. Quant on and off return byte-identical
-/// results, and every float slot the int8 tier skips is one distance the
-/// quant-off run computes.
+/// on/off and with mapping collection — and the serial run matches the
+/// brute-force oracle.
 TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
   auto metric = MakeTestMetric(GetParam());
   ASSERT_NE(metric, nullptr);
@@ -140,66 +136,46 @@ TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
     for (bool use_l7 : {true, false}) {
       for (bool exact : {false, true}) {
         for (bool mappings : {false, true}) {
-          std::vector<JoinableColumn> quant_on;
-          SearchStats quant_on_stats;
-          for (bool quant : {true, false}) {
-            JoinQuery sopts;
-            sopts.thresholds = ft.Resolve(*metric, dim, query.size());
-            sopts.ablation.use_lemma1 = use_l1;
-            sopts.ablation.use_lemma7 = use_l7;
-            sopts.ablation.use_quant_prefilter = quant;
-            sopts.mode = exact ? QueryMode::kExactJoinability
-                               : QueryMode::kThreshold;
-            sopts.collect_mappings = mappings;
-            const std::string label =
-                std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
-                " l7=" + std::to_string(use_l7) +
-                " exact=" + std::to_string(exact) +
-                " map=" + std::to_string(mappings) +
-                " quant=" + std::to_string(quant);
+          JoinQuery sopts;
+          sopts.thresholds = ft.Resolve(*metric, dim, query.size());
+          sopts.ablation.use_lemma1 = use_l1;
+          sopts.ablation.use_lemma7 = use_l7;
+          sopts.mode =
+              exact ? QueryMode::kExactJoinability : QueryMode::kThreshold;
+          sopts.collect_mappings = mappings;
+          const std::string label =
+              std::string(GetParam()) + " l1=" + std::to_string(use_l1) +
+              " l7=" + std::to_string(use_l7) +
+              " exact=" + std::to_string(exact) +
+              " map=" + std::to_string(mappings);
 
-            SearchStats serial_stats;
-            const auto serial =
-                MustSearch(searcher, query, sopts, &serial_stats);
+          SearchStats serial_stats;
+          const auto serial = MustSearch(searcher, query, sopts, &serial_stats);
 
-            // Oracle agreement: the joinable set is always identical; the
-            // counts are exact whenever the search reports exact counts
-            // (exact mode, or the mapping post-pass upgrade).
-            const auto oracle = OracleJoin(catalog, *metric, query,
-                                           sopts.thresholds, mappings);
-            ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
-            if (exact || mappings) {
-              for (size_t i = 0; i < serial.size(); ++i) {
-                EXPECT_EQ(serial[i].match_count, oracle[i].match_count)
-                    << label;
-              }
+          // Oracle agreement: the joinable set is always identical; the
+          // counts are exact whenever the search reports exact counts
+          // (exact mode, or the mapping post-pass upgrade).
+          const auto oracle = OracleJoin(catalog, *metric, query,
+                                         sopts.thresholds, mappings);
+          ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
+          if (exact || mappings) {
+            for (size_t i = 0; i < serial.size(); ++i) {
+              EXPECT_EQ(serial[i].match_count, oracle[i].match_count) << label;
             }
-            if (mappings) {
-              ExpectByteIdentical(serial, oracle, label + " vs oracle");
-            }
+          }
+          if (mappings) {
+            ExpectByteIdentical(serial, oracle, label + " vs oracle");
+          }
 
-            if (quant) {
-              quant_on = serial;
-              quant_on_stats = serial_stats;
-            } else {
-              ExpectByteIdentical(quant_on, serial, label + " vs quant on");
-              EXPECT_EQ(serial_stats.quant_tile_skips, 0u) << label;
-              EXPECT_EQ(quant_on_stats.distance_computations +
-                            quant_on_stats.quant_tile_skips,
-                        serial_stats.distance_computations)
-                  << label;
-            }
-
-            for (size_t threads : {1, 2, 8}) {
-              JoinQuery topts = sopts;
-              topts.intra_query_threads = threads;
-              SearchStats tstats;
-              const auto threaded = MustSearch(searcher, query, topts, &tstats);
-              const std::string at =
-                  label + " threads=" + std::to_string(threads);
-              ExpectByteIdentical(threaded, serial, at);
-              ExpectSameCounters(tstats, serial_stats, at);
-            }
+          for (size_t threads : {1, 2, 8}) {
+            JoinQuery topts = sopts;
+            topts.intra_query_threads = threads;
+            SearchStats tstats;
+            const auto threaded = MustSearch(searcher, query, topts, &tstats);
+            const std::string at =
+                label + " threads=" + std::to_string(threads);
+            ExpectByteIdentical(threaded, serial, at);
+            ExpectSameCounters(tstats, serial_stats, at);
           }
         }
       }
@@ -365,70 +341,63 @@ TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
     const VectorStore& query = lake.query;
     const ColumnMeta& meta = index.catalog().column(0);
     ASSERT_LE(query.size() * meta.count, 64u);  // one sweep, under a block
-    for (bool quant : {true, false}) {
-      JoinQuery jq;
-      jq.thresholds.tau = 0.12 * metric->MaxUnitDistance(8);
-      jq.ablation.use_quant_prefilter = quant;
-      const std::string label =
-          std::string(name) + " quant=" + std::to_string(quant);
+    JoinQuery jq;
+    jq.thresholds.tau = 0.12 * metric->MaxUnitDistance(8);
 
-      // The pairs Algorithm 2 computes, spelled out: Lemma 1 masks the
-      // whole column (it fits one vec-tile), then each record reads its
-      // survivors in order up to its first match.
-      const RangePredicate pred(*metric, jq.thresholds.tau);
-      const uint32_t np = index.pivots().num_pivots();
-      const std::vector<double> mapped_q =
-          index.pivots().MapAll(query.raw().data(), query.size());
-      uint64_t read = 0, filtered = 0, matched = 0;
-      std::vector<RecordMatch> want;
-      for (uint32_t q = 0; q < query.size(); ++q) {
-        bool found = false;
-        for (VecId v = meta.first; v < meta.end(); ++v) {
-          const double* mx = index.MappedVec(v);
-          bool out = false;
-          for (uint32_t p = 0; p < np; ++p) {
-            out |= std::fabs(mapped_q[q * np + p] - mx[p]) > jq.thresholds.tau;
-          }
-          if (out) {
-            ++filtered;
-            continue;
-          }
-          if (found) continue;
-          ++read;
-          if (metric->Dist(query.View(q), index.catalog().store().View(v),
-                           8) <= jq.thresholds.tau) {
-            ++matched;
-            found = true;
-            want.push_back(RecordMatch{q, v});
-          }
+    // The pairs Algorithm 2 computes, spelled out: Lemma 1 masks the
+    // whole column (it fits one vec-tile), then each record reads its
+    // survivors in order up to its first match.
+    const RangePredicate pred(*metric, jq.thresholds.tau);
+    const uint32_t np = index.pivots().num_pivots();
+    const std::vector<double> mapped_q =
+        index.pivots().MapAll(query.raw().data(), query.size());
+    uint64_t read = 0, filtered = 0, matched = 0;
+    std::vector<RecordMatch> want;
+    for (uint32_t q = 0; q < query.size(); ++q) {
+      bool found = false;
+      for (VecId v = meta.first; v < meta.end(); ++v) {
+        const double* mx = index.MappedVec(v);
+        bool out = false;
+        for (uint32_t p = 0; p < np; ++p) {
+          out |= std::fabs(mapped_q[q * np + p] - mx[p]) > jq.thresholds.tau;
+        }
+        if (out) {
+          ++filtered;
+          continue;
+        }
+        if (found) continue;
+        ++read;
+        if (metric->Dist(query.View(q), index.catalog().store().View(v),
+                         8) <= jq.thresholds.tau) {
+          ++matched;
+          found = true;
+          want.push_back(RecordMatch{q, v});
         }
       }
-      // Not vacuous: Lemma 1 filters, some survivor misses, some matches.
-      ASSERT_GT(filtered, 0u) << label;
-      ASSERT_GT(read, matched) << label;
-      ASSERT_GT(matched, 0u) << label;
+    }
+    // Not vacuous: Lemma 1 filters, some survivor misses, some matches.
+    ASSERT_GT(filtered, 0u) << name;
+    ASSERT_GT(read, matched) << name;
+    ASSERT_GT(matched, 0u) << name;
 
-      SearchStats stats;
-      const JoinableColumn jc = MapOneColumn(index, query, 0, jq, &stats);
-      EXPECT_EQ(stats.distance_computations, read) << label;
-      EXPECT_EQ(stats.sqrt_free_comparisons, read * pred.sqrt_saved())
-          << label;
-      EXPECT_EQ(stats.lemma1_filtered, filtered) << label;
-      EXPECT_EQ(stats.tiles_evaluated, 0u) << label;
-      EXPECT_EQ(stats.quant_tile_skips, 0u) << label;
-      ASSERT_EQ(jc.mapping.size(), want.size()) << label;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(jc.mapping[i].query_index, want[i].query_index) << label;
-        EXPECT_EQ(jc.mapping[i].target_vec, want[i].target_vec) << label;
-      }
+    SearchStats stats;
+    const JoinableColumn jc = MapOneColumn(index, query, 0, jq, &stats);
+    EXPECT_EQ(stats.distance_computations, read) << name;
+    EXPECT_EQ(stats.sqrt_free_comparisons, read * pred.sqrt_saved())
+        << name;
+    EXPECT_EQ(stats.lemma1_filtered, filtered) << name;
+    EXPECT_EQ(stats.tiles_evaluated, 0u) << name;
+    ASSERT_EQ(jc.mapping.size(), want.size()) << name;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(jc.mapping[i].query_index, want[i].query_index) << name;
+      EXPECT_EQ(jc.mapping[i].target_vec, want[i].target_vec) << name;
     }
   }
 }
 
 /// A record's first witness does not depend on the sweep's shape: the same
 /// records mapped alone (a sub-block sweep, pair by pair) and among enough
-/// others to fill dense tiles (int8 tier and float tiles) name the same
-/// vectors, with the quant tier on and off.
+/// others to fill dense tiles name the same vectors.
 TEST(PipelineTest, FirstWitnessIsTheSameInSubBlockAndDenseSweeps) {
   for (const char* name : {"l2", "l1", "cosine"}) {
     auto metric = MakeTestMetric(name);
@@ -440,78 +409,24 @@ TEST(PipelineTest, FirstWitnessIsTheSameInSubBlockAndDenseSweeps) {
         PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
     VectorStore small(8);
     small.Add(std::vector<float>(lake.query.View(0), lake.query.View(0) + 8));
-    for (bool quant : {true, false}) {
-      JoinQuery jq;
-      jq.thresholds.tau = 0.1 * metric->MaxUnitDistance(8);
-      jq.ablation.use_quant_prefilter = quant;
-      const std::string label =
-          std::string(name) + " quant=" + std::to_string(quant);
-      SearchStats dense_stats, small_stats;
-      const JoinableColumn dense =
-          MapOneColumn(index, lake.query, 0, jq, &dense_stats);
-      const JoinableColumn alone = MapOneColumn(index, small, 0, jq,
-                                                &small_stats);
-      EXPECT_GT(dense_stats.tiles_evaluated + dense_stats.quant_tile_skips,
-                0u)
-          << label << ": the full query must fill a dense tile";
-      EXPECT_EQ(small_stats.tiles_evaluated + small_stats.quant_tile_skips,
-                0u)
-          << label << ": one record against 40 vectors is under a block";
-      ASSERT_EQ(alone.mapping.size(), 1u) << label;
-      ASSERT_FALSE(dense.mapping.empty()) << label;
-      ASSERT_EQ(dense.mapping[0].query_index, 0u) << label;
-      EXPECT_EQ(alone.mapping[0].target_vec, dense.mapping[0].target_vec)
-          << label;
-      // Not vacuous: the witness is not simply the column's first vector.
-      EXPECT_GT(alone.mapping[0].target_vec, index.catalog().column(0).first)
-          << label;
-    }
-  }
-}
-
-/// distances + quant skips (quant on) == distances (quant off) on a lake
-/// whose sweeps take both shapes. Six 3-vector columns can only give
-/// sub-block sweeps (16 records x 3 slots < 64 pairs); a 120-vector column
-/// fills dense tiles. Deleting the big column afterwards leaves the same
-/// index with sub-block sweeps only: they count distances and run no tile.
-TEST(PipelineTest, QuantInvariantHoldsOverSubBlockAndDenseSweeps) {
-  for (const char* name : {"l2", "l1"}) {
-    auto metric = MakeTestMetric(name);
-    OneClusterLake lake =
-        MakeOneClusterLake(87, 8, {3, 3, 3, 3, 3, 3, 120}, 16, 0.08);
-    PexesoOptions popts;
-    popts.num_pivots = 3;
-    popts.levels = 3;
-    PexesoIndex index =
-        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
-    PexesoSearcher searcher(&index);
     JoinQuery jq;
     jq.thresholds.tau = 0.1 * metric->MaxUnitDistance(8);
-    jq.thresholds.t_abs = 8;
-    jq.mode = QueryMode::kExactJoinability;
-
-    // Quant on and off: identical results, and every skipped slot is one
-    // distance of the quant-off run.
-    const auto run_both = [&](const std::string& label) {
-      JoinQuery on = jq, off = jq;
-      off.ablation.use_quant_prefilter = false;
-      SearchStats on_stats, off_stats;
-      const auto on_res = MustSearch(searcher, lake.query, on, &on_stats);
-      const auto off_res = MustSearch(searcher, lake.query, off, &off_stats);
-      ExpectByteIdentical(on_res, off_res, label);
-      EXPECT_EQ(off_stats.quant_tile_skips, 0u) << label;
-      EXPECT_EQ(on_stats.distance_computations + on_stats.quant_tile_skips,
-                off_stats.distance_computations)
-          << label;
-      return off_stats;
-    };
-    const SearchStats mixed = run_both(std::string(name) + " mixed");
-    EXPECT_GT(mixed.tiles_evaluated, 0u) << name;
-    index.DeleteColumn(6);
-    const SearchStats sub_block = run_both(std::string(name) + " sub-block");
-    EXPECT_EQ(sub_block.tiles_evaluated, 0u) << name;
-    EXPECT_GT(sub_block.distance_computations, 0u) << name;
-    EXPECT_LT(sub_block.distance_computations, mixed.distance_computations)
+    SearchStats dense_stats, small_stats;
+    const JoinableColumn dense =
+        MapOneColumn(index, lake.query, 0, jq, &dense_stats);
+    const JoinableColumn alone = MapOneColumn(index, small, 0, jq,
+                                              &small_stats);
+    EXPECT_GT(dense_stats.tiles_evaluated, 0u)
+        << name << ": the full query must fill a dense tile";
+    EXPECT_EQ(small_stats.tiles_evaluated, 0u)
+        << name << ": one record against 40 vectors is under a block";
+    ASSERT_EQ(alone.mapping.size(), 1u) << name;
+    ASSERT_FALSE(dense.mapping.empty()) << name;
+    ASSERT_EQ(dense.mapping[0].query_index, 0u) << name;
+    EXPECT_EQ(alone.mapping[0].target_vec, dense.mapping[0].target_vec)
+        << name;
+    // Not vacuous: the witness is not simply the column's first vector.
+    EXPECT_GT(alone.mapping[0].target_vec, index.catalog().column(0).first)
         << name;
   }
 }

@@ -1,10 +1,9 @@
 // Snapshot format tests: flat mmap round trips and the FIFO (heap) load,
 // the byte-parity matrix over {mapped, materialized} x engines x intra-query
-// thread counts, the quant pre-filter's exactness contract (identical
-// results AND the counter invariant dc(on) + skips(on) == dc(off)), the
-// bit-flip/truncation corpus, the CRC-valid structural-mutant corpus, the
-// refusal of pre-flat (and future) disk versions, and the cache's
-// mapped-bytes accounting.
+// thread counts, the load of images that still carry the retired int8
+// quant sections, the bit-flip/truncation corpus, the CRC-valid
+// structural-mutant corpus, the refusal of pre-flat (and future) disk
+// versions, and the cache's mapped-bytes accounting.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -74,6 +73,7 @@ constexpr uint64_t kHdrVersion = 4;
 constexpr uint64_t kHdrDim = 25;
 constexpr uint64_t kHdrNumVectors = 29;
 constexpr uint64_t kHdrNumVecIds = 45;
+constexpr uint64_t kHdrReserved = 53;  // the retired quant-tier flag
 constexpr uint64_t kHdrNumSections = 54;
 constexpr uint64_t kHdrTable = 58;
 // On-disk section kinds used below.
@@ -154,13 +154,11 @@ class SnapshotTest : public ::testing::Test {
     });
   }
 
-  static JoinQuery MakeJoinQuery(size_t query_size, bool quant,
-                                 size_t threads) {
+  static JoinQuery MakeJoinQuery(size_t query_size, size_t threads) {
     FractionalThresholds ft{0.07, 0.4};
     JoinQuery jq;
     jq.thresholds = ft.Resolve(*metric_, kDim, query_size);
     jq.collect_mappings = true;
-    jq.ablation.use_quant_prefilter = quant;
     jq.intra_query_threads = threads;
     return jq;
   }
@@ -180,7 +178,6 @@ TEST_F(SnapshotTest, FlatRoundTripIsMapped) {
   EXPECT_EQ(flat.MappedBytes(), std::filesystem::file_size(FlatPath()));
   EXPECT_EQ(flat.catalog().num_columns(), built_->catalog().num_columns());
   EXPECT_EQ(flat.catalog().num_vectors(), built_->catalog().num_vectors());
-  EXPECT_TRUE(flat.quant().valid());
 }
 
 /// A FIFO cannot be mapped: its bytes are read once, parsed by the same
@@ -198,11 +195,8 @@ TEST_F(SnapshotTest, FifoLoadIsMaterialized) {
   VectorStore query = MakeClusteredQuery(7301, kDim, 14);
   PexesoSearcher ref_engine(built_);
   PexesoSearcher heap_engine(&heap);
-  for (bool quant : {false, true}) {
-    ExpectIdenticalResults(
-        MustSearch(ref_engine, query, MakeJoinQuery(14, quant, 0)),
-        MustSearch(heap_engine, query, MakeJoinQuery(14, quant, 0)));
-  }
+  ExpectIdenticalResults(MustSearch(ref_engine, query, MakeJoinQuery(14, 0)),
+                         MustSearch(heap_engine, query, MakeJoinQuery(14, 0)));
 }
 
 TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
@@ -210,24 +204,23 @@ TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
   ASSERT_TRUE(flat.is_mapped());
   VectorStore query = MakeClusteredQuery(7301, kDim, 12);
   PexesoSearcher before(&flat);
-  auto reference = MustSearch(before, query, MakeJoinQuery(12, true, 0));
+  auto reference = MustSearch(before, query, MakeJoinQuery(12, 0));
 
   flat.Materialize();
   EXPECT_FALSE(flat.is_mapped());
   EXPECT_EQ(flat.MappedBytes(), 0u);
   PexesoSearcher after(&flat);
-  auto owned = MustSearch(after, query, MakeJoinQuery(12, true, 0));
+  auto owned = MustSearch(after, query, MakeJoinQuery(12, 0));
   ExpectIdenticalResults(reference, owned);
 }
 
 /// The acceptance matrix: {mapped, materialized heap copy} x {pexeso,
-/// pexeso-h} x intra thread count x quant on/off answers byte-identically
-/// to the freshly-built in-memory index with everything off.
+/// pexeso-h} x intra thread count answers byte-identically to the
+/// freshly-built in-memory index searched serially.
 TEST_F(SnapshotTest, FormatParityMatrixAcrossEnginesAndThreads) {
   VectorStore query = MakeClusteredQuery(7301, kDim, 14);
   PexesoSearcher ref_engine(built_);
-  auto reference =
-      MustSearch(ref_engine, query, MakeJoinQuery(14, false, 0));
+  auto reference = MustSearch(ref_engine, query, MakeJoinQuery(14, 0));
   ASSERT_FALSE(reference.empty());  // the matrix must compare real matches
 
   for (bool materialize : {false, true}) {
@@ -240,46 +233,94 @@ TEST_F(SnapshotTest, FormatParityMatrixAcrossEnginesAndThreads) {
          {static_cast<const JoinSearchEngine*>(&pexeso),
           static_cast<const JoinSearchEngine*>(&pexeso_h)}) {
       for (size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-        for (bool quant : {false, true}) {
-          auto got = MustSearch(*engine, query,
-                                MakeJoinQuery(14, quant, threads));
-          ExpectIdenticalResults(reference, got);
-        }
+        auto got = MustSearch(*engine, query, MakeJoinQuery(14, threads));
+        ExpectIdenticalResults(reference, got);
       }
     }
   }
 }
 
-/// The quant tier is a pure pre-filter: identical results, and every float
-/// distance it skips is accounted for — dc(on) + skips(on) == dc(off).
-TEST_F(SnapshotTest, QuantCounterInvariant) {
-  PexesoIndex index = MustLoad(FlatPath());
-  PexesoSearcher engine(&index);
-  VectorStore query = MakeClusteredQuery(7301, kDim, 14);
+/// Snapshots written while the int8 quant tier existed carry its header
+/// flag set and three more sections (kinds 10-12) after the nine this
+/// build writes. Rebuilt in that layout from today's image, with the CRC
+/// refreshed, such a file passes VerifySnapshot (what fsck runs), loads,
+/// and answers byte-identically to the index it was saved from.
+TEST_F(SnapshotTest, ImageWithRetiredQuantSectionsLoads) {
+  namespace fs = std::filesystem;
+  const std::string bytes = ReadFileBytes(FlatPath());
+  ASSERT_EQ(At<uint8_t>(bytes, kHdrReserved), 0u);
+  const uint32_t nsec = At<uint32_t>(bytes, kHdrNumSections);
+  ASSERT_EQ(nsec, 9u);
+  const uint64_t nvec = At<uint64_t>(bytes, kHdrNumVectors);
 
-  SearchStats off_stats;
-  auto off = MustSearch(engine, query, MakeJoinQuery(14, false, 0),
-                        &off_stats);
-  EXPECT_EQ(off_stats.quant_tile_skips, 0u);
-  ASSERT_GT(off_stats.distance_computations, 0u);
-
-  SearchStats on_stats;
-  auto on = MustSearch(engine, query, MakeJoinQuery(14, true, 0), &on_stats);
-  ExpectIdenticalResults(off, on);
-  EXPECT_GT(on_stats.quant_tile_skips, 0u);  // the tier must actually fire
-  EXPECT_EQ(on_stats.distance_computations + on_stats.quant_tile_skips,
-            off_stats.distance_computations);
-
-  // The counters themselves are part of the determinism contract: same
-  // totals at any intra-query thread count.
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    SearchStats t_stats;
-    auto got =
-        MustSearch(engine, query, MakeJoinQuery(14, true, threads), &t_stats);
-    ExpectIdenticalResults(off, got);
-    EXPECT_EQ(t_stats.distance_computations, on_stats.distance_computations);
-    EXPECT_EQ(t_stats.quant_tile_skips, on_stats.quant_tile_skips);
+  struct Section {
+    uint32_t kind;
+    std::string payload;
+  };
+  std::vector<Section> sections;
+  for (uint32_t i = 0; i < nsec; ++i) {
+    const uint64_t entry = kHdrTable + 24 * uint64_t{i};
+    const uint64_t off = At<uint64_t>(bytes, entry + 8);
+    const uint64_t len = At<uint64_t>(bytes, entry + 16);
+    sections.push_back({At<uint32_t>(bytes, entry), bytes.substr(off, len)});
   }
+  // Quant metadata (kind, two slacks, column count, a scale/offset pair per
+  // column), int8 codes and one float error per vector. The loader never
+  // reads them, so their contents only need the old shapes.
+  const uint64_t ncols = built_->catalog().num_columns();
+  sections.push_back({10, std::string(1 + 8 + 8 + 8 + 8 * ncols, '\x01')});
+  sections.push_back({11, std::string(nvec * kDim, '\x7f')});
+  sections.push_back({12, std::string(nvec * sizeof(float), '\x3c')});
+
+  // The table first, each section at the next 64-byte boundary as Save
+  // places it, then the payloads at those offsets and a footer.
+  const auto align64 = [](uint64_t n) { return (n + 63) / 64 * 64; };
+  std::string image = bytes.substr(0, kHdrTable);
+  Put<uint8_t>(&image, kHdrReserved, 1);
+  Put<uint32_t>(&image, kHdrNumSections,
+                static_cast<uint32_t>(sections.size()));
+  const auto put = [&image](const auto& v) {
+    image.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  uint64_t cursor = align64(kHdrTable + 24 * sections.size());
+  for (const Section& s : sections) {
+    put(s.kind);
+    put(uint32_t{0});
+    put(cursor);
+    put(uint64_t{s.payload.size()});
+    cursor = align64(cursor + s.payload.size());
+  }
+  for (const Section& s : sections) {
+    image.resize(align64(image.size()), '\0');
+    image += s.payload;
+  }
+  image.append(8, '\0');
+  RefreshChecksumFooter(&image);
+  ASSERT_GT(image.size(), bytes.size());
+
+  const std::string path = *dir_ + "/with_quant.pxso";
+  WriteFileBytes(path, image);
+  ASSERT_TRUE(PexesoIndex::VerifySnapshot(path).ok());
+  PexesoIndex legacy = MustLoad(path);
+  ASSERT_TRUE(legacy.is_mapped());
+  EXPECT_EQ(legacy.MappedBytes(), image.size());
+
+  VectorStore query = MakeClusteredQuery(7301, kDim, 14);
+  PexesoSearcher ref_engine(built_);
+  PexesoSearcher legacy_engine(&legacy);
+  const auto reference = MustSearch(ref_engine, query, MakeJoinQuery(14, 0));
+  ASSERT_FALSE(reference.empty());
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    ExpectIdenticalResults(
+        reference, MustSearch(legacy_engine, query,
+                              MakeJoinQuery(14, threads)));
+  }
+  // Saving it again drops the retired sections: the image is today's.
+  const std::string resaved = *dir_ + "/resaved.pxso";
+  ASSERT_TRUE(legacy.Save(resaved).ok());
+  EXPECT_EQ(ReadFileBytes(resaved), bytes);
+  fs::remove(path);
+  fs::remove(resaved);
 }
 
 /// Truncation / bit-flip corpus against the flat load path: every mutant

@@ -14,7 +14,6 @@
 #include "vec/column_catalog.h"
 #include "vec/search_stats.h"
 #include "vec/metric.h"
-#include "vec/quant.h"
 #include "vec/vector_store.h"
 
 namespace pexeso {
@@ -303,99 +302,6 @@ TEST(SearchStatsTest, AccumulateAndReset) {
   });
   EXPECT_FALSE(ab.SetFieldBits(0xFFFF, 1));  // an id this build lacks
   EXPECT_FALSE(ab.SetFieldBits(8, 1));       // a retired id
-}
-
-/// The quantizer's per-element definition, written out: (x - offset) /
-/// scale rounded to nearest with ties to even, clamped to ±127, a NaN coded
-/// -127; the error norm accumulated in element order and padded.
-double ReferenceQuantize(const float* x, uint32_t dim, QuantColumnParam p,
-                         MetricKind kind, int8_t* out) {
-  double eps = 0.0;
-  for (uint32_t i = 0; i < dim; ++i) {
-    const float t = (x[i] - p.offset) / p.scale;
-    float code = std::isnan(t) ? -127.0f : std::nearbyint(t);
-    code = std::min(127.0f, std::max(-127.0f, code));
-    out[i] = static_cast<int8_t>(code);
-    const double d = static_cast<double>(x[i]) -
-                     (static_cast<double>(p.scale) * out[i] +
-                      static_cast<double>(p.offset));
-    eps += kind == MetricKind::kL1 ? std::fabs(d) : d * d;
-  }
-  if (kind != MetricKind::kL1) eps = std::sqrt(eps);
-  return eps * (1.0 + 1e-6) + 1e-12;
-}
-
-TEST(QuantStoreTest, QuantizeQueryMatchesScalarReference) {
-  // Ties at every .5 (to even, both signs, next to the clamp), values past
-  // ±127, a NaN and the infinities, over dims that leave a SIMD tail.
-  const std::vector<float> values = {
-      0.5f,   1.5f,   2.5f,    -0.5f,  -1.5f,   -2.5f, 126.5f,
-      -126.5f, 127.4f, 127.5f, -127.5f, 300.0f, -1e6f, 1e9f,
-      std::nanf(""), INFINITY, -INFINITY, 3.7f, -2.2f, 0.0f};
-  for (MetricKind kind : {MetricKind::kL2, MetricKind::kL1}) {
-    for (uint32_t dim : {1u, 3u, 7u, 9u, 15u, 17u, 33u}) {
-      // Column 0 spans [-127, 127] (scale 1, offset 0: codes are the
-      // rounded values themselves); column 1 has an awkward scale/offset.
-      ColumnCatalog catalog(dim);
-      std::vector<float> c0(2 * dim, 0.0f);
-      c0[0] = -127.0f;
-      c0[dim] = 127.0f;
-      catalog.AddColumn(ColumnMeta{}, c0.data(), 2);
-      std::vector<float> c1(3 * dim);
-      for (size_t i = 0; i < c1.size(); ++i) c1[i] = 0.3f + 0.37f * (i % 7);
-      catalog.AddColumn(ColumnMeta{}, c1.data(), 3);
-      QuantStore quant;
-      quant.Build(catalog, kind);
-      ASSERT_TRUE(quant.valid());
-      ASSERT_EQ(quant.param(0).scale, 1.0f);
-      ASSERT_EQ(quant.param(0).offset, 0.0f);
-
-      for (size_t start = 0; start < values.size(); ++start) {
-        std::vector<float> q(dim);
-        for (uint32_t i = 0; i < dim; ++i) {
-          q[i] = values[(start + i) % values.size()];
-        }
-        for (ColumnId c : {0u, 1u}) {
-          std::vector<int8_t> got(dim), want(dim);
-          const double got_eps = quant.QuantizeQuery(q.data(), c, got.data());
-          const double want_eps = ReferenceQuantize(
-              q.data(), dim, quant.param(c), kind, want.data());
-          const std::string label = "dim=" + std::to_string(dim) +
-                                    " start=" + std::to_string(start) +
-                                    " column=" + std::to_string(c);
-          EXPECT_EQ(got, want) << label;
-          if (std::isnan(want_eps)) {
-            EXPECT_TRUE(std::isnan(got_eps)) << label;
-          } else {
-            EXPECT_EQ(got_eps, want_eps) << label;
-          }
-        }
-      }
-      // Scale 1: the ties land on even codes, the clamps on ±127.
-      std::vector<float> ties = {0.5f, 1.5f, 2.5f, -2.5f, 126.5f, 127.5f,
-                                 -127.5f, std::nanf("")};
-      ties.resize(dim, 0.0f);
-      std::vector<int8_t> codes(dim);
-      quant.QuantizeQuery(ties.data(), 0, codes.data());
-      const std::vector<int8_t> expect = {0, 2, 2, -2, 126, 127, -127, -127};
-      for (uint32_t i = 0; i < std::min<uint32_t>(dim, 8); ++i) {
-        EXPECT_EQ(codes[i], expect[i]) << "dim=" << dim << " i=" << i;
-      }
-
-      // Stored codes come from the same quantizer.
-      for (VecId v = 0; v < catalog.num_vectors(); ++v) {
-        const ColumnId c = v < 2 ? 0 : 1;
-        std::vector<int8_t> want(dim);
-        const double eps = ReferenceQuantize(catalog.store().View(v), dim,
-                                             quant.param(c), kind,
-                                             want.data());
-        EXPECT_EQ(std::vector<int8_t>(quant.codes() + v * dim,
-                                      quant.codes() + (v + 1) * dim),
-                  want);
-        EXPECT_EQ(quant.err()[v], static_cast<float>(eps));
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -175,7 +175,7 @@ fi
 "$BUILD_DIR/pexeso_cli" stats --connect "127.0.0.1:$SMOKE_PORT" \
   > "$SMOKE_DIR/stats.txt"
 for field in queries_completed admission_inflight search_distance_computations \
-    search_quant_tile_skips cache_hits cache_misses cache_bytes_mapped; do
+    search_tiles_evaluated cache_hits cache_misses cache_bytes_mapped; do
   if ! grep -q "$field" "$SMOKE_DIR/stats.txt"; then
     echo "loopback smoke: STATS lacks $field" >&2
     exit 1
@@ -274,7 +274,8 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # server paths are exactly where a length-prefix over-read would live.
   # snapshot_test joins for the mmap load path: section-table validation
   # over the corruption corpus is where an out-of-bounds view binding
-  # would hide, and the quant tier's int8 kernels run under UBSan here.
+  # would hide, and the image that still carries the retired section
+  # kinds exercises the loader's skip of table entries it does not bind.
   # shard_test joins for the coordinator: hedge losers are cancelled and
   # joined while the winner's outcome is being moved out — exactly where a
   # use-after-scope on the attempt frame would live. part_conformance_test
