@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
+#include <vector>
 
 #include "datagen/vector_lake.h"
 #include "lake/lake_manager.h"
@@ -111,24 +113,26 @@ int main() {
 
   serve::ServeSession session(&parts, {.num_threads = 4});
   std::mutex print_mu;
-  session.SubmitStreaming(make_request(0),
-                          [&](const serve::StreamChunk& chunk) {
-                            std::lock_guard<std::mutex> lock(print_mu);
-                            std::printf(
-                                "  [stream] query 0, part %zu/%zu: %zu "
-                                "joinable column(s)%s\n",
-                                chunk.part + 1, chunk.parts_total,
-                                chunk.results.size(),
-                                chunk.last ? " (done)" : "");
-                          });
+  std::vector<std::future<serve::QueryOutcome>> futures;
+  futures.push_back(session.Submit(
+      make_request(0), [&](const serve::StreamChunk& chunk) {
+        std::lock_guard<std::mutex> lock(print_mu);
+        std::printf("  [stream] query 0, part %zu/%zu: %zu joinable "
+                    "column(s)%s\n",
+                    chunk.part + 1, chunk.parts_total, chunk.results.size(),
+                    chunk.last ? " (done)" : "");
+      }));
   for (size_t i = 1; i < kQueries; ++i) {
-    session.Submit(make_request(i));
+    futures.push_back(session.Submit(make_request(i)));
   }
-  auto outcomes = session.Drain();
 
-  // 5. Outcomes arrive in submission order with deterministic merged
-  // results (byte-identical to the engine's serial Execute: the session
-  // runs each part through the same PartRunner).
+  std::vector<serve::QueryOutcome> outcomes;
+  for (auto& future : futures) outcomes.push_back(future.get());
+
+  // 5. Futures read in submission order give the outcomes in that order,
+  // with deterministic merged results (byte-identical to the engine's
+  // serial Execute: the session runs each part through the same
+  // PartRunner).
   std::printf("\nserved %zu queries:\n", outcomes.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].status.ok()) {

@@ -440,7 +440,7 @@ void PexesoServer::StartJob(uint64_t job_id) {
   auto pushed = floor == nullptr
                     ? nullptr
                     : std::make_shared<std::atomic<uint32_t>>(query.topk_floor);
-  session_->SubmitStreaming(
+  session_->Submit(
       query,
       [this, job_id, conn_id, client_query_id, floor, pushed](
           const serve::StreamChunk& chunk) {

@@ -38,7 +38,7 @@ namespace pexeso::net {
 /// Conversation: the client opens with kHello (protocol version + tenant
 /// id) and waits for kHelloAck. Afterwards it may pipeline any number of
 /// kQuery frames (client-assigned ids); the server streams kChunk frames —
-/// one per partition, exactly as ServeSession::SubmitStreaming produces
+/// one per partition, exactly as ServeSession's chunk callback produces
 /// them, racing across queries — and terminates each query with one kDone
 /// frame (final status + merge flag + SearchStats). kStats at any time
 /// yields one kStatsText metrics snapshot. kCancel aborts a running query

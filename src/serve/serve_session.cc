@@ -1,6 +1,8 @@
 #include "serve/serve_session.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,21 +13,18 @@
 namespace pexeso::serve {
 
 struct ServeSession::QueryState {
-  uint64_t ticket = 0;
   JoinQuery query;
-  ChunkCallback on_chunk;      ///< null for non-streaming submits
-  OutcomeCallback on_outcome;  ///< null unless push-notified streaming
-  bool want_future = false;
-  std::promise<QueryOutcome> promise;
+  ChunkCallback on_chunk;  ///< null when the caller wants no chunks
+  OutcomeCallback on_outcome;
   /// The query's part loop, one task per part; null when the engine runs
   /// as a single Execute task (in-memory engines, zero-part shards).
   std::unique_ptr<PartRunner> runner;
 
   size_t parts_total = 1;
-  /// Serializes chunk callbacks of this query and guards parts_done,
-  /// failure and the finalize step. Per-part slots (here and in the runner)
-  /// are lock-free: each part task writes only its own index, and the
-  /// finalizer observes every write through the parts_done increments
+  /// Serializes chunk callbacks of this query and guards parts_done and
+  /// failure. Per-part slots (here and in the runner) are lock-free: each
+  /// part task writes only its own index, and the task that completes the
+  /// last part observes every write through the parts_done increments
   /// under this mutex.
   std::mutex mu;
   size_t parts_done = 0;
@@ -37,8 +36,6 @@ struct ServeSession::QueryState {
   /// An exception escaped a search or a chunk callback: it fails the query
   /// outright (first one wins).
   Status failure;
-
-  QueryOutcome outcome;  ///< valid once every part is done
 };
 
 namespace {
@@ -76,27 +73,20 @@ ServeSession::ServeSession(const JoinSearchEngine* engine,
 
 ServeSession::~ServeSession() { group_.Wait(); }
 
-std::future<QueryOutcome> ServeSession::Submit(JoinQuery query) {
-  std::future<QueryOutcome> future;
-  Enqueue(std::move(query), nullptr, nullptr, /*want_future=*/true, &future);
+std::future<QueryOutcome> ServeSession::Submit(JoinQuery query,
+                                               ChunkCallback on_chunk) {
+  // std::function needs a copyable target, so the promise is shared.
+  auto promise = std::make_shared<std::promise<QueryOutcome>>();
+  std::future<QueryOutcome> future = promise->get_future();
+  Submit(std::move(query), std::move(on_chunk),
+         [promise](QueryOutcome outcome) {
+           promise->set_value(std::move(outcome));
+         });
   return future;
 }
 
-uint64_t ServeSession::SubmitStreaming(JoinQuery query,
-                                       ChunkCallback on_chunk) {
-  return Enqueue(std::move(query), std::move(on_chunk), nullptr,
-                 /*want_future=*/false, nullptr);
-}
-
-uint64_t ServeSession::SubmitStreaming(JoinQuery query, ChunkCallback on_chunk,
-                                       OutcomeCallback on_outcome) {
-  return Enqueue(std::move(query), std::move(on_chunk),
-                 std::move(on_outcome), /*want_future=*/false, nullptr);
-}
-
-uint64_t ServeSession::Enqueue(JoinQuery query, ChunkCallback on_chunk,
-                               OutcomeCallback on_outcome, bool want_future,
-                               std::future<QueryOutcome>* future_out) {
+void ServeSession::Submit(JoinQuery query, ChunkCallback on_chunk,
+                          OutcomeCallback on_outcome) {
   PEXESO_CHECK(query.vectors != nullptr);
   auto state = std::make_unique<QueryState>();
   state->query = std::move(query);
@@ -114,27 +104,22 @@ uint64_t ServeSession::Enqueue(JoinQuery query, ChunkCallback on_chunk,
   }
   state->on_chunk = std::move(on_chunk);
   state->on_outcome = std::move(on_outcome);
-  state->want_future = want_future;
-  if (want_future) *future_out = state->promise.get_future();
   const bool by_part = parts_ != nullptr && parts_->NumParts() > 0;
   if (by_part) {
     state->runner = std::make_unique<PartRunner>(parts_, state->query);
   }
-  state->parts_total = by_part ? parts_->NumParts() : 1;
-  state->part_stats.resize(state->parts_total);
-  state->part_io.assign(state->parts_total, 0.0);
+  const size_t parts_total = by_part ? parts_->NumParts() : 1;
+  state->parts_total = parts_total;
+  state->part_stats.resize(parts_total);
+  state->part_io.assign(parts_total, 0.0);
 
-  QueryState* raw = state.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    raw->ticket = queries_.size();
-    queries_.push_back(std::move(state));
-  }
+  // The part tasks share the state and the one that completes the last
+  // part frees it (RunPart), so it may be gone before this loop ends.
+  QueryState* raw = state.release();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t part = 0; part < raw->parts_total; ++part) {
+  for (size_t part = 0; part < parts_total; ++part) {
     group_.Submit([this, raw, part] { RunPart(raw, part); });
   }
-  return raw->ticket;
 }
 
 void ServeSession::RunPart(QueryState* state, size_t part) const {
@@ -162,7 +147,6 @@ void ServeSession::RunPart(QueryState* state, size_t part) const {
   // serialize other parts' callbacks.
   StreamChunk chunk;
   if (state->on_chunk != nullptr) {
-    chunk.ticket = state->ticket;
     chunk.part = part;
     chunk.parts_total = state->parts_total;
     chunk.status = status;
@@ -194,36 +178,35 @@ void ServeSession::RunPart(QueryState* state, size_t part) const {
         }
       }
     }
-    if (last) FinalizeLocked(state);
   }
   if (!last) return;
+  // Every other part task is past its last use of the state, so this one
+  // owns it: merge, free the query's state, and only then hand the outcome
+  // over — a session keeps nothing for a finished query.
+  std::unique_ptr<QueryState> owned(state);
+  QueryOutcome outcome = Finalize(owned.get());
+  OutcomeCallback on_outcome = std::move(owned->on_outcome);
+  owned.reset();
   finished_.fetch_add(1, std::memory_order_relaxed);
-  // Fired after every lock is dropped: the outcome is immutable once
-  // finalized, and the callback may re-enter the session (e.g. to submit a
-  // query an admission controller just promoted) without a lock cycle.
-  if (state->on_outcome != nullptr) {
-    try {
-      state->on_outcome(state->outcome);
-    } catch (...) {
-      // Nothing left to attach the failure to: the outcome is already
-      // final. Swallowing beats corrupting the pool's error slot.
-    }
+  // Fired after every lock is dropped, so the callback may re-enter the
+  // session (e.g. to submit a query an admission controller just promoted)
+  // without a lock cycle.
+  try {
+    on_outcome(std::move(outcome));
+  } catch (...) {
+    // Nothing left to attach the failure to: the outcome is already final.
+    // Swallowing beats corrupting the pool's error slot.
   }
 }
 
-void ServeSession::FinalizeLocked(QueryState* state) {
-  QueryOutcome& out = state->outcome;
+QueryOutcome ServeSession::Finalize(QueryState* state) {
+  QueryOutcome out;
   for (size_t part = 0; part < state->parts_total; ++part) {
     out.stats += state->part_stats[part];
     out.io_seconds += state->part_io[part];
   }
   CollectSink& sink = state->sink;
-  if (state->runner != nullptr) {
-    state->runner->Finish(&sink, &out.stats);
-    // Every part task is past its runner use; the session keeps the query
-    // state until Drain, so drop the per-part slots now.
-    state->runner.reset();
-  }
+  if (state->runner != nullptr) state->runner->Finish(&sink, &out.stats);
   out.status = sink.status();
   out.part_statuses = sink.part_statuses();
   out.results = std::move(sink).TakeColumns();
@@ -232,37 +215,7 @@ void ServeSession::FinalizeLocked(QueryState* state) {
     out.results.clear();
     out.part_statuses.clear();
   }
-  if (state->want_future) state->promise.set_value(out);
-}
-
-std::vector<QueryOutcome> ServeSession::Drain() {
-  // A Submit racing this Drain may have registered its QueryState but not
-  // yet handed every part task to the group, in which case group_.Wait()
-  // returns with that query still unfinished; loop until a Wait() lands
-  // with every registered query finalized (each pass waits for real work,
-  // so the loop terminates as soon as submissions stop racing).
-  for (;;) {
-    group_.Wait();
-    std::lock_guard<std::mutex> lock(mu_);
-    bool all_done = true;
-    for (const auto& state : queries_) {
-      std::lock_guard<std::mutex> state_lock(state->mu);
-      if (state->parts_done != state->parts_total) {
-        all_done = false;
-        break;
-      }
-    }
-    if (!all_done) {
-      // The racing submitter holds no lock we can wait on; yield until its
-      // tasks reach the group (group_.Wait() then blocks on real work).
-      std::this_thread::yield();
-      continue;
-    }
-    std::vector<QueryOutcome> out;
-    out.reserve(queries_.size());
-    for (const auto& state : queries_) out.push_back(state->outcome);
-    return out;
-  }
+  return out;
 }
 
 }  // namespace pexeso::serve

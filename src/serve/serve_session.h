@@ -6,7 +6,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -31,9 +30,8 @@ struct ServeSessionOptions {
 };
 
 /// \brief One part's worth of results for one streaming query, delivered to
-/// the SubmitStreaming callback as the part completes.
+/// the chunk callback as the part completes.
 struct StreamChunk {
-  uint64_t ticket = 0;       ///< submission-order id of the query
   size_t part = 0;           ///< which part produced this chunk
   size_t parts_total = 1;    ///< chunk count the query will emit
   bool last = false;         ///< true on the final chunk of the query
@@ -66,35 +64,38 @@ struct QueryOutcome {
 
 using ChunkCallback = std::function<void(const StreamChunk&)>;
 
-/// Fired once per streaming query, after its last chunk callback, with the
-/// final merged outcome (what Drain() would report for this ticket). Runs
-/// on the pool thread that finished the last part.
-using OutcomeCallback = std::function<void(const QueryOutcome&)>;
+/// Fired once per query, after its last chunk callback, with the final
+/// merged outcome. Runs on the pool thread that finished the last part.
+using OutcomeCallback = std::function<void(QueryOutcome)>;
 
 /// \brief Async query session over one shared read-only engine: the online
 /// half of the serving layer.
 ///
-/// Queries are accepted without blocking (Submit returns a future,
-/// SubmitStreaming a ticket) and fan out across a ThreadPool. For an engine
-/// that also implements PartitionedJoinEngine, each query becomes one
-/// PartRunner task per part, so a single query overlaps the IO and search
-/// of all its partitions — and with an IndexCache attached to the engine,
-/// concurrent queries share each part's single load. Other engines run as
-/// one task.
+/// Queries are accepted without blocking and fan out across a ThreadPool.
+/// For an engine that also implements PartitionedJoinEngine, each query
+/// becomes one PartRunner task per part, so a single query overlaps the IO
+/// and search of all its partitions — and with an IndexCache attached to
+/// the engine, concurrent queries share each part's single load. Other
+/// engines run as one task.
 ///
-/// Streaming: SubmitStreaming's callback fires once per part as that part
+/// Lifetime: a session keeps nothing for a finished query. A query's state
+/// (its JoinQuery copy, callbacks and per-part slots) lives only while its
+/// part tasks run; the task that completes the last part merges the
+/// outcome, frees the state, and only then hands the outcome over.
+///
+/// Streaming: the chunk callback fires once per part as that part
 /// completes (parts race, so chunk order is nondeterministic — consumers
-/// needing the deterministic merge read the drained outcome). Callbacks of
-/// one query are serialized; different queries' callbacks may run
+/// needing the deterministic merge read the outcome). Callbacks of one
+/// query are serialized; different queries' callbacks may run
 /// concurrently on pool threads. A callback (or search) that throws fails
 /// its query's outcome (Status::Internal) rather than leaking the exception
 /// into the pool.
 ///
-/// Determinism contract (the BatchQueryRunner contract, extended): Drain()
-/// returns outcomes in submission order, and each outcome's results and
-/// stats counters are identical at any thread count and any cache budget,
-/// because per-part chunks are merged in part order regardless of
-/// completion order.
+/// Determinism contract (the BatchQueryRunner contract, extended): each
+/// outcome's results and stats counters are identical at any thread count
+/// and any cache budget, because per-part chunks are merged in part order
+/// (PartRunner::Finish) regardless of completion order. A caller that
+/// keeps its futures in submission order reads the outcomes in that order.
 class ServeSession {
  public:
   /// `engine` is borrowed and must outlive the session. When `shared_pool`
@@ -104,13 +105,19 @@ class ServeSession {
                         ServeSessionOptions options = {},
                         ThreadPool* shared_pool = nullptr);
 
-  /// Drains in-flight queries before tearing down.
+  /// Waits for every submitted query, outcome callbacks included, before
+  /// tearing down.
   ~ServeSession();
 
   ServeSession(const ServeSession&) = delete;
   ServeSession& operator=(const ServeSession&) = delete;
 
-  /// Submits a request; the future resolves when every part has completed.
+  /// Submits a request. `on_chunk` (may be null) fires once per part as
+  /// that part completes (local top-k candidates per part for kTopK).
+  /// `on_outcome` fires on a pool thread once the query's outcome is final
+  /// — strictly after the last chunk callback and after the session has
+  /// released the query, never while any session or query lock is held,
+  /// so it may freely submit follow-up queries.
   /// `query.vectors` is borrowed and must stay alive until the query
   /// finishes. Each part task runs through the query's PartRunner, so
   /// deadlines, cancellation, the kTopK floor and part failures follow the
@@ -118,25 +125,13 @@ class ServeSession {
   /// before it started is dropped (the pool never burns time on a dead
   /// query), completed parts are kept as partial results, a failed part is
   /// reported in part_statuses while the rest is served.
-  std::future<QueryOutcome> Submit(JoinQuery query);
+  void Submit(JoinQuery query, ChunkCallback on_chunk,
+              OutcomeCallback on_outcome);
 
-  /// Streaming submit: per-part chunks via `on_chunk` (local top-k
-  /// candidates per part for kTopK), merged outcome via Drain(). Returns
-  /// the query's ticket (its index in Drain()'s output).
-  uint64_t SubmitStreaming(JoinQuery query, ChunkCallback on_chunk);
-
-  /// Push-notified variant for callers that must react to completion
-  /// without blocking a thread per query (the network server): `on_outcome`
-  /// fires on a pool thread once the query's outcome is final — strictly
-  /// after the last chunk callback, never while any session or query lock
-  /// is held, so it may freely submit follow-up queries. Note a concurrent
-  /// Drain() may observe (and return) the outcome before the callback runs.
-  uint64_t SubmitStreaming(JoinQuery query, ChunkCallback on_chunk,
-                           OutcomeCallback on_outcome);
-
-  /// Blocks until every submitted query has finished and returns all
-  /// outcomes so far in submission order (ticket order).
-  std::vector<QueryOutcome> Drain();
+  /// The same submit with the outcome delivered through a future, which
+  /// resolves when every part has completed.
+  std::future<QueryOutcome> Submit(JoinQuery query,
+                                   ChunkCallback on_chunk = nullptr);
 
   size_t num_threads() const { return pool_->num_threads(); }
 
@@ -153,17 +148,13 @@ class ServeSession {
  private:
   struct QueryState;
 
-  uint64_t Enqueue(JoinQuery query, ChunkCallback on_chunk,
-                   OutcomeCallback on_outcome, bool want_future,
-                   std::future<QueryOutcome>* future_out);
-
-  /// Pool task: run one part of one query, emit its chunk, and finalize
-  /// the query when this was the last outstanding part.
+  /// Pool task: run one part of one query, emit its chunk, and finish the
+  /// query when this was the last outstanding part.
   void RunPart(QueryState* state, size_t part) const;
 
   /// Finishes the query's runner (part-order merge and failure policy) into
-  /// the outcome and fulfills the future. Caller holds state->mu.
-  static void FinalizeLocked(QueryState* state);
+  /// its outcome. The caller owns the state: every part task is done.
+  static QueryOutcome Finalize(QueryState* state);
 
   const JoinSearchEngine* engine_;
   const PartitionedJoinEngine* parts_;  ///< engine_'s part view; may be null
@@ -175,8 +166,6 @@ class ServeSession {
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   TaskGroup group_;
-  mutable std::mutex mu_;  ///< guards queries_
-  std::vector<std::unique_ptr<QueryState>> queries_;
   std::atomic<uint64_t> submitted_{0};
   mutable std::atomic<uint64_t> finished_{0};  ///< bumped from const RunPart
 };

@@ -10,6 +10,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -390,12 +392,13 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
     std::mutex mu;
     std::vector<StreamChunk> chunks;
     size_t last_count = 0;
-    session.SubmitStreaming(BindQuery(query, sopts), [&](const StreamChunk& chunk) {
-      std::lock_guard<std::mutex> lock(mu);
-      chunks.push_back(chunk);
-      if (chunk.last) ++last_count;
-    });
-    auto outcomes = session.Drain();
+    auto future =
+        session.Submit(BindQuery(query, sopts), [&](const StreamChunk& chunk) {
+          std::lock_guard<std::mutex> lock(mu);
+          chunks.push_back(chunk);
+          if (chunk.last) ++last_count;
+        });
+    const QueryOutcome outcome = future.get();
 
     // One chunk per partition, exactly one marked last, all OK.
     ASSERT_EQ(chunks.size(), kParts) << threads << " threads";
@@ -409,14 +412,12 @@ TEST_F(ServeTest, StreamingChunksEqualBatchCollectedResults) {
     FinishPartMerge(&collected);
     ExpectIdenticalResults(collected, serial.value());
 
-    // The drained outcome is the same merge, with deterministic stats.
-    ASSERT_EQ(outcomes.size(), 1u);
-    ASSERT_TRUE(outcomes[0].status.ok());
-    ExpectIdenticalResults(outcomes[0].results, serial.value());
-    EXPECT_EQ(outcomes[0].stats.distance_computations,
+    // The outcome is the same merge, with deterministic stats.
+    ASSERT_TRUE(outcome.status.ok());
+    ExpectIdenticalResults(outcome.results, serial.value());
+    EXPECT_EQ(outcome.stats.distance_computations,
               serial_stats.distance_computations);
-    EXPECT_EQ(outcomes[0].stats.candidate_pairs,
-              serial_stats.candidate_pairs);
+    EXPECT_EQ(outcome.stats.candidate_pairs, serial_stats.candidate_pairs);
   }
 }
 
@@ -458,7 +459,9 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
       for (size_t i = 0; i < queries.size(); ++i) {
         futures.push_back(session.Submit(BindQuery(queries[i], sopts[i])));
       }
-      auto outcomes = session.Drain();
+      // Futures read in submission order give the outcomes in that order.
+      std::vector<QueryOutcome> outcomes;
+      for (auto& future : futures) outcomes.push_back(future.get());
       ASSERT_EQ(outcomes.size(), queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
         SCOPED_TRACE("budget=" + std::to_string(budget) +
@@ -468,9 +471,6 @@ TEST_F(ServeTest, DeterministicAtAnyThreadCountAndBudget) {
         ExpectIdenticalResults(outcomes[i].results, expected[i]);
         EXPECT_EQ(outcomes[i].stats.distance_computations,
                   expected_stats[i].distance_computations);
-        // The future resolves to the identical outcome.
-        QueryOutcome via_future = futures[i].get();
-        ExpectIdenticalResults(via_future.results, expected[i]);
       }
     }
   }
@@ -606,21 +606,21 @@ TEST_F(ServeTest, SessionReportsPartFailuresAsStatus) {
   ServeSession session(&opened.value(), {.num_threads = 2});
   std::mutex mu;
   size_t failed_chunks = 0;
-  session.SubmitStreaming(BindQuery(query, sopts), [&](const StreamChunk& chunk) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!chunk.status.ok()) ++failed_chunks;
-  });
-  auto outcomes = session.Drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
-  ExpectIdenticalResults(outcomes[0].results, serial.columns());
-  ASSERT_EQ(outcomes[0].part_statuses.size(), 1u);
-  EXPECT_EQ(outcomes[0].part_statuses[0].first, 1u);
-  EXPECT_EQ(outcomes[0].part_statuses[0].second.code(),
+  auto future =
+      session.Submit(BindQuery(query, sopts), [&](const StreamChunk& chunk) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!chunk.status.ok()) ++failed_chunks;
+      });
+  const QueryOutcome outcome = future.get();
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  ExpectIdenticalResults(outcome.results, serial.columns());
+  ASSERT_EQ(outcome.part_statuses.size(), 1u);
+  EXPECT_EQ(outcome.part_statuses[0].first, 1u);
+  EXPECT_EQ(outcome.part_statuses[0].second.code(),
             serial.part_statuses()[0].second.code());
-  EXPECT_EQ(outcomes[0].stats.partial_responses, 1u);
+  EXPECT_EQ(outcome.stats.partial_responses, 1u);
   EXPECT_EQ(failed_chunks, 1u);
-  EXPECT_GT(outcomes[0].io_seconds, 0.0);  // io accounted despite the error
+  EXPECT_GT(outcome.io_seconds, 0.0);  // io accounted despite the error
   fs::remove_all(dir);
 }
 
@@ -630,16 +630,55 @@ TEST_F(ServeTest, ThrowingStreamCallbackFailsTheQuery) {
   PartitionedPexeso parts = OpenParts();
   VectorStore query = MakeClusteredQuery(9750, kDim, 12);
   ServeSession session(&parts, {.num_threads = 2});
-  session.SubmitStreaming(BindQuery(query, MakeJoinQuery(query.size())), [](const StreamChunk& chunk) {
-                            if (chunk.part == 1) {
-                              throw std::runtime_error("consumer exploded");
-                            }
-                          });
-  auto outcomes = session.Drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].status.ok());
-  EXPECT_NE(outcomes[0].status.message().find("stream callback threw"),
+  auto future = session.Submit(
+      BindQuery(query, MakeJoinQuery(query.size())),
+      [](const StreamChunk& chunk) {
+        if (chunk.part == 1) throw std::runtime_error("consumer exploded");
+      });
+  const QueryOutcome outcome = future.get();
+  EXPECT_FALSE(outcome.status.ok());
+  EXPECT_NE(outcome.status.message().find("stream callback threw"),
             std::string::npos);
+}
+
+// A session keeps nothing for a finished query: by the time the outcome is
+// handed over — to the callback or through the future — the session has
+// dropped its copy of the JoinQuery, so a cell the query shares is back to
+// the caller's own reference. Ordered on the session's own completion
+// signals, never on a sleep.
+TEST_F(ServeTest, SessionReleasesAFinishedQuery) {
+  ColumnCatalog catalog = MakeClusteredCatalog(9100, kDim, 48, 12);
+  PexesoOptions opts;
+  opts.num_pivots = 3;
+  opts.levels = 4;
+  PexesoIndex index = PexesoIndex::Build(std::move(catalog), metric_, opts);
+  PexesoSearcher in_memory(&index);
+  PartitionedPexeso parts = OpenParts();
+  VectorStore query = MakeClusteredQuery(9900, kDim, 12);
+  auto cell = std::make_shared<TopKFloorCell>();
+  const auto make_query = [&] {
+    JoinQuery jq = BindQuery(query, MakeJoinQuery(query.size()));
+    jq.floor_link = cell;
+    return jq;
+  };
+
+  for (const JoinSearchEngine* engine :
+       {static_cast<const JoinSearchEngine*>(&parts),
+        static_cast<const JoinSearchEngine*>(&in_memory)}) {
+    SCOPED_TRACE(engine->name());
+    ServeSession session(engine, {.num_threads = 2});
+
+    std::promise<long> seen_in_callback;
+    session.Submit(make_query(), nullptr, [&](const QueryOutcome& outcome) {
+      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      seen_in_callback.set_value(cell.use_count());
+    });
+    EXPECT_EQ(seen_in_callback.get_future().get(), 1);
+
+    const QueryOutcome outcome = session.Submit(make_query()).get();
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_EQ(cell.use_count(), 1);
+  }
 }
 
 TEST_F(ServeTest, PeekDimReadsHeaderOnly) {

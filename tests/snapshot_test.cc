@@ -142,12 +142,6 @@ class SnapshotTest : public ::testing::Test {
   static std::string FlatPath() { return *dir_ + "/flat.pxso"; }
   static std::string FifoPath() { return *dir_ + "/snapshot.fifo"; }
 
-  static PexesoIndex MustLoad(const std::string& path) {
-    auto loaded = PexesoIndex::Load(path, metric_);
-    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-    return std::move(loaded).ValueOrDie();
-  }
-
   static Status LoadStatusThroughFifo(const std::string& bytes) {
     return ThroughFifo(FifoPath(), bytes, [](const std::string& fifo) {
       return PexesoIndex::Load(fifo, metric_).status();
@@ -173,7 +167,9 @@ L2Metric* SnapshotTest::metric_ = nullptr;
 PexesoIndex* SnapshotTest::built_ = nullptr;
 
 TEST_F(SnapshotTest, FlatRoundTripIsMapped) {
-  PexesoIndex flat = MustLoad(FlatPath());
+  auto loaded = PexesoIndex::Load(FlatPath(), metric_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  PexesoIndex flat = std::move(loaded).ValueOrDie();
   EXPECT_TRUE(flat.is_mapped());
   EXPECT_EQ(flat.MappedBytes(), std::filesystem::file_size(FlatPath()));
   EXPECT_EQ(flat.catalog().num_columns(), built_->catalog().num_columns());
@@ -200,7 +196,9 @@ TEST_F(SnapshotTest, FifoLoadIsMaterialized) {
 }
 
 TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
-  PexesoIndex flat = MustLoad(FlatPath());
+  auto loaded = PexesoIndex::Load(FlatPath(), metric_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  PexesoIndex flat = std::move(loaded).ValueOrDie();
   ASSERT_TRUE(flat.is_mapped());
   VectorStore query = MakeClusteredQuery(7301, kDim, 12);
   PexesoSearcher before(&flat);
@@ -224,7 +222,9 @@ TEST_F(SnapshotTest, FormatParityMatrixAcrossEnginesAndThreads) {
   ASSERT_FALSE(reference.empty());  // the matrix must compare real matches
 
   for (bool materialize : {false, true}) {
-    PexesoIndex index = MustLoad(FlatPath());
+    auto loaded = PexesoIndex::Load(FlatPath(), metric_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    PexesoIndex index = std::move(loaded).ValueOrDie();
     if (materialize) index.Materialize();
     ASSERT_EQ(index.is_mapped(), !materialize);
     PexesoSearcher pexeso(&index);
@@ -301,7 +301,9 @@ TEST_F(SnapshotTest, ImageWithRetiredQuantSectionsLoads) {
   const std::string path = *dir_ + "/with_quant.pxso";
   WriteFileBytes(path, image);
   ASSERT_TRUE(PexesoIndex::VerifySnapshot(path).ok());
-  PexesoIndex legacy = MustLoad(path);
+  auto loaded = PexesoIndex::Load(path, metric_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  PexesoIndex legacy = std::move(loaded).ValueOrDie();
   ASSERT_TRUE(legacy.is_mapped());
   EXPECT_EQ(legacy.MappedBytes(), image.size());
 

@@ -172,6 +172,16 @@ if [[ ! -s "$SMOKE_DIR/local.txt" ]]; then
   echo "loopback smoke: no results — a vacuous parity check" >&2
   exit 1
 fi
+# The streamed search (one ServeSession query, chunks then the merge) must
+# print the same merged lines as the serial search.
+"$BUILD_DIR/pexeso_cli" search --stream --index "$SMOKE_DIR/parts" \
+  --query "$SMOKE_DIR/query.csv" | sed -n '/^merged:/,$p' \
+  | grep "global column" | sed 's/^ *//' > "$SMOKE_DIR/stream.txt"
+if ! sed 's/^ *//' "$SMOKE_DIR/local.txt" \
+    | diff -u - "$SMOKE_DIR/stream.txt"; then
+  echo "loopback smoke: streamed results differ from in-process search" >&2
+  exit 1
+fi
 "$BUILD_DIR/pexeso_cli" stats --connect "127.0.0.1:$SMOKE_PORT" \
   > "$SMOKE_DIR/stats.txt"
 for field in queries_completed admission_inflight search_distance_computations \
@@ -183,7 +193,7 @@ for field in queries_completed admission_inflight search_distance_computations \
 done
 kill "$SMOKE_SERVER_PID" && wait "$SMOKE_SERVER_PID" 2>/dev/null || true
 SMOKE_SERVER_PID=""
-echo "loopback smoke: OK ($(wc -l < "$SMOKE_DIR/local.txt") result lines byte-identical over the wire)"
+echo "loopback smoke: OK ($(wc -l < "$SMOKE_DIR/local.txt") result lines byte-identical over the wire and streamed)"
 
 # Shard smoke: the same partitioned index split across two REAL shard
 # executor processes, a coordinator process scatter-gathering over them,

@@ -505,7 +505,7 @@ int StreamSearch(const OnlineContext& ctx, const JoinQuery& jq,
       ctx.engine.get(),
       {.num_threads = threads, .intra_query_threads = intra_threads});
   std::mutex print_mu;
-  session.SubmitStreaming(jq, [&](const serve::StreamChunk& c) {
+  auto future = session.Submit(jq, [&](const serve::StreamChunk& c) {
     std::lock_guard<std::mutex> lock(print_mu);
     if (!c.status.ok()) {
       // An interrupted part is expected under --deadline-ms, not a failure.
@@ -519,8 +519,7 @@ int StreamSearch(const OnlineContext& ctx, const JoinQuery& jq,
                 c.last ? " <- final chunk" : "");
     for (const auto& r : c.results) PrintResult(ctx, r, "  ");
   });
-  auto outcomes = session.Drain();
-  const serve::QueryOutcome& out = outcomes.front();
+  const serve::QueryOutcome out = future.get();
   if (!out.status.ok() && !out.status.interrupted()) {
     std::fprintf(stderr, "streamed search failed: %s\n",
                  out.status.ToString().c_str());
@@ -659,7 +658,7 @@ int CmdSearch(const Flags& flags) {
 
 /// The --stream batch path: every query is a ServeSession streaming
 /// submission; chunk-completion lines interleave as partitions finish, and
-/// the deterministic per-query summaries print after the drain.
+/// the deterministic per-query summaries print in submission order.
 int StreamBatch(const OnlineContext& ctx,
                 const std::vector<std::string>& names,
                 const std::vector<JoinQuery>& queries, size_t threads,
@@ -669,16 +668,18 @@ int StreamBatch(const OnlineContext& ctx,
       {.num_threads = threads, .intra_query_threads = intra_threads});
   std::mutex print_mu;
   Stopwatch watch;
+  std::vector<std::future<serve::QueryOutcome>> futures;
   for (size_t i = 0; i < queries.size(); ++i) {
-    session.SubmitStreaming(
+    futures.push_back(session.Submit(
         queries[i], [&, i](const serve::StreamChunk& c) {
           std::lock_guard<std::mutex> lock(print_mu);
           std::printf("  %-40s part %zu/%zu: %zu joinable%s\n",
                       names[i].c_str(), c.part + 1, c.parts_total,
                       c.results.size(), c.last ? " (query done)" : "");
-        });
+        }));
   }
-  auto outcomes = session.Drain();
+  std::vector<serve::QueryOutcome> outcomes;
+  for (auto& future : futures) outcomes.push_back(future.get());
   const double wall = watch.ElapsedSeconds();
   std::printf("\nstreamed batch of %zu query columns via %s on %zu "
               "thread(s): %.3fs (%.1f columns/s)\n",
