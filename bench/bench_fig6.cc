@@ -86,11 +86,8 @@ int main() {
   RunProfile("OPEN-like", BenchProfiles::OpenLike(scale), &json);
   RunProfile("SWDC-like", BenchProfiles::SwdcLike(scale), &json);
   std::printf(
-      "\nExpected shape: PEXESO computes fewer distances than CTREE and "
-      "PEXESO-H on both profiles and than EPT on\nOPEN-like; on SWDC-like it "
-      "computes ~9%% more than EPT, because a dense verification tile counts\n"
-      "every pair of its shape, not only the pairs Algorithm 2 reads (an open "
-      "ROADMAP item). PEXESO's index\nis within a small constant factor of "
-      "the others, the price of the grid + inverted index.\n");
+      "\nExpected shape: PEXESO computes fewer distances than CTREE, EPT and "
+      "PEXESO-H on both profiles. PEXESO's\nindex is within a small constant "
+      "factor of the others, the price of the grid + inverted index.\n");
   return json.Write();
 }

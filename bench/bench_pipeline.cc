@@ -173,7 +173,7 @@ int PipelineExperiment() {
   CandidateSet cands;
   const double gen_seconds = TimeIt([&] {
     pipeline.GenerateCandidates(blocks, static_cast<uint32_t>(query.size()),
-                                &cands, &gen_stats);
+                                0, &cands, &gen_stats);
   });
   const double blocks_per_sec =
       static_cast<double>(cands.blocks.size()) / std::max(gen_seconds, 1e-9);

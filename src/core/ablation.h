@@ -12,7 +12,10 @@ namespace pexeso {
 struct AblationConfig {
   bool use_lemma1 = true;    ///< pivot filtering of single vectors (verify)
   bool use_lemma34 = true;   ///< vector-cell & cell-cell filtering (block)
-  bool use_lemma7 = true;    ///< column kill by mismatch counting (verify)
+  /// Column kill by mismatch counting, a record without a candidate block
+  /// counted as a mismatch: stage 1 drops a column with fewer blocks than
+  /// T, stage 2 stops one whose matches + unresolved blocks fall below T.
+  bool use_lemma7 = true;
   bool use_quick_browsing = true;  ///< probe co-located leaf cells up front
 };
 

@@ -204,6 +204,14 @@ struct JoinQuery {
     return std::max<uint32_t>(1, thresholds.t_abs);
   }
 
+  /// The match count Lemma 7 holds a column to: EffectiveT() in the
+  /// threshold modes with ablation.use_lemma7 on, 0 (rule off) otherwise.
+  /// kTopK has no fixed T; its pushdown abandons a column on the same
+  /// count bound against the running k-th-best bound instead.
+  uint32_t Lemma7T() const {
+    return mode != QueryMode::kTopK && ablation.use_lemma7 ? EffectiveT() : 0;
+  }
+
   /// OK while the query may keep running; Cancelled/DeadlineExceeded once a
   /// control tripped. Cheap when no deadline/token is set.
   Status CheckLive() const {

@@ -52,11 +52,12 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
 
   // The staged verification pipeline: candidate generation (stage 1),
   // column-sharded tiled verification (stage 2), deterministic reduction
-  // (stage 3). Serial when jq.intra_query_threads <= 1.
+  // (stage 3). Serial when jq.intra_query_threads <= 1. Stage 1 already
+  // drops the columns with fewer candidate blocks than Lemma 7's T.
   Stopwatch candidate_watch;
   VerifyPipeline pipeline(index_);
   CandidateSet cands;
-  pipeline.GenerateCandidates(blocks, num_q, &cands, out_stats);
+  pipeline.GenerateCandidates(blocks, num_q, jq.Lemma7T(), &cands, out_stats);
   out_stats->candidate_seconds += candidate_watch.ElapsedSeconds();
 
   // Checkpoint between candidate generation and the tiled stage: a query

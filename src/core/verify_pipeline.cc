@@ -25,9 +25,6 @@ constexpr size_t kTileRows = 8;
 /// drop out before the next), and keeps the tile output cache-resident.
 constexpr size_t kTileVecs = 256;
 
-/// Per-column verification states, identical to the serial scan's.
-enum : uint8_t { kActive = 0, kJoinable = 1, kDead = 2 };
-
 /// SweepTile's "no matching slot" answer.
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -133,7 +130,8 @@ struct VerifyPipeline::TileScratch {
 };
 
 void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
-                                        uint32_t num_q, CandidateSet* out,
+                                        uint32_t num_q, uint32_t min_blocks,
+                                        CandidateSet* out,
                                         SearchStats* stats) const {
   const InvertedIndex& inv = index_->inverted_index();
   const size_t ncols = index_->catalog().num_columns();
@@ -168,33 +166,47 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
     }
   };
 
-  // Pass 1 counts blocks and ranges per column; prefix sums place them.
-  // next_range then holds each column's range cursor.
+  // Pass 1 counts blocks and ranges per column. A column with fewer blocks
+  // than min_blocks cannot reach T (Lemma 7: a record without a block in
+  // it is a mismatch), so it keeps no blocks, ranges or shard weight.
+  // Prefix sums place the rest; next_range then holds each column's range
+  // cursor.
   std::vector<uint32_t> next_range(ncols + 1, 0);
   walk([&](uint32_t, ColumnId c) { ++out->block_begin[c + 1]; },
        [&](ColumnId c, const InvertedIndex::Posting&) {
          ++next_range[c + 1];
        });
   for (size_t c = 1; c <= ncols; ++c) {
+    const uint32_t n = out->block_begin[c];
+    stats->candidate_blocks += n;
+    if (n > 0 && n < min_blocks) {
+      out->block_begin[c] = 0;
+      next_range[c] = 0;
+      ++stats->lemma7_kills;
+    }
     out->block_begin[c] += out->block_begin[c - 1];
     next_range[c] += next_range[c - 1];
   }
   out->blocks.resize(out->block_begin[ncols]);
   out->ranges.resize(next_range[ncols]);
-  stats->candidate_blocks += out->blocks.size();
+  const auto dropped = [&](ColumnId c) {
+    return out->block_begin[c] == out->block_begin[c + 1];
+  };
 
-  // Pass 2 writes each block at its column's cursor. Records are walked in
-  // ascending order, so every column's slice lands in ascending query order
-  // — the order the serial state machine requires — and a block's ranges
-  // are contiguous because its column's range cursor only moves for it
-  // until the next record.
+  // Pass 2 writes each kept block at its column's cursor. Records are
+  // walked in ascending order, so every column's slice lands in ascending
+  // query order — the order the serial state machine requires — and a
+  // block's ranges are contiguous because its column's range cursor only
+  // moves for it until the next record.
   std::vector<uint32_t> next_block(out->block_begin.begin(),
                                    out->block_begin.end() - 1);
   walk(
       [&](uint32_t q, ColumnId c) {
+        if (dropped(c)) return;
         out->blocks[next_block[c]++] = CandidateBlock{q, next_range[c], 0};
       },
       [&](ColumnId c, const InvertedIndex::Posting& p) {
+        if (dropped(c)) return;
         ++out->blocks[next_block[c] - 1].range_count;
         out->ranges[next_range[c]++] = VecIdRange{p.vec_begin, p.vec_count};
         out->weight[c] += p.vec_count;
@@ -266,10 +278,9 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
                                    std::vector<uint32_t>* match_map,
                                    std::vector<uint8_t>* pruned,
                                    SearchStats* stats) const {
-  const uint32_t num_q = static_cast<uint32_t>(query.size());
   const uint32_t t_abs = jq.EffectiveT();
+  const uint32_t l7_t = jq.Lemma7T();
   const bool exact = jq.exact_counts();
-  const bool use_l7 = jq.ablation.use_lemma7;
   TileScratch scratch;
   uint64_t shard_blocks = 0;
   Status live = Status::OK();
@@ -315,63 +326,57 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
     shard_blocks += be - bb;
     if (index_->IsDeleted(col)) continue;
 
+    // Lemma 7 counts every record with no block in this column as a
+    // mismatch (Lemmas 3/4 are exact), so match + the unresolved pairs
+    // bounds the column's count: once it falls below T the column is dead.
+    // A column that starts below T dies before its first pair.
     uint32_t match = 0;
-    uint32_t mismatch = 0;
-    uint8_t state = kActive;
+    bool joinable = false;
     bool abandoned = false;
     size_t i = bb;
-    while (i < be) {
-      if (state == kDead || (state == kJoinable && !exact)) break;
+    while (true) {
+      const size_t reach = match + (be - i);
+      if (reach < l7_t) {
+        ++stats->lemma7_kills;
+        break;
+      }
+      if (i == be || (joinable && !exact)) break;
       // Batch size limited so no skip-triggering transition can occur
       // before the batch's last pair (see the class comment): the serial
       // scan and the tiled batch then evaluate exactly the same pairs.
       size_t k = be - i;
       if (topk != nullptr) {
         // kTopK pushdown: each remaining pair is a distinct query record,
-        // so match + (be - i) bounds the column's achievable count. Once
-        // that can no longer STRICTLY beat the running k-th-best bound the
-        // column is out (a tie loses on final rank or leaves the bound
-        // unchanged), and every further tile would be wasted work. The
-        // bound is re-read per batch, so concurrent shards feed each other.
+        // so `reach` bounds the column's achievable count. Once that can no
+        // longer STRICTLY beat the running k-th-best bound the column is
+        // out (a tie loses on final rank or leaves the bound unchanged),
+        // and every further tile would be wasted work. The bound is re-read
+        // per batch, so concurrent shards feed each other.
         const uint32_t bound = topk->bound();
-        const uint64_t max_possible = match + (be - i);
-        if (max_possible < bound) {
+        if (reach < bound) {
           abandoned = true;
           break;
         }
-        // Each mismatch lowers max_possible by one; cap the batch so the
-        // prune above re-fires no later than one batch after it could.
-        k = std::min<uint64_t>(k, max_possible - bound + 1);
+        // Each mismatch lowers reach by one; cap the batch so the prune
+        // above re-fires no later than one batch after it could.
+        k = std::min<size_t>(k, reach - bound + 1);
       }
       if (!exact) k = std::min<size_t>(k, t_abs - match);
-      if (use_l7) {
-        // A kill can only fire once mismatch exceeds num_q - t_abs; with
-        // t_abs > num_q (unreachable threshold) the very first mismatch
-        // kills, so the headroom clamps to zero and pairs go one at a time.
-        const uint32_t headroom =
-            num_q - mismatch >= t_abs ? num_q - mismatch - t_abs : 0;
-        k = std::min<size_t>(k, static_cast<size_t>(headroom) + 1);
-      }
+      // Each mismatch lowers reach by one, so Lemma 7 can fire no earlier
+      // than the (reach - l7_t + 1)-th pair (never with l7_t = 0).
+      k = std::min<size_t>(k, reach - l7_t + 1);
       PEXESO_DCHECK(k >= 1);
       scratch.matched.assign(k, 0);
       EvaluateRun(cands, i, k, query, mapped_q, jq, query_norms, repo_norms,
                   &scratch, scratch.matched.data(), stats);
       // Replay the serial outcome application verbatim.
       for (size_t j = 0; j < k; ++j) {
-        if (scratch.matched[j]) {
-          ++match;
-          if (match >= t_abs && state == kActive) {
-            state = kJoinable;
-            ++stats->early_joinable;
-            PEXESO_DCHECK(exact || j + 1 == k);
-          }
-        } else {
-          ++mismatch;
-          if (use_l7 && state == kActive && num_q - mismatch < t_abs) {
-            state = kDead;
-            ++stats->lemma7_kills;
-            PEXESO_DCHECK(j + 1 == k);
-          }
+        if (!scratch.matched[j]) continue;
+        ++match;
+        if (match >= t_abs && !joinable) {
+          joinable = true;
+          ++stats->early_joinable;
+          PEXESO_DCHECK(exact || j + 1 == k);
         }
       }
       i += k;

@@ -53,7 +53,8 @@ struct CandidateSet {
 ///
 ///   stage 1  candidate generation — a linear two-pass counting scatter
 ///            of the blocking output's postings emits CandidateBlocks
-///            instead of deciding pairs inline (GenerateCandidates);
+///            instead of deciding pairs inline, and drops every column
+///            with fewer blocks than T (GenerateCandidates);
 ///   stage 2  tiled verification — columns are sharded into contiguous,
 ///            weight-balanced ranges across JoinQuery::intra_query_threads
 ///            workers; each shard replays the serial per-column state
@@ -82,6 +83,13 @@ struct CandidateSet {
 /// their work counters (distance_computations, columns_pruned_topk)
 /// legitimately vary with execution order.
 ///
+/// Lemma 7: a query record that blocking gave no candidate in a column is a
+/// mismatch there (Lemmas 3/4 are exact), so a column's match count can
+/// never exceed match + its unresolved pairs. Stage 1 drops a column whose
+/// block count is below T; stage 2 kills one the moment match + unresolved
+/// pairs falls below T, and on its own would kill a column that starts
+/// below T before its first pair. Either way it counts one lemma7_kills.
+///
 /// kTopK pushdown: shards Offer() each finished column's match count into
 /// the shared TopKBound and read the running k-th-best bound back as a
 /// dynamic per-column early-exit threshold — a column whose remaining
@@ -96,8 +104,9 @@ struct CandidateSet {
 /// Tile-batching rule: a run of k pending pairs of one column can be
 /// evaluated as one batch only when no skip-triggering state transition can
 /// occur before its last pair — k <= t_abs - match (early-joinable) and
-/// k <= |Q| - t_abs - mismatch + 1 (Lemma-7) — so batching never evaluates
-/// a pair the serial scan would have skipped.
+/// k <= match + unresolved - t_abs + 1 (Lemma 7, each mismatch lowering
+/// match + unresolved by one) — so batching never evaluates a pair the
+/// serial scan would have skipped.
 class VerifyPipeline {
  public:
   /// `index` is borrowed and must outlive the pipeline.
@@ -108,10 +117,15 @@ class VerifyPipeline {
   /// postings: the first counts blocks and ranges per column, prefix sums
   /// place them, the second writes each (record, column) block at its
   /// column's cursor. A block's ranges follow the order of the record's
-  /// cand cells. Tombstoned columns emit nothing. Linear in the postings
-  /// walked; no merge.
+  /// cand cells. Tombstoned columns emit nothing. A column with fewer than
+  /// `min_blocks` blocks (the searcher passes JoinQuery::Lemma7T(), 0 keeps
+  /// every column) emits nothing either and counts one lemma7_kills: Lemma
+  /// 7 counts each record without a block in it as a mismatch, so it
+  /// cannot reach T. candidate_blocks counts every block pass 1 found.
+  /// Linear in the postings walked; no merge.
   void GenerateCandidates(const BlockResult& blocks, uint32_t num_q,
-                          CandidateSet* out, SearchStats* stats) const;
+                          uint32_t min_blocks, CandidateSet* out,
+                          SearchStats* stats) const;
 
   /// Stages 2 + 3. `match_map` must be sized to the catalog's column count
   /// and zero-initialized; on return match_map[c] holds the (possibly

@@ -49,12 +49,14 @@ struct StatField {
   X(6, uint64_t, cells_matched, "search_cells_matched", kSum)                 \
   /* Candidate (query vector, leaf cell) pairs emitted by blocking. */        \
   X(7, uint64_t, candidate_pairs, "search_candidate_pairs", kSum)             \
-  /* Columns skipped by the Lemma 7 early-termination rule. */                \
+  /* Columns Lemma 7 ruled out: stage 1 drops one with fewer candidate        \
+     blocks than T, stage 2 stops one once its matches plus unresolved        \
+     blocks fall below T (a record without a block is a mismatch). */         \
   X(9, uint64_t, lemma7_kills, "search_lemma7_kills", kSum)                   \
   /* Columns confirmed joinable before exhausting their candidates. */        \
   X(10, uint64_t, early_joinable, "search_early_joinable", kSum)              \
-  /* (query record, column) pairs emitted by stage 1 of the verification      \
-     pipeline (candidate generation). */                                      \
+  /* (query record, column) pairs found by stage 1 of the verification        \
+     pipeline (candidate generation), those of columns Lemma 7 drops too. */  \
   X(11, uint64_t, candidate_blocks, "search_candidate_blocks", kSum)          \
   /* Many-to-many kernel tiles dispatched by stage 2 (tiled verification).    \
      Tile shapes depend only on the candidate set and the search options,     \

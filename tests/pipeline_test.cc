@@ -284,20 +284,21 @@ TEST(PipelineTest, MappingTimeIsChargedToVerifySeconds) {
   }
 }
 
-/// A column of `col_size` vectors and a query of `num_q` records drawn
-/// around one center, so every record has Lemma-1 survivors in the column.
-struct OneClusterLake {
+/// A catalog and a query column drawn around the same centers.
+struct TestLake {
   ColumnCatalog catalog;
   VectorStore query;
 };
 
-OneClusterLake MakeOneClusterLake(uint64_t seed, uint32_t dim,
+/// Columns of `col_sizes` vectors and a query of `num_q` records drawn
+/// around one center, so every record has Lemma-1 survivors in each column.
+TestLake MakeOneClusterLake(uint64_t seed, uint32_t dim,
                                   const std::vector<uint32_t>& col_sizes,
                                   uint32_t num_q, double sigma) {
   Rng rng(seed);
   std::vector<float> center;
   testing::RandomUnitVector(&rng, dim, &center);
-  OneClusterLake lake{ColumnCatalog(dim), VectorStore(dim)};
+  TestLake lake{ColumnCatalog(dim), VectorStore(dim)};
   for (uint32_t size : col_sizes) {
     std::vector<float> packed;
     for (uint32_t r = 0; r < size; ++r) {
@@ -332,7 +333,7 @@ JoinableColumn MapOneColumn(const PexesoIndex& index, const VectorStore& query,
 TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
   for (const char* name : {"l2", "l1", "cosine", "l2-kernel-free"}) {
     auto metric = MakeTestMetric(name);
-    OneClusterLake lake = MakeOneClusterLake(85, 8, {12}, 5, 0.08);
+    TestLake lake = MakeOneClusterLake(85, 8, {12}, 5, 0.08);
     PexesoOptions popts;
     popts.num_pivots = 3;
     popts.levels = 3;
@@ -401,7 +402,7 @@ TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
 TEST(PipelineTest, FirstWitnessIsTheSameInSubBlockAndDenseSweeps) {
   for (const char* name : {"l2", "l1", "cosine"}) {
     auto metric = MakeTestMetric(name);
-    OneClusterLake lake = MakeOneClusterLake(86, 8, {40}, 12, 0.08);
+    TestLake lake = MakeOneClusterLake(86, 8, {40}, 12, 0.08);
     PexesoOptions popts;
     popts.num_pivots = 3;
     popts.levels = 3;
@@ -455,6 +456,28 @@ TEST(PipelineTest, UnreachableThresholdIsSafeAtAnyThreadCount) {
   ExpectSameCounters(s8, s1, "unreachable T");
 }
 
+/// Blocking exactly as the searcher runs it, then stage 1 with no Lemma-7
+/// floor: every (record, column) block blocking finds.
+CandidateSet StageOne(const PexesoIndex& index, const VectorStore& query,
+                      double tau, SearchStats* stats) {
+  const PivotSpace& ps = index.pivots();
+  const std::vector<double> mapped_q =
+      ps.MapAll(query.raw().data(), query.size());
+  HierarchicalGrid hgq;
+  HierarchicalGrid::Options gopts;
+  gopts.levels = index.grid().levels();
+  gopts.store_leaf_items = true;
+  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
+            gopts);
+  GridBlocker blocker(&index.grid());
+  const BlockResult blocks =
+      blocker.Run(hgq, mapped_q, tau, AblationConfig{}, stats);
+  CandidateSet cands;
+  VerifyPipeline(&index).GenerateCandidates(
+      blocks, static_cast<uint32_t>(query.size()), 0, &cands, stats);
+  return cands;
+}
+
 /// Structural invariants of stage 1: CSR grouping by column with each
 /// column's pairs in ascending query order, and weights consistent with the
 /// emitted ranges.
@@ -469,26 +492,8 @@ TEST(PipelineTest, CandidateSetIsColumnGroupedAndQueryOrdered) {
 
   FractionalThresholds ft{0.08, 0.4};
   const SearchThresholds th = ft.Resolve(metric, 10, query.size());
-
-  // Re-run blocking exactly as the searcher does, then stage 1 directly.
-  const PivotSpace& ps = index.pivots();
-  const std::vector<double> mapped_q =
-      ps.MapAll(query.raw().data(), query.size());
-  HierarchicalGrid hgq;
-  HierarchicalGrid::Options gopts;
-  gopts.levels = index.grid().levels();
-  gopts.store_leaf_items = true;
-  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
-            gopts);
-  GridBlocker blocker(&index.grid());
   SearchStats stats;
-  const BlockResult blocks =
-      blocker.Run(hgq, mapped_q, th.tau, AblationConfig{}, &stats);
-
-  VerifyPipeline pipeline(&index);
-  CandidateSet cands;
-  pipeline.GenerateCandidates(blocks, static_cast<uint32_t>(query.size()),
-                              &cands, &stats);
+  const CandidateSet cands = StageOne(index, query, th.tau, &stats);
 
   ASSERT_EQ(cands.block_begin.size(), index.catalog().num_columns() + 1);
   EXPECT_EQ(cands.block_begin.front(), 0u);
@@ -518,6 +523,180 @@ TEST(PipelineTest, CandidateSetIsColumnGroupedAndQueryOrdered) {
     weight_sum += col_weight;
   }
   EXPECT_EQ(cands.total_weight, weight_sum);
+}
+
+/// A lake for Lemma 7: eight tight clusters, a query of four records in
+/// each (record r near cluster r % 8), and 24 columns of six vectors, column
+/// c drawing from 1 + c % 3 consecutive clusters, so a column's candidate
+/// blocks cover only some of the query's records.
+TestLake MakeLemma7Lake(uint64_t seed) {
+  constexpr uint32_t kDim = 8;
+  constexpr uint32_t kClusters = 8;
+  Rng rng(seed);
+  std::vector<std::vector<float>> centers(kClusters);
+  for (auto& c : centers) testing::RandomUnitVector(&rng, kDim, &c);
+  TestLake lake{ColumnCatalog(kDim), VectorStore(kDim)};
+  for (uint32_t r = 0; r < 4 * kClusters; ++r) {
+    lake.query.Add(testing::Perturb(&rng, centers[r % kClusters], 0.05));
+  }
+  for (uint32_t col = 0; col < 24; ++col) {
+    const uint32_t span = 1 + col % 3;
+    std::vector<float> packed;
+    for (uint32_t r = 0; r < 6; ++r) {
+      const auto v =
+          testing::Perturb(&rng, centers[(col + r % span) % kClusters], 0.05);
+      packed.insert(packed.end(), v.begin(), v.end());
+    }
+    lake.catalog.AddColumn(ColumnMeta{}, packed.data(), 6);
+  }
+  return lake;
+}
+
+/// Lemma 7 counts every record without a candidate block in a column as a
+/// mismatch (Lemmas 3/4 are exact), so match + the unresolved blocks bound
+/// the column's count. A column with fewer blocks than T is dropped by
+/// stage 1 before any distance or Lemma-1 test, and one whose verified
+/// mismatches push that bound below T dies mid-column, where counting
+/// verified mismatches alone (|Q| - T + 1 of them) never fires. Results
+/// equal a run without Lemma 7 in both threshold modes, and the counters
+/// hold at every thread count.
+TEST(PipelineTest, Lemma7CountsRecordsWithoutABlock) {
+  L2Metric metric;
+  TestLake lake = MakeLemma7Lake(87);
+  const ColumnCatalog& catalog = lake.catalog;
+  const VectorStore& query = lake.query;
+  const uint32_t num_q = static_cast<uint32_t>(query.size());
+  const uint32_t dim = catalog.dim();
+  PexesoOptions popts;
+  popts.num_pivots = 3;
+  popts.levels = 4;
+  PexesoIndex index =
+      PexesoIndex::Build(ColumnCatalog(catalog), &metric, popts);
+  PexesoSearcher searcher(&index);
+  constexpr uint32_t kT = 6;
+  JoinQuery jq;
+  jq.thresholds.tau = 0.08 * metric.MaxUnitDistance(dim);
+  jq.thresholds.t_abs = kT;
+
+  // Replay each column's blocks in query order against the brute-force
+  // verdicts: the count bound kills where match + unresolved blocks < T.
+  SearchStats gen;
+  const CandidateSet cands = StageOne(index, query, jq.thresholds.tau, &gen);
+  std::vector<ColumnId> short_cols, killed_mid;
+  std::vector<uint32_t> blocks_of(catalog.num_columns(), 0);
+  uint64_t dead = 0, joinable = 0;
+  for (ColumnId col = 0; col < catalog.num_columns(); ++col) {
+    const size_t bb = cands.block_begin[col];
+    const uint32_t n = static_cast<uint32_t>(cands.block_begin[col + 1] - bb);
+    blocks_of[col] = n;
+    if (n == 0) continue;
+    const ColumnMeta& meta = catalog.column(col);
+    uint32_t match = 0;
+    uint32_t kill_at = n;  // the pair after which the bound fires
+    for (uint32_t b = 0; b < n; ++b) {
+      const uint32_t q = cands.blocks[bb + b].query;
+      for (VecId v = meta.first; v < meta.end(); ++v) {
+        if (metric.Dist(query.View(q), catalog.store().View(v), dim) <=
+            jq.thresholds.tau) {
+          ++match;
+          break;
+        }
+      }
+      if (kill_at == n && match + (n - b - 1) < kT) kill_at = b;
+    }
+    if (match >= kT) {
+      ++joinable;
+      continue;
+    }
+    ++dead;
+    if (n < kT) {
+      short_cols.push_back(col);
+    } else if (kill_at + 1 < n && n - match <= num_q - kT) {
+      killed_mid.push_back(col);
+    }
+  }
+  ASSERT_FALSE(short_cols.empty());
+  ASSERT_FALSE(killed_mid.empty());
+  ASSERT_GT(joinable, 0u);
+
+  for (QueryMode mode : {QueryMode::kThreshold, QueryMode::kExactJoinability}) {
+    JoinQuery on = jq;
+    on.mode = mode;
+    JoinQuery off = on;
+    off.ablation.use_lemma7 = false;
+    const std::string label = mode == QueryMode::kThreshold ? "threshold"
+                                                            : "exact";
+    SearchStats on_stats, off_stats;
+    const auto with = MustSearch(searcher, query, on, &on_stats);
+    const auto without = MustSearch(searcher, query, off, &off_stats);
+    ASSERT_FALSE(with.empty()) << label;
+    ExpectByteIdentical(with, without, label);
+    EXPECT_EQ(on_stats.lemma7_kills, dead) << label;
+    EXPECT_EQ(off_stats.lemma7_kills, 0u) << label;
+    EXPECT_EQ(on_stats.candidate_blocks, cands.blocks.size()) << label;
+    EXPECT_EQ(off_stats.candidate_blocks, cands.blocks.size()) << label;
+    EXPECT_LT(on_stats.distance_computations, off_stats.distance_computations)
+        << label;
+    for (size_t threads : {2, 8}) {
+      JoinQuery topts = on;
+      topts.intra_query_threads = threads;
+      SearchStats tstats;
+      const std::string at = label + " threads=" + std::to_string(threads);
+      ExpectByteIdentical(MustSearch(searcher, query, topts, &tstats), with,
+                          at);
+      ExpectSameCounters(tstats, on_stats, at);
+    }
+  }
+
+  // Stage 2 applies the same bound on its own: fed every block (no stage-1
+  // floor), it kills each short column before its first pair, so the
+  // verification counters equal the search's.
+  {
+    SearchStats search_stats, stage2_stats;
+    MustSearch(searcher, query, jq, &search_stats);
+    std::vector<uint32_t> match_map(catalog.num_columns(), 0);
+    ASSERT_TRUE(VerifyPipeline(&index)
+                    .VerifyCandidates(cands, query,
+                                      index.pivots().MapAll(
+                                          query.raw().data(), query.size()),
+                                      jq, nullptr, &match_map, nullptr,
+                                      &stage2_stats)
+                    .ok());
+    EXPECT_EQ(stage2_stats.distance_computations,
+              search_stats.distance_computations);
+    EXPECT_EQ(stage2_stats.lemma1_filtered, search_stats.lemma1_filtered);
+    EXPECT_EQ(stage2_stats.tiles_evaluated, search_stats.tiles_evaluated);
+    EXPECT_EQ(stage2_stats.lemma7_kills, dead);
+    EXPECT_EQ(stage2_stats.early_joinable, joinable);
+  }
+
+  // One column searched alone (every other column tombstoned).
+  const auto alone = [&](ColumnId keep, bool use_l7) {
+    PexesoIndex one =
+        PexesoIndex::Build(ColumnCatalog(catalog), &metric, popts);
+    for (ColumnId col = 0; col < catalog.num_columns(); ++col) {
+      if (col != keep) one.DeleteColumn(col);
+    }
+    JoinQuery q1 = jq;
+    q1.ablation.use_lemma7 = use_l7;
+    SearchStats stats;
+    EXPECT_TRUE(MustSearch(PexesoSearcher(&one), query, q1, &stats).empty());
+    EXPECT_EQ(stats.candidate_blocks, blocks_of[keep]) << "column " << keep;
+    return stats;
+  };
+  const SearchStats dropped = alone(short_cols.front(), true);
+  EXPECT_EQ(dropped.distance_computations, 0u);
+  EXPECT_EQ(dropped.lemma1_filtered, 0u);
+  EXPECT_EQ(dropped.tiles_evaluated, 0u);
+  EXPECT_EQ(dropped.lemma7_kills, 1u);
+  // Counting verified mismatches alone would run this column to its end,
+  // which is what the run without Lemma 7 does.
+  const SearchStats killed = alone(killed_mid.front(), true);
+  const SearchStats ran_out = alone(killed_mid.front(), false);
+  EXPECT_EQ(killed.lemma7_kills, 1u);
+  EXPECT_EQ(ran_out.lemma7_kills, 0u);
+  EXPECT_LT(killed.distance_computations + killed.lemma1_filtered,
+            ran_out.distance_computations + ran_out.lemma1_filtered);
 }
 
 /// The leaf cell whose postings hold vector `v`.
@@ -633,7 +812,7 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
 
   SearchStats stats;
   CandidateSet got;
-  VerifyPipeline(&index).GenerateCandidates(blocks, 4, &got, &stats);
+  VerifyPipeline(&index).GenerateCandidates(blocks, 4, 0, &got, &stats);
   ExpectSameCandidates(got, want, "heap index");
   EXPECT_EQ(stats.candidate_blocks, 8u);
 
@@ -646,7 +825,7 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
   SearchStats view_stats;
   CandidateSet view;
   VerifyPipeline(&loaded.value())
-      .GenerateCandidates(blocks, 4, &view, &view_stats);
+      .GenerateCandidates(blocks, 4, 0, &view, &view_stats);
   ExpectSameCandidates(view, want, "mapped snapshot");
   EXPECT_EQ(view_stats.candidate_blocks, 8u);
   std::remove(path.c_str());
