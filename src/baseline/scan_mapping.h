@@ -10,8 +10,8 @@
 namespace pexeso {
 
 /// Shared mapping post-pass of the scan-style engines (naive, PEXESO-H),
-/// mirroring VerifyPipeline::CollectMappings: one target vector (the first
-/// in store order) per matching query record, with the column's counters
+/// reporting what PEXESO's verification records as witnesses: one target
+/// vector (the first in store order) per matching query record, with the column's counters
 /// upgraded to the exact joinability the full scan resolves as a side
 /// effect. `qnorms`/`rnorms` are the cached norms when the predicate wants
 /// them, null otherwise.

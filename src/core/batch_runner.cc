@@ -14,7 +14,7 @@ namespace pexeso {
 
 BatchQueryRunner::BatchQueryRunner(const JoinSearchEngine* engine,
                                    BatchRunnerOptions options)
-    : engine_(engine), partition_mode_(options.partition_mode) {
+    : engine_(engine) {
   PEXESO_CHECK(engine != nullptr);
   num_threads_ = options.num_threads;
   if (num_threads_ == 0) {
@@ -66,12 +66,9 @@ BatchResult BatchQueryRunner::Run(const std::vector<JoinQuery>& queries) const {
   }
 
   const auto* parts = dynamic_cast<const PartitionedJoinEngine*>(engine_);
-  const bool partition_major =
-      parts != nullptr && !queries.empty() &&
-      (partition_mode_ == BatchPartitionMode::kPartitionMajor ||
-       (partition_mode_ == BatchPartitionMode::kAuto &&
-        parts->NumParts() > 1 && queries.size() > 1 &&
-        !parts->PartsStayResident()));
+  const bool partition_major = parts != nullptr && parts->NumParts() > 1 &&
+                               queries.size() > 1 &&
+                               !parts->PartsStayResident();
 
   // One request: executes and records status, degraded parts and
   // (possibly partial) results into the query's own slots. A query that is

@@ -9,27 +9,10 @@
 
 namespace pexeso {
 
-/// \brief How a batch iterates a PartitionedJoinEngine (ignored for
-/// in-memory engines, which have no partition axis).
-enum class BatchPartitionMode {
-  /// Partition-major when the engine reports its parts will NOT stay
-  /// resident across queries (no cache, or a budget too small to hold the
-  /// partitions); query-major otherwise.
-  kAuto,
-  /// Every query searches all partitions itself (each load hits the cache
-  /// or disk per query) — the pre-serving-layer behavior.
-  kQueryMajor,
-  /// Outer loop over partitions: each partition is loaded ONCE per batch
-  /// and all queries search it while it is held resident, so batch IO is
-  /// O(partitions) instead of O(queries x partitions).
-  kPartitionMajor,
-};
-
 /// \brief Options for a batch run.
 struct BatchRunnerOptions {
   /// Worker threads fanning the queries out. 0 = one per hardware thread.
   size_t num_threads = 1;
-  BatchPartitionMode partition_mode = BatchPartitionMode::kAuto;
 };
 
 /// \brief Outcome of one batch run.
@@ -68,12 +51,15 @@ struct BatchResult {
 /// across query columns: each worker executes whole requests with its own
 /// SearchStats scratch slot, and the slots are merged after the barrier.
 ///
-/// Out-of-core engines get a second axis: when the engine implements
-/// PartitionedJoinEngine and its parts will not stay resident (see
-/// BatchPartitionMode), the runner flips to a partition-major loop that
-/// loads each partition once per batch and fans the queries out against the
-/// held partition — the difference between O(partitions) and
-/// O(queries x partitions) deserializations per batch.
+/// Out-of-core engines get a second axis: when a batch of several queries
+/// meets an engine that implements PartitionedJoinEngine with several parts
+/// that will not stay resident (no cache, or a budget too small to hold
+/// them: PartsStayResident), the runner flips to a partition-major loop
+/// that loads each partition once per batch and fans the queries out
+/// against the held partition — the difference between O(partitions) and
+/// O(queries x partitions) deserializations per batch. Otherwise every
+/// query searches all partitions itself through the engine's Execute
+/// (query-major).
 ///
 /// A third axis composes with both: queries whose JoinQuery asks for
 /// intra-query verification shards (intra_query_threads > 1) without a pool
@@ -93,7 +79,7 @@ struct BatchResult {
 /// which the query-major path calls.
 ///
 /// Determinism contract: results (and the stats counters) are identical
-/// for any `num_threads` and either partition mode, because (a) engines are
+/// for any `num_threads` and either batch loop, because (a) engines are
 /// deterministic per query, (b) every query writes only its own
 /// pre-allocated slot, (c) slots are merged serially in input order, and
 /// (d) partition-major chunks are concatenated in partition order before
@@ -125,7 +111,6 @@ class BatchQueryRunner {
 
   const JoinSearchEngine* engine_;
   size_t num_threads_;
-  BatchPartitionMode partition_mode_;
 };
 
 }  // namespace pexeso

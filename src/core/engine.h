@@ -100,20 +100,23 @@ class PartitionedJoinEngine {
   /// otherwise the part is acquired internally and `io_seconds` (optional)
   /// is incremented by the load share — including on the error path, so IO
   /// accounting survives a failed load.
-  virtual Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const = 0;
-
-  /// SearchPart plus the part's degraded-serving notice: set non-OK when
-  /// the part answered, but knowingly incompletely (a lake part whose base
+  ///
+  /// `notice` receives the part's degraded-serving notice: non-OK when the
+  /// part answered, but knowingly incompletely (a lake part whose base
   /// recovery quarantined). The notice describes the same snapshot the
-  /// search ran against. Default: SearchPart with an OK notice. This is the
-  /// call PartRunner makes.
+  /// search ran against. This is the call PartRunner makes.
   virtual Result<std::vector<JoinableColumn>> SearchPartWithNotice(
       size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded, Status* notice) const {
-    *notice = Status::OK();
-    return SearchPart(part, query, stats, io_seconds, preloaded);
+      double* io_seconds, const PartHandle& preloaded,
+      Status* notice) const = 0;
+
+  /// SearchPartWithNotice without the notice.
+  Result<std::vector<JoinableColumn>> SearchPart(
+      size_t part, const JoinQuery& query, SearchStats* stats,
+      double* io_seconds, const PartHandle& preloaded) const {
+    Status notice;
+    return SearchPartWithNotice(part, query, stats, io_seconds, preloaded,
+                                &notice);
   }
 
   /// True when per-part working sets are expected to stay resident across

@@ -158,8 +158,9 @@ struct JoinQuery {
   SearchThresholds thresholds;
   AblationConfig ablation;
   /// When true, each returned column carries the record-level mapping
-  /// (query index -> one matching target vector). Costs a post-pass; in
-  /// kTopK mode it runs only over the final k columns.
+  /// (query index -> its lowest matching target vector) and an exact match
+  /// count. PEXESO records each pair's witness during verification, which
+  /// then runs every column exactly, as in kExactJoinability.
   bool collect_mappings = false;
   /// Intra-query parallelism: verification work of ONE search is sharded by
   /// column range across this many workers (core/verify_pipeline.h). 0 or 1

@@ -73,9 +73,14 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   std::vector<uint8_t> pruned;
   if (topk_mode) pruned.assign(num_cols, 0);
   std::vector<uint32_t> match_map(num_cols, 0);
+  std::vector<VecId> witness;
+  if (jq.collect_mappings) {
+    witness.assign(cands.blocks.size(), VerifyPipeline::kNoWitness);
+  }
   const Status verify_st = pipeline.VerifyCandidates(
       cands, query, mapped_q, jq, topk_mode ? &topk_bound : nullptr,
-      &match_map, topk_mode ? &pruned : nullptr, out_stats);
+      &match_map, topk_mode ? &pruned : nullptr,
+      jq.collect_mappings ? &witness : nullptr, out_stats);
   out_stats->verify_seconds += verify_watch.ElapsedSeconds();
   if (!verify_st.ok()) return finish(verify_st);
 
@@ -97,13 +102,17 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   // wrapper's output bit for bit.
   if (topk_mode) RankTopK(&out, jq.k);
   if (jq.collect_mappings) {
-    // The mapping sweep re-runs verification per result column: charge it
-    // to the verify phase, interrupted or not.
-    Stopwatch map_watch;
-    const Status map_st =
-        pipeline.CollectMappings(query, mapped_q, jq, &out, out_stats);
-    out_stats->verify_seconds += map_watch.ElapsedSeconds();
-    if (!map_st.ok()) return finish(map_st);
+    // Stage 2 resolved every block of a result column, in ascending record
+    // order, and each block's witness is its record's lowest matching VecId.
+    for (JoinableColumn& jc : out) {
+      for (size_t b = cands.block_begin[jc.column];
+           b < cands.block_begin[jc.column + 1]; ++b) {
+        if (witness[b] != VerifyPipeline::kNoWitness) {
+          jc.mapping.push_back(RecordMatch{cands.blocks[b].query, witness[b]});
+        }
+      }
+      PEXESO_CHECK(jc.mapping.size() == jc.match_count);
+    }
   }
   for (auto& jc : out) sink->OnColumn(std::move(jc));
   return finish(Status::OK());

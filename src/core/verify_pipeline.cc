@@ -60,16 +60,15 @@ uint64_t Lemma1Row(const double* mq, uint32_t np, double tau, size_t n,
 }
 
 /// Runs task(i, &stats_i) for i in [0, n) on the query's shared intra-query
-/// pool when it names one, else on a transient pool of min(n, max_workers,
-/// 64) workers (extra tasks just queue, so the task layout stays a pure
-/// function of the options). Each task owns a private stats slot and status;
-/// slots merge into `stats` in task order and the first non-OK status in the
-/// same order is returned, so counters never depend on scheduling. A task
+/// pool when it names one, else on a transient pool of min(n, 64) workers
+/// (extra tasks just queue, so the task layout stays a pure function of the
+/// options). Each task owns a private stats slot and status; slots merge
+/// into `stats` in task order and the first non-OK status in the same order
+/// is returned, so counters never depend on scheduling. A task
 /// exception is rethrown here on both branches: TaskGroup::Wait does not
 /// rethrow (the exception lands in the pool's error slot, which nothing on
 /// this path drains), so the shared-pool branch captures it itself.
-Status FanOut(ThreadPool* shared, size_t n, size_t max_workers,
-              SearchStats* stats,
+Status FanOut(ThreadPool* shared, size_t n, SearchStats* stats,
               const std::function<Status(size_t, SearchStats*)>& task) {
   std::vector<SearchStats> task_stats(n);
   std::vector<Status> task_status(n);
@@ -91,7 +90,7 @@ Status FanOut(ThreadPool* shared, size_t n, size_t max_workers,
     group.Wait();
     if (first_error) std::rethrow_exception(first_error);
   } else {
-    ThreadPool pool(std::min({n, max_workers, size_t{64}}));
+    ThreadPool pool(std::min(n, size_t{64}));
     pool.ParallelFor(n, run);
   }
   for (const SearchStats& s : task_stats) *stats += s;
@@ -103,9 +102,9 @@ Status FanOut(ThreadPool* shared, size_t n, size_t max_workers,
 
 }  // namespace
 
-/// Reused buffers of one verification shard (or one mapping sweep): gather
-/// targets, lemma masks, packed tiles. Everything is cleared per group, so
-/// allocations amortize across the whole shard.
+/// Reused buffers of one verification shard: gather targets, lemma masks,
+/// packed tiles. Everything is cleared per group, so allocations amortize
+/// across the whole shard.
 struct VerifyPipeline::TileScratch {
   std::vector<VecId> ids;          ///< gathered candidate vector ids
   std::vector<uint8_t> mask;       ///< rows x nv Lemma-1 survivor mask
@@ -113,8 +112,7 @@ struct VerifyPipeline::TileScratch {
   std::vector<uint32_t> uni;       ///< union survivor indices (ascending)
   std::vector<uint32_t> rows;      ///< unresolved row indices (ascending)
   std::vector<uint32_t> next_rows;
-  std::vector<uint8_t> matched;    ///< per-run pair outcomes
-  std::vector<uint32_t> first_match;  ///< per-query first match (mappings)
+  std::vector<VecId> found;        ///< per-run pair witnesses
 
   // One SweepTile call: its rows, slots and per-row answers.
   std::vector<TileRow> tile;
@@ -220,6 +218,7 @@ Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,
                                         const JoinQuery& jq, TopKBound* topk,
                                         std::vector<uint32_t>* match_map,
                                         std::vector<uint8_t>* pruned,
+                                        std::vector<VecId>* witness,
                                         SearchStats* stats) const {
   const size_t ncols = index_->catalog().num_columns();
   PEXESO_CHECK(match_map->size() == ncols);
@@ -228,6 +227,7 @@ Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,
   // column against the bound records it in `pruned` unconditionally.
   PEXESO_CHECK((pruned != nullptr) == (topk != nullptr));
   PEXESO_CHECK(pruned == nullptr || pruned->size() == ncols);
+  PEXESO_CHECK(witness == nullptr || witness->size() == cands.blocks.size());
   if (cands.empty()) return Status::OK();
   const RangePredicate pred(*index_->metric(), jq.thresholds.tau);
   const float* rnorms =
@@ -237,7 +237,8 @@ Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,
   const size_t want = jq.intra_query_threads;
   if (want <= 1) {
     return VerifyShard(cands, 0, static_cast<ColumnId>(ncols), query, mapped_q,
-                       jq, topk, qnorms, rnorms, match_map, pruned, stats);
+                       jq, topk, qnorms, rnorms, match_map, pruned, witness,
+                       stats);
   }
 
   // Contiguous weight-balanced shard boundaries: cut after a column once
@@ -257,15 +258,15 @@ Status VerifyPipeline::VerifyCandidates(const CandidateSet& cands,
     }
   }
 
-  // Stages 2 + 3: shards own disjoint match_map/pruned slices, so the
+  // Stages 2 + 3: shards own disjoint match_map/pruned/witness slices, so the
   // fan-out is lock-free (the kTopK bound is the one shared object, and it
   // synchronizes internally); stats merge in shard (= ascending column)
   // order and the first interrupted shard in that order decides the status.
-  return FanOut(jq.intra_query_pool, nshards, nshards, stats,
+  return FanOut(jq.intra_query_pool, nshards, stats,
                 [&](size_t si, SearchStats* shard_stats) {
                   return VerifyShard(cands, bounds[si], bounds[si + 1], query,
                                      mapped_q, jq, topk, qnorms, rnorms,
-                                     match_map, pruned, shard_stats);
+                                     match_map, pruned, witness, shard_stats);
                 });
 }
 
@@ -277,10 +278,12 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
                                    const float* repo_norms,
                                    std::vector<uint32_t>* match_map,
                                    std::vector<uint8_t>* pruned,
+                                   std::vector<VecId>* witness,
                                    SearchStats* stats) const {
   const uint32_t t_abs = jq.EffectiveT();
   const uint32_t l7_t = jq.Lemma7T();
-  const bool exact = jq.exact_counts();
+  // A mapping needs every block of a result column resolved.
+  const bool exact = jq.exact_counts() || witness != nullptr;
   TileScratch scratch;
   uint64_t shard_blocks = 0;
   Status live = Status::OK();
@@ -366,12 +369,19 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
       // than the (reach - l7_t + 1)-th pair (never with l7_t = 0).
       k = std::min<size_t>(k, reach - l7_t + 1);
       PEXESO_DCHECK(k >= 1);
-      scratch.matched.assign(k, 0);
+      // A mapping query's pair outcomes are its witnesses, written in place.
+      VecId* found;
+      if (witness != nullptr) {
+        found = witness->data() + i;
+      } else {
+        scratch.found.resize(k);
+        found = scratch.found.data();
+      }
       EvaluateRun(cands, i, k, query, mapped_q, jq, query_norms, repo_norms,
-                  &scratch, scratch.matched.data(), stats);
+                  witness != nullptr, &scratch, found, stats);
       // Replay the serial outcome application verbatim.
       for (size_t j = 0; j < k; ++j) {
-        if (!scratch.matched[j]) continue;
+        if (found[j] == kNoWitness) continue;
         ++match;
         if (match >= t_abs && !joinable) {
           joinable = true;
@@ -398,13 +408,14 @@ void VerifyPipeline::EvaluateRun(const CandidateSet& cands, size_t i,
                                  const std::vector<double>& mapped_q,
                                  const JoinQuery& jq,
                                  const float* query_norms,
-                                 const float* repo_norms, TileScratch* scratch,
-                                 uint8_t* matched, SearchStats* stats) const {
+                                 const float* repo_norms, bool ascending,
+                                 TileScratch* scratch, VecId* found,
+                                 SearchStats* stats) const {
   size_t j = 0;
   while (j < k) {
     const CandidateBlock& b = cands.blocks[i + j];
     if (b.range_count == 0) {
-      matched[j] = 0;
+      found[j] = kNoWitness;
       ++j;
       continue;
     }
@@ -414,7 +425,8 @@ void VerifyPipeline::EvaluateRun(const CandidateSet& cands, size_t i,
     size_t j2 = j + 1;
     while (j2 < k && SameRanges(cands, b, cands.blocks[i + j2])) ++j2;
     EvaluateGroup(cands, cands.blocks.data() + i + j, j2 - j, query, mapped_q,
-                  jq, query_norms, repo_norms, scratch, matched + j, stats);
+                  jq, query_norms, repo_norms, ascending, scratch, found + j,
+                  stats);
     j = j2;
   }
 }
@@ -425,15 +437,19 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
                                    const std::vector<double>& mapped_q,
                                    const JoinQuery& jq,
                                    const float* query_norms,
-                                   const float* repo_norms,
-                                   TileScratch* scratch, uint8_t* matched,
+                                   const float* repo_norms, bool ascending,
+                                   TileScratch* scratch, VecId* found,
                                    SearchStats* stats) const {
   const uint32_t np = index_->pivots().num_pivots();
   const double tau = jq.thresholds.tau;
   const bool use_l1 = jq.ablation.use_lemma1;
   const VecId* vec_ids = index_->inverted_index().vec_ids_data();
 
-  // Gather the shared candidate list once for the whole group.
+  std::fill(found, found + m, kNoWitness);
+
+  // Gather the shared candidate list once for the whole group. In VecId
+  // order, a row's first match is its lowest matching vector: the witness
+  // a mapping reports.
   auto& ids = scratch->ids;
   ids.clear();
   const VecIdRange* ranges = cands.ranges.data() + group[0].range_begin;
@@ -442,8 +458,9 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
       ids.push_back(vec_ids[ranges[r].begin + t]);
     }
   }
+  if (ascending) std::sort(ids.begin(), ids.end());
   const size_t nv = ids.size();
-  if (nv == 0) return;  // matched[] pre-zeroed by the caller
+  if (nv == 0) return;
 
   // Pivot-space pass per row: the Lemma-1 survivor mask. A row with no
   // survivor is mismatched; every other row goes to the distance stage.
@@ -515,152 +532,13 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
     next_live.clear();
     for (size_t t = 0; t < live.size(); ++t) {
       if (hits[t] != kNoSlot) {
-        matched[live[t]] = 1;
+        found[live[t]] = slots[hits[t]];
       } else {
         next_live.push_back(live[t]);
       }
     }
     std::swap(live, next_live);
   }
-}
-
-Status VerifyPipeline::CollectMappings(const VectorStore& query,
-                                       const std::vector<double>& mapped_q,
-                                       const JoinQuery& jq,
-                                       std::vector<JoinableColumn>* out,
-                                       SearchStats* stats) const {
-  if (out->empty() || query.size() == 0) return Status::OK();
-  const RangePredicate pred(*index_->metric(), jq.thresholds.tau);
-  const float* rnorms =
-      pred.wants_norms() ? index_->catalog().store().EnsureNorms() : nullptr;
-  const float* qnorms = pred.wants_norms() ? query.EnsureNorms() : nullptr;
-
-  const size_t want = jq.intra_query_threads;
-  if (want <= 1 || out->size() == 1) {
-    TileScratch scratch;
-    for (auto& jc : *out) {
-      Status live = jq.CheckLive();
-      if (!live.ok()) {
-        ++stats->deadline_expired;
-        return live;
-      }
-      MapColumn(&jc, query, mapped_q, jq, qnorms, rnorms, &scratch, stats);
-    }
-    return Status::OK();
-  }
-  // One task per result column (columns are the natural independent unit).
-  // Each task records its column's deadline checkpoint outcome, so the
-  // first tripped column (in column order) decides the returned status.
-  return FanOut(jq.intra_query_pool, out->size(), want, stats,
-                [&](size_t i, SearchStats* col_stats) {
-                  Status live = jq.CheckLive();
-                  if (!live.ok()) {
-                    ++col_stats->deadline_expired;
-                    return live;
-                  }
-                  TileScratch scratch;
-                  MapColumn(&(*out)[i], query, mapped_q, jq, qnorms, rnorms,
-                            &scratch, col_stats);
-                  return Status::OK();
-                });
-}
-
-void VerifyPipeline::MapColumn(JoinableColumn* jc, const VectorStore& query,
-                               const std::vector<double>& mapped_q,
-                               const JoinQuery& jq,
-                               const float* query_norms,
-                               const float* repo_norms, TileScratch* scratch,
-                               SearchStats* stats) const {
-  const uint32_t np = index_->pivots().num_pivots();
-  const double tau = jq.thresholds.tau;
-  const uint32_t num_q = static_cast<uint32_t>(query.size());
-  const ColumnMeta& meta = index_->catalog().column(jc->column);
-  const uint32_t nv = meta.count;
-
-  jc->mapping.clear();
-  auto& first_match = scratch->first_match;
-  first_match.assign(num_q, UINT32_MAX);
-  auto& live = scratch->rows;
-  live.resize(num_q);
-  for (uint32_t q = 0; q < num_q; ++q) live[q] = q;
-  auto& next_live = scratch->next_rows;
-
-  // The column's vectors are one contiguous VecId run, so the mapping sweep
-  // is a many-to-many tile over (query records x column rows) that views
-  // the store in place while a tile's Lemma-1 survivors stay contiguous.
-  for (uint32_t v0 = 0; v0 < nv && !live.empty(); v0 += kTileVecs) {
-    const size_t vlen = std::min<size_t>(kTileVecs, nv - v0);
-
-    // Lemma-1 survivor masks of the live rows over this vec-tile (applied
-    // unconditionally, matching the serial mapping scan).
-    auto& mask = scratch->mask;
-    mask.resize(live.size() * vlen);
-    const double* mapped = index_->MappedVec(meta.first + v0);
-    const auto mapped_of = [&](size_t c) { return mapped + c * np; };
-    for (size_t t = 0; t < live.size(); ++t) {
-      const double* mq =
-          mapped_q.data() + static_cast<size_t>(live[t]) * np;
-      stats->lemma1_filtered += Lemma1Row(mq, np, tau, vlen, mapped_of,
-                                          mask.data() + t * vlen);
-    }
-
-    // Rows with at least one survivor in this tile do the work; fully
-    // filtered rows skip it (the serial scan spent no distances on them
-    // either) and simply stay live for the later tiles.
-    auto& tile = scratch->tile;
-    tile.clear();
-    for (size_t t = 0; t < live.size(); ++t) {
-      const uint8_t* mrow = mask.data() + t * vlen;
-      if (std::find(mrow, mrow + vlen, uint8_t{1}) != mrow + vlen) {
-        tile.push_back(TileRow{live[t], mrow});
-      }
-    }
-    if (tile.empty()) continue;  // nobody survives; rows stay live
-
-    // Union of the participating rows' survivors within the tile.
-    auto& um = scratch->union_mask;
-    um.assign(vlen, 0);
-    for (const TileRow& row : tile) {
-      for (size_t c = 0; c < vlen; ++c) um[c] |= row.mask[c];
-    }
-    auto& uni = scratch->uni;
-    uni.clear();
-    auto& slots = scratch->slots;
-    slots.clear();
-    for (size_t c = 0; c < vlen; ++c) {
-      if (!um[c]) continue;
-      uni.push_back(static_cast<uint32_t>(c));
-      slots.push_back(meta.first + v0 + static_cast<VecId>(c));
-    }
-
-    auto& hits = scratch->hits;
-    hits.resize(tile.size());
-    SweepTile(tile, slots, uni.data(), query, jq, query_norms, repo_norms,
-              scratch, hits.data(), stats);
-    // Slots ascend and vec-tiles scan forward, so a row's first hit is its
-    // column-global first match — the serial mapping's choice.
-    for (size_t t = 0; t < tile.size(); ++t) {
-      if (hits[t] != kNoSlot) first_match[tile[t].query] = slots[hits[t]];
-    }
-    // One ordered pass keeps next_live ascending regardless of which rows
-    // took part in this tile's work.
-    next_live.clear();
-    for (uint32_t q : live) {
-      if (first_match[q] == UINT32_MAX) next_live.push_back(q);
-    }
-    std::swap(live, next_live);
-  }
-
-  for (uint32_t q = 0; q < num_q; ++q) {
-    if (first_match[q] != UINT32_MAX) {
-      jc->mapping.push_back(RecordMatch{q, first_match[q]});
-    }
-  }
-  // The mapping sweep resolves every query record exactly, so upgrade the
-  // (possibly early-terminated) counters to the exact joinability.
-  jc->match_count = static_cast<uint32_t>(jc->mapping.size());
-  jc->joinability =
-      static_cast<double>(jc->match_count) / static_cast<double>(num_q);
 }
 
 void VerifyPipeline::SweepTile(std::span<const TileRow> rows,

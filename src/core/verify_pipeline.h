@@ -7,7 +7,6 @@
 
 #include "core/blocker.h"
 #include "core/engine.h"
-#include "core/join_result.h"
 #include "core/pexeso_index.h"
 
 namespace pexeso {
@@ -63,14 +62,18 @@ struct CandidateSet {
 ///   stage 3  deterministic reduction — shards own disjoint match_map
 ///            slices and private stats, merged in shard (= column) order.
 ///
-/// One tile sweep: verification and the record-mapping pass (CollectMappings)
-/// both resolve a vec-tile through SweepTile — Lemma-1-masked rows against a
-/// slot list. A sweep of no more pairs than one dense 8x8 block (and every
-/// sweep of a metric without kernels) runs pair by pair in place: each row
-/// reads its own survivors up to its first match, Algorithm 2's pair set. A
-/// larger one runs exact float tiles over every slot. Both callers take
-/// each row's first match in slot order: verification only asks whether it
-/// exists, a mapping records it as the row's witness.
+/// One tile sweep: every group of pairs is resolved through SweepTile —
+/// Lemma-1-masked rows against a slot list. A sweep of no more pairs than
+/// one dense 8x8 block (and every sweep of a metric without kernels) runs
+/// pair by pair in place: each row reads its own survivors up to its first
+/// match, Algorithm 2's pair set. A larger one runs exact float tiles over
+/// every slot. Each row takes its first match in slot order.
+///
+/// Record mappings are stage 2's witnesses: a query that collects them
+/// passes VerifyCandidates a per-block witness array, and each resolved
+/// block records the VecId its record matched. Lemmas 3/4 are exact, so a
+/// record's matches in a column all lie in its block's candidates; the
+/// searcher reads each result column's mapping off its blocks.
 ///
 /// Determinism contract: because a column's pairs are always resolved by
 /// one shard, in ascending query order, with Lemma-7 kills and t_abs
@@ -98,8 +101,8 @@ struct CandidateSet {
 ///
 /// Deadline/cancellation: shards poll JoinQuery::CheckLive() between
 /// columns; a tripped shard abandons its remaining range and
-/// VerifyCandidates / CollectMappings return the Cancelled /
-/// DeadlineExceeded status (first shard in shard order wins).
+/// VerifyCandidates returns the Cancelled / DeadlineExceeded status (first
+/// shard in shard order wins).
 ///
 /// Tile-batching rule: a run of k pending pairs of one column can be
 /// evaluated as one batch only when no skip-triggering state transition can
@@ -127,53 +130,52 @@ class VerifyPipeline {
                           uint32_t min_blocks, CandidateSet* out,
                           SearchStats* stats) const;
 
+  /// VecId of "no witness": the block's record matched nothing.
+  static constexpr VecId kNoWitness = UINT32_MAX;
+
   /// Stages 2 + 3. `match_map` must be sized to the catalog's column count
   /// and zero-initialized; on return match_map[c] holds the (possibly
   /// early-terminated, per the query mode) match count of column c. For
   /// kTopK, `topk` carries the shared running bound and `pruned` (same
   /// size, zero-initialized) flags columns abandoned against it; both must
-  /// be null otherwise. Returns OK, or the interruption status when a
+  /// be null otherwise. `witness`, when non-null, must hold one kNoWitness
+  /// per block of `cands`: every column then runs exactly (no early
+  /// joinable stop), each group's candidates are checked in ascending VecId
+  /// order, and witness[b] becomes the lowest VecId that matches block b's
+  /// record, or stays kNoWitness. A column that ends with match >= T has
+  /// every block resolved. Returns OK, or the interruption status when a
   /// deadline/cancel checkpoint tripped (match_map is then partial).
   Status VerifyCandidates(const CandidateSet& cands, const VectorStore& query,
                           const std::vector<double>& mapped_q,
                           const JoinQuery& jq, TopKBound* topk,
                           std::vector<uint32_t>* match_map,
                           std::vector<uint8_t>* pruned,
+                          std::vector<VecId>* witness,
                           SearchStats* stats) const;
-
-  /// Record-level mappings: each joinable column is swept with the same
-  /// SweepTile routine as verification, over (query records x the column's
-  /// contiguous vector range) with Lemma-1 masking, asking for each record's
-  /// first witness rather than mere existence. Parallelizes across result
-  /// columns under the same intra-query options, with per-column stats
-  /// merged in column order. Returns OK or the interruption status (mappings
-  /// are then partial; the caller discards them).
-  Status CollectMappings(const VectorStore& query,
-                         const std::vector<double>& mapped_q,
-                         const JoinQuery& jq,
-                         std::vector<JoinableColumn>* out,
-                         SearchStats* stats) const;
 
  private:
   struct TileScratch;
 
   /// Stage-2 worker: verifies columns [col_lo, col_hi), writing only that
-  /// slice of match_map (and `pruned`, kTopK) and its private `stats`.
+  /// slice of match_map (and `pruned`, kTopK; `witness`, mappings) and its
+  /// private `stats`.
   Status VerifyShard(const CandidateSet& cands, ColumnId col_lo,
                      ColumnId col_hi, const VectorStore& query,
                      const std::vector<double>& mapped_q, const JoinQuery& jq,
                      TopKBound* topk, const float* query_norms,
                      const float* repo_norms, std::vector<uint32_t>* match_map,
-                     std::vector<uint8_t>* pruned, SearchStats* stats) const;
+                     std::vector<uint8_t>* pruned, std::vector<VecId>* witness,
+                     SearchStats* stats) const;
 
   /// Resolves pairs blocks[i..i+k) of one column (a safe batch: no
-  /// skip-triggering transition can occur before the last pair), filling
-  /// matched[0..k).
+  /// skip-triggering transition can occur before the last pair), writing
+  /// each pair's matching VecId, or kNoWitness, to found[0..k). `ascending`
+  /// checks each group's candidates in VecId order instead of posting order.
   void EvaluateRun(const CandidateSet& cands, size_t i, size_t k,
                    const VectorStore& query,
                    const std::vector<double>& mapped_q, const JoinQuery& jq,
                    const float* query_norms, const float* repo_norms,
-                   TileScratch* scratch, uint8_t* matched,
+                   bool ascending, TileScratch* scratch, VecId* found,
                    SearchStats* stats) const;
 
   /// Resolves one group of `m` consecutive pairs of one column sharing an
@@ -184,14 +186,8 @@ class VerifyPipeline {
                      const VectorStore& query,
                      const std::vector<double>& mapped_q, const JoinQuery& jq,
                      const float* query_norms, const float* repo_norms,
-                     TileScratch* scratch, uint8_t* matched,
+                     bool ascending, TileScratch* scratch, VecId* found,
                      SearchStats* stats) const;
-
-  /// Mapping sweep of one result column (see CollectMappings).
-  void MapColumn(JoinableColumn* jc, const VectorStore& query,
-                 const std::vector<double>& mapped_q, const JoinQuery& jq,
-                 const float* query_norms, const float* repo_norms,
-                 TileScratch* scratch, SearchStats* stats) const;
 
   /// One row of a SweepTile call: a query record and its Lemma-1 mask row.
   struct TileRow {
@@ -199,7 +195,7 @@ class VerifyPipeline {
     const uint8_t* mask;
   };
 
-  /// The one tile routine behind verification and mappings: checks `rows`
+  /// The one tile routine of verification: checks `rows`
   /// against `slots` (VecIds of one column; row t checks slot c only when
   /// rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and writes each
   /// row's first matching slot, or UINT32_MAX, to first[0..rows.size()).

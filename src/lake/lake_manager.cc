@@ -560,14 +560,6 @@ Result<std::vector<JoinableColumn>> LakeManager::SearchSnapshot(
   return merged;
 }
 
-Result<std::vector<JoinableColumn>> LakeManager::SearchPart(
-    size_t part, const JoinQuery& query, SearchStats* stats,
-    double* io_seconds, const PartHandle& preloaded) const {
-  Status notice;
-  return SearchPartWithNotice(part, query, stats, io_seconds, preloaded,
-                              &notice);
-}
-
 Result<std::vector<JoinableColumn>> LakeManager::SearchPartWithNotice(
     size_t part, const JoinQuery& query, SearchStats* stats,
     double* io_seconds, const PartHandle& preloaded, Status* notice) const {

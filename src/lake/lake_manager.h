@@ -244,9 +244,6 @@ class LakeManager : public JoinSearchEngine, public PartitionedJoinEngine {
   /// the state of the lake as of acquisition even if merges land meanwhile.
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
   /// The notice is non-OK when the searched snapshot's base is quarantined.
   Result<std::vector<JoinableColumn>> SearchPartWithNotice(
       size_t part, const JoinQuery& query, SearchStats* stats,

@@ -101,9 +101,10 @@ Result<std::vector<JoinableColumn>> SearchIndexSnapshot(
   return results;
 }
 
-Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchPart(
+Result<std::vector<JoinableColumn>> PartitionedPexeso::SearchPartWithNotice(
     size_t part, const JoinQuery& query, SearchStats* stats,
-    double* io_seconds, const PartHandle& preloaded) const {
+    double* io_seconds, const PartHandle& preloaded, Status* notice) const {
+  *notice = Status::OK();
   PartHandle held = preloaded;
   if (held == nullptr) {
     auto handle = AcquirePart(part, io_seconds);

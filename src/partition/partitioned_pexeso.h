@@ -65,9 +65,11 @@ class PartitionedPexeso : public JoinSearchEngine,
   size_t NumParts() const override { return num_parts_; }
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
+  /// The notice is always OK: a partition either loads whole or fails.
+  Result<std::vector<JoinableColumn>> SearchPartWithNotice(
       size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
+      double* io_seconds, const PartHandle& preloaded,
+      Status* notice) const override;
   bool PartsStayResident() const override;
 
   /// Routes partition loads through `cache` (borrowed; must outlive this

@@ -23,14 +23,6 @@ Result<PartHandle> PartSubsetEngine::AcquirePart(size_t part,
   return base_parts_->AcquirePart(owned_[part], io_seconds);
 }
 
-Result<std::vector<JoinableColumn>> PartSubsetEngine::SearchPart(
-    size_t part, const JoinQuery& query, SearchStats* stats,
-    double* io_seconds, const PartHandle& preloaded) const {
-  PEXESO_CHECK(part < owned_.size());
-  return base_parts_->SearchPart(owned_[part], query, stats, io_seconds,
-                                 preloaded);
-}
-
 Result<std::vector<JoinableColumn>> PartSubsetEngine::SearchPartWithNotice(
     size_t part, const JoinQuery& query, SearchStats* stats,
     double* io_seconds, const PartHandle& preloaded, Status* notice) const {

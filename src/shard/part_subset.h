@@ -38,9 +38,6 @@ class PartSubsetEngine : public JoinSearchEngine, public PartitionedJoinEngine {
   size_t NumParts() const override { return owned_.size(); }
   Result<PartHandle> AcquirePart(size_t part,
                                  double* io_seconds) const override;
-  Result<std::vector<JoinableColumn>> SearchPart(
-      size_t part, const JoinQuery& query, SearchStats* stats,
-      double* io_seconds, const PartHandle& preloaded) const override;
   Result<std::vector<JoinableColumn>> SearchPartWithNotice(
       size_t part, const JoinQuery& query, SearchStats* stats,
       double* io_seconds, const PartHandle& preloaded,

@@ -138,8 +138,9 @@ struct StatField {
   X(30, uint64_t, shard_bytes_moved, "search_shard_bytes_moved", kSum)        \
   /* Wall-clock seconds of the blocking phase. */                             \
   X(31, double, block_seconds, "search_block_seconds", kSum)                  \
-  /* Wall-clock seconds of the verification phase: stages 2-3 of the         \
-     pipeline plus the mapping sweep (stage 1 has its own field below). */    \
+  /* Wall-clock seconds of the verification phase: stages 2-3 of the          \
+     pipeline, which also record the mappings, or a scan engine's mapping     \
+     pass (stage 1 has its own field below). */                               \
   X(32, double, verify_seconds, "search_verify_seconds", kSum)                \
   /* Wall-clock seconds of stage 1 of the verification pipeline (candidate    \
      generation over the blocking output's postings). */                      \

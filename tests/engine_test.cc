@@ -188,28 +188,39 @@ TEST_F(EngineConformanceTest, ExactJoinabilityReportsFullCounts) {
 
 TEST_F(EngineConformanceTest, MappingsAgreeAcrossIndexEngines) {
   // The engines that honor collect_mappings (pexeso, pexeso-h, naive) must
-  // produce identical record-level mappings: one entry per matching query
-  // record, first matching target vector in store order.
-  JoinQuery options;
-  options.thresholds = thresholds_;
-  options.collect_mappings = true;
-  const auto expected = MustSearch(*naive_, query_, options, nullptr);
-  ASSERT_FALSE(expected.empty());
-  for (const JoinSearchEngine* e :
-       {static_cast<const JoinSearchEngine*>(pexeso_.get()),
-        static_cast<const JoinSearchEngine*>(pexeso_h_.get())}) {
-    auto results = MustSearch(*e, query_, options, nullptr);
-    ASSERT_EQ(results.size(), expected.size()) << e->name();
-    for (size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].column, expected[i].column) << e->name();
-      EXPECT_EQ(results[i].match_count, expected[i].match_count) << e->name();
-      ASSERT_EQ(results[i].mapping.size(), expected[i].mapping.size())
-          << e->name() << " column " << results[i].column;
-      for (size_t m = 0; m < results[i].mapping.size(); ++m) {
-        EXPECT_EQ(results[i].mapping[m].query_index,
-                  expected[i].mapping[m].query_index);
-        EXPECT_EQ(results[i].mapping[m].target_vec,
-                  expected[i].mapping[m].target_vec);
+  // produce identical record-level mappings in every query mode: one entry
+  // per matching query record, first matching target vector in store order.
+  for (QueryMode mode : {QueryMode::kThreshold, QueryMode::kExactJoinability,
+                         QueryMode::kTopK}) {
+    JoinQuery options;
+    options.thresholds = thresholds_;
+    options.mode = mode;
+    options.k = 3;
+    options.collect_mappings = true;
+    const std::string label = "mode=" + std::to_string(static_cast<int>(mode));
+    const auto expected = MustSearch(*naive_, query_, options, nullptr);
+    ASSERT_FALSE(expected.empty()) << label;
+    for (const JoinSearchEngine* e :
+         {static_cast<const JoinSearchEngine*>(pexeso_.get()),
+          static_cast<const JoinSearchEngine*>(pexeso_h_.get())}) {
+      auto results = MustSearch(*e, query_, options, nullptr);
+      ASSERT_EQ(results.size(), expected.size()) << label << " " << e->name();
+      for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].column, expected[i].column)
+            << label << " " << e->name();
+        EXPECT_EQ(results[i].match_count, expected[i].match_count)
+            << label << " " << e->name();
+        EXPECT_FALSE(results[i].mapping.empty()) << label << " " << e->name();
+        ASSERT_EQ(results[i].mapping.size(), expected[i].mapping.size())
+            << label << " " << e->name() << " column " << results[i].column;
+        for (size_t m = 0; m < results[i].mapping.size(); ++m) {
+          EXPECT_EQ(results[i].mapping[m].query_index,
+                    expected[i].mapping[m].query_index)
+              << label << " " << e->name();
+          EXPECT_EQ(results[i].mapping[m].target_vec,
+                    expected[i].mapping[m].target_vec)
+              << label << " " << e->name();
+        }
       }
     }
   }

@@ -154,7 +154,7 @@ TEST_P(PipelineDeterminismTest, ShardedEqualsSerialAcrossAblations) {
 
           // Oracle agreement: the joinable set is always identical; the
           // counts are exact whenever the search reports exact counts
-          // (exact mode, or the mapping post-pass upgrade).
+          // (exact mode, or mappings, which run verification exactly).
           const auto oracle = OracleJoin(catalog, *metric, query,
                                          sopts.thresholds, mappings);
           ASSERT_EQ(Columns(serial), Columns(oracle)) << label;
@@ -214,9 +214,7 @@ TEST(PipelineTest, SharedIntraPoolMatchesTransientPool) {
   ExpectByteIdentical(pooled, serial, "shared pool");
 }
 
-/// Satellite bugfix regression: the mapping post-pass must route its
-/// distance computations and Lemma-1 filter hits through the same counters
-/// as verification (it used to report nothing).
+/// Mapping work is verification work: it lands in the same counters.
 TEST(PipelineTest, CollectMappingsRoutesStatsThroughSearchCounters) {
   L2Metric metric;
   ColumnCatalog catalog = MakeClusteredCatalog(79, 10, 25, 15);
@@ -237,17 +235,18 @@ TEST(PipelineTest, CollectMappingsRoutesStatsThroughSearchCounters) {
   SearchStats with;
   const auto r1 = MustSearch(searcher, query, sopts, &with);
   ASSERT_FALSE(r1.empty());
-  // The mapping sweep re-verifies every (query record, column row) pair of
-  // each joinable column, so both counters must strictly grow.
+  // With mappings, stage 2 resolves every block of each joinable column
+  // instead of stopping once the column reaches T, so both counters must
+  // strictly grow.
   EXPECT_GT(with.distance_computations, without.distance_computations);
   EXPECT_GT(with.lemma1_filtered, without.lemma1_filtered);
 }
 
-/// Bugfix regression: the mapping sweep is verification work, so its wall
-/// time must land in verify_seconds on both index engines (it used to land
-/// in no phase at all). The kernel-free metric sleeps in every Dist call,
-/// which bounds the phase from below by its distance count: with mappings,
-/// verify_seconds covers at least the mapping sweep's extra distances.
+/// Mapping work is verification work, so its wall time must land in
+/// verify_seconds on both index engines. The kernel-free metric sleeps in
+/// every Dist call, which bounds the phase from below by its distance
+/// count: with mappings, verify_seconds covers at least the extra distances
+/// mappings cost.
 TEST(PipelineTest, MappingTimeIsChargedToVerifySeconds) {
   constexpr int kDelayUs = 50;
   KernelFreeL2Metric metric;
@@ -260,8 +259,8 @@ TEST(PipelineTest, MappingTimeIsChargedToVerifySeconds) {
   metric.set_dist_delay_us(kDelayUs);  // after the build: searches only
   PexesoSearcher pexeso(&index);
   PexesoHSearcher pexeso_h(&index);
-  // A low T stops verification after a few matches per column; the
-  // mapping sweep then resolves every query record of each result column.
+  // A low T stops verification after a few matches per column; with
+  // mappings, every query record of each result column is resolved.
   FractionalThresholds ft{0.08, 0.05};
   for (const JoinSearchEngine* engine :
        {static_cast<const JoinSearchEngine*>(&pexeso),
@@ -313,18 +312,17 @@ TestLake MakeOneClusterLake(uint64_t seed, uint32_t dim,
   return lake;
 }
 
-/// Mapping sweep of column `col` for `query` straight through the pipeline.
+/// Column `col` with its record mapping, as a search of `index` that
+/// collects mappings returns it.
 JoinableColumn MapOneColumn(const PexesoIndex& index, const VectorStore& query,
-                            ColumnId col, const JoinQuery& jq,
-                            SearchStats* stats) {
-  const std::vector<double> mapped_q =
-      index.pivots().MapAll(query.raw().data(), query.size());
-  std::vector<JoinableColumn> out(1);
-  out[0].column = col;
-  EXPECT_TRUE(VerifyPipeline(&index)
-                  .CollectMappings(query, mapped_q, jq, &out, stats)
-                  .ok());
-  return out[0];
+                            ColumnId col, JoinQuery jq, SearchStats* stats) {
+  jq.collect_mappings = true;
+  for (JoinableColumn& jc :
+       MustSearch(PexesoSearcher(&index), query, jq, stats)) {
+    if (jc.column == col) return jc;
+  }
+  ADD_FAILURE() << "column " << col << " is not joinable";
+  return JoinableColumn{};
 }
 
 /// A sweep of no more pairs than one dense 8x8 block is resolved pair by
@@ -346,8 +344,9 @@ TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
     jq.thresholds.tau = 0.12 * metric->MaxUnitDistance(8);
 
     // The pairs Algorithm 2 computes, spelled out: Lemma 1 masks the
-    // whole column (it fits one vec-tile), then each record reads its
-    // survivors in order up to its first match.
+    // record's candidates (one cluster: the whole column, in one vec-tile),
+    // then the record reads its survivors in VecId order up to its first
+    // match.
     const RangePredicate pred(*metric, jq.thresholds.tau);
     const uint32_t np = index.pivots().num_pivots();
     const std::vector<double> mapped_q =
@@ -660,7 +659,7 @@ TEST(PipelineTest, Lemma7CountsRecordsWithoutABlock) {
                                       index.pivots().MapAll(
                                           query.raw().data(), query.size()),
                                       jq, nullptr, &match_map, nullptr,
-                                      &stage2_stats)
+                                      nullptr, &stage2_stats)
                     .ok());
     EXPECT_EQ(stage2_stats.distance_computations,
               search_stats.distance_computations);
@@ -697,6 +696,52 @@ TEST(PipelineTest, Lemma7CountsRecordsWithoutABlock) {
   EXPECT_EQ(ran_out.lemma7_kills, 0u);
   EXPECT_LT(killed.distance_computations + killed.lemma1_filtered,
             ran_out.distance_computations + ran_out.lemma1_filtered);
+}
+
+/// Mappings are stage 2's witnesses, not a second pass: a threshold query
+/// that collects them runs exactly the blocks an exact-joinability query
+/// runs, so blocking, Lemma 1 and Lemma 7 count the same, and the counts
+/// are the exact ones. Only the distance count may differ: mapping groups
+/// check their candidates in VecId order, so a row can meet its first
+/// match after a different number of pairs.
+TEST(PipelineTest, MappingQueryVerifiesWhatAnExactQueryVerifies) {
+  L2Metric metric;
+  TestLake lake = MakeLemma7Lake(88);
+  PexesoOptions popts;
+  popts.num_pivots = 3;
+  popts.levels = 4;
+  PexesoIndex index =
+      PexesoIndex::Build(ColumnCatalog(lake.catalog), &metric, popts);
+  PexesoSearcher searcher(&index);
+  for (size_t threads : {1, 8}) {
+    JoinQuery mapped;
+    mapped.thresholds.tau = 0.08 * metric.MaxUnitDistance(lake.catalog.dim());
+    mapped.thresholds.t_abs = 6;
+    mapped.collect_mappings = true;
+    mapped.intra_query_threads = threads;
+    JoinQuery exact = mapped;
+    exact.collect_mappings = false;
+    exact.mode = QueryMode::kExactJoinability;
+    const std::string at = "threads=" + std::to_string(threads);
+
+    SearchStats map_stats, exact_stats;
+    const auto with = MustSearch(searcher, lake.query, mapped, &map_stats);
+    const auto without = MustSearch(searcher, lake.query, exact, &exact_stats);
+    ASSERT_FALSE(with.empty()) << at;
+    ASSERT_EQ(Columns(with), Columns(without)) << at;
+    for (size_t i = 0; i < with.size(); ++i) {
+      EXPECT_EQ(with[i].match_count, without[i].match_count) << at;
+      EXPECT_EQ(with[i].mapping.size(), with[i].match_count) << at;
+    }
+    // Not vacuous: Lemma 1 filters, Lemma 7 kills, columns reach T.
+    ASSERT_GT(exact_stats.lemma1_filtered, 0u) << at;
+    ASSERT_GT(exact_stats.lemma7_kills, 0u) << at;
+    ASSERT_GT(exact_stats.early_joinable, 0u) << at;
+    EXPECT_EQ(map_stats.lemma1_filtered, exact_stats.lemma1_filtered) << at;
+    EXPECT_EQ(map_stats.candidate_blocks, exact_stats.candidate_blocks) << at;
+    EXPECT_EQ(map_stats.lemma7_kills, exact_stats.lemma7_kills) << at;
+    EXPECT_EQ(map_stats.early_joinable, exact_stats.early_joinable) << at;
+  }
 }
 
 /// The leaf cell whose postings hold vector `v`.

@@ -707,14 +707,21 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
     serial.push_back(std::move(r).ValueOrDie());
   }
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (auto mode : {BatchPartitionMode::kQueryMajor,
-                      BatchPartitionMode::kPartitionMajor,
-                      BatchPartitionMode::kAuto}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " mode=" + std::to_string(static_cast<int>(mode)));
-      BatchQueryRunner runner(
-          &parts, {.num_threads = threads, .partition_mode = mode});
+  // The engine picks the batch loop: no cache, or a cache too small to
+  // hold the parts, gives partition-major; a cache whose budget holds every
+  // part gives query-major.
+  IndexCache empty({.budget_bytes = 0, .shard_bits = 0});
+  IndexCache roomy({.budget_bytes = 2 * parts.DiskBytes(), .shard_bits = 0});
+  for (IndexCache* cache : {static_cast<IndexCache*>(nullptr), &empty,
+                            &roomy}) {
+    parts.AttachCache(cache);
+    const bool partition_major = cache != &roomy;
+    ASSERT_EQ(parts.PartsStayResident(), !partition_major);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " cache=" +
+                   (cache == nullptr ? "none"
+                                     : std::to_string(cache->budget_bytes())));
+      BatchQueryRunner runner(&parts, {.num_threads = threads});
       BatchResult batch = runner.Run(BindQueries(queries, sopts));
       ASSERT_EQ(batch.results.size(), queries.size());
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -723,11 +730,15 @@ TEST_F(ServeTest, PartitionMajorBatchMatchesQueryMajorAndSerial) {
       EXPECT_EQ(batch.stats.distance_computations,
                 serial_stats.distance_computations);
       EXPECT_EQ(batch.stats.candidate_pairs, serial_stats.candidate_pairs);
-      if (mode == BatchPartitionMode::kPartitionMajor) {
+      if (partition_major) {
         EXPECT_GT(batch.io_seconds, 0.0);
+      } else {
+        // Query-major searches hide their IO inside Execute.
+        EXPECT_EQ(batch.io_seconds, 0.0);
       }
     }
   }
+  parts.AttachCache(nullptr);
 }
 
 TEST_F(ServeTest, PartitionMajorWithCacheLoadsEachPartitionOncePerBatch) {
@@ -777,9 +788,8 @@ TEST_F(ServeTest, PartitionMajorLoadFailureDegradesEveryQueryOfTheWave) {
 
   FailpointRegistry::Instance().Arm("cache:load",
                                     {FailAction::kIoError, 0, 1, 0});
-  BatchQueryRunner runner(
-      &parts, {.num_threads = 4,
-               .partition_mode = BatchPartitionMode::kPartitionMajor});
+  // The 0-byte cache cannot hold the parts, so the batch is partition-major.
+  BatchQueryRunner runner(&parts, {.num_threads = 4});
   BatchResult batch = runner.Run(BindQueries(queries, jqs));
   FailpointRegistry::Instance().DisarmAll();
   ASSERT_EQ(batch.results.size(), queries.size());
