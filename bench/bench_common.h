@@ -195,6 +195,32 @@ inline double TimeIt(const std::function<void()>& fn) {
   return w.ElapsedSeconds();
 }
 
+/// Times `n` variants of one workload so that none is favored by running
+/// first: `run(v, true)` runs variant v once untimed as a warm-up round,
+/// then `rounds` timed rounds run every variant once each, round r starting
+/// at variant r % n. Returns each variant's median round time in seconds.
+/// A caller records work counts only when the flag is true, so they come
+/// from exactly one round.
+inline std::vector<double> MedianRoundSeconds(
+    size_t n, size_t rounds, const std::function<void(size_t, bool)>& run) {
+  for (size_t v = 0; v < n; ++v) run(v, true);
+  std::vector<std::vector<double>> times(n);
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t j = 0; j < n; ++j) {
+      const size_t v = (r + j) % n;
+      times[v].push_back(TimeIt([&] { run(v, false); }));
+    }
+  }
+  std::vector<double> medians(n);
+  for (size_t v = 0; v < n; ++v) {
+    std::sort(times[v].begin(), times[v].end());
+    const size_t m = times[v].size();
+    medians[v] = m == 0 ? 0.0
+                        : (times[v][(m - 1) / 2] + times[v][m / 2]) / 2.0;
+  }
+  return medians;
+}
+
 /// Returns `jq` with its vectors field pointed at `query` — the one-liner
 /// for APIs that take a fully-bound JoinQuery. `query` must outlive the
 /// returned request.

@@ -5,7 +5,9 @@
 // ablation isolates CPU filtering power). Every other AblationConfig switch
 // gets a variant too, so each one shows up in a gated count:
 // BENCH_fig9.json ("BENCH_fig9/v1") holds one row per profile x variant with
-// its SearchStats gated and its mean search time ungated. Each ablation row
+// its SearchStats gated and its search time per query ungated: the median
+// over interleaved rounds after a warm-up (MedianRoundSeconds), so no
+// variant always runs first and cold. Each ablation row
 // checks that it returns ALL's exact results (the lemmas are exact) and
 // computes at least ALL's distances (a lemma only removes work). One more
 // row per profile, "ALL +mappings", runs ALL with collect_mappings: it must
@@ -84,66 +86,67 @@ void RunProfile(const char* name, const VectorLakeOptions& profile,
   variants.push_back({"No-QuickBrowse", {}});
   variants.back().config.use_quick_browsing = false;
 
-  std::printf("\n%s: %zu vectors, dim %u\n", name,
-              index.catalog().num_vectors(), index.catalog().dim());
-  std::printf("  %-14s %10s %14s\n", "variant", "mean (s)", "distances");
-  std::vector<std::vector<JoinableColumn>> all_results;
-  uint64_t all_distances = 0;
-  for (const auto& v : variants) {
-    SearchStats stats;
-    std::vector<std::vector<JoinableColumn>> results(nq);
-    double total = 0.0;
+  // Variant v < variants.size() runs ablation v; the last one is ALL
+  // collecting record mappings. Each variant leads two of the timed rounds.
+  const size_t nv = variants.size() + 1;
+  std::vector<SearchStats> stats(nv);
+  std::vector<std::vector<std::vector<JoinableColumn>>> results(
+      nv, std::vector<std::vector<JoinableColumn>>(nq));
+  const auto run = [&](size_t v, bool record) {
     for (size_t i = 0; i < nq; ++i) {
       JoinQuery sopts;
       sopts.thresholds = ft.Resolve(metric, profile.dim, queries[i].size());
-      sopts.ablation = v.config;
-      total += TimeIt(
-          [&] { results[i] = MustSearch(searcher, queries[i], sopts, &stats); });
+      if (v < variants.size()) {
+        sopts.ablation = variants[v].config;
+      } else {
+        sopts.collect_mappings = true;
+      }
+      auto got = MustSearch(searcher, queries[i], sopts,
+                            record ? &stats[v] : nullptr);
+      if (record) results[v][i] = std::move(got);
     }
-    const double mean = total / static_cast<double>(nq);
-    std::printf("  %-14s %10.4f %14llu\n", v.label, mean,
-                static_cast<unsigned long long>(stats.distance_computations));
-    BenchRow& row = json->Row(std::string(name) + " " + v.label)
-                        .Stats(stats)
-                        .Num("mean_seconds", mean);
-    if (&v == &variants.front()) {
-      all_results = std::move(results);
-      all_distances = stats.distance_computations;
-      continue;
-    }
+  };
+  const std::vector<double> median = MedianRoundSeconds(nv, 2 * nv, run);
+
+  std::printf("\n%s: %zu vectors, dim %u\n", name,
+              index.catalog().num_vectors(), index.catalog().dim());
+  std::printf("  %-14s %10s %14s\n", "variant", "median (s)", "distances");
+  const auto row = [&](size_t v, const char* label) -> BenchRow& {
+    const double per_query = median[v] / static_cast<double>(nq);
+    std::printf("  %-14s %10.4f %14llu\n", label, per_query,
+                static_cast<unsigned long long>(
+                    stats[v].distance_computations));
+    return json->Row(std::string(name) + " " + label)
+        .Stats(stats[v])
+        .Num("median_seconds", per_query);
+  };
+  const auto& all_results = results[0];
+  row(0, variants[0].label);
+  for (size_t v = 1; v < variants.size(); ++v) {
     bool same = true;
     for (size_t i = 0; i < nq; ++i) {
-      same = same && SameResults(results[i], all_results[i]);
+      same = same && SameResults(results[v][i], all_results[i]);
     }
-    row.Check("same_results_as_all", same)
-        .Check("distances_at_least_all",
-               stats.distance_computations >= all_distances);
+    row(v, variants[v].label)
+        .Check("same_results_as_all", same)
+        .Check("distances_at_least_all", stats[v].distance_computations >=
+                                             stats[0].distance_computations);
   }
 
   // ALL collecting record mappings, checked against the naive scan.
   NaiveSearcher naive(&index.catalog(), &metric);
-  SearchStats map_stats;
   bool same_columns = true;
   bool same_mappings = true;
-  double map_total = 0.0;
   for (size_t i = 0; i < nq; ++i) {
     JoinQuery sopts;
     sopts.thresholds = ft.Resolve(metric, profile.dim, queries[i].size());
     sopts.collect_mappings = true;
-    std::vector<JoinableColumn> mapped;
-    map_total += TimeIt(
-        [&] { mapped = MustSearch(searcher, queries[i], sopts, &map_stats); });
+    const auto& mapped = results[nv - 1][i];
     same_columns = same_columns && SameColumns(mapped, all_results[i]);
     same_mappings = same_mappings &&
                     SameMappings(mapped, MustSearch(naive, queries[i], sopts));
   }
-  const double map_mean = map_total / static_cast<double>(nq);
-  std::printf("  %-14s %10.4f %14llu\n", "ALL +mappings", map_mean,
-              static_cast<unsigned long long>(
-                  map_stats.distance_computations));
-  json->Row(std::string(name) + " ALL +mappings")
-      .Stats(map_stats)
-      .Num("mean_seconds", map_mean)
+  row(nv - 1, "ALL +mappings")
       .Check("same_columns_as_all", same_columns)
       .Check("mappings_equal_naive", same_mappings);
 }

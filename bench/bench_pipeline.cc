@@ -162,7 +162,6 @@ int PipelineExperiment() {
   HierarchicalGrid hgq;
   HierarchicalGrid::Options gopts;
   gopts.levels = index.grid().levels();
-  gopts.store_leaf_items = true;
   hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
             gopts);
   GridBlocker blocker(&index.grid());

@@ -42,7 +42,6 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   HierarchicalGrid hgq;
   HierarchicalGrid::Options gopts;
   gopts.levels = index_->grid().levels();
-  gopts.store_leaf_items = true;
   hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
             gopts);
   GridBlocker blocker(&index_->grid());
@@ -127,7 +126,7 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
       for (VecId v : leaves[cell].items) {
         const ColumnId col = vec2col[v];
         if (stamp[col] == mark || (joinable[col] && skip_joinable) ||
-            dead[col] || index_->IsDeleted(col)) {
+            dead[col]) {
           continue;
         }
         ++stats->distance_computations;
@@ -150,7 +149,7 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
 
   std::vector<JoinableColumn> out;
   for (ColumnId col = 0; col < num_cols; ++col) {
-    if (index_->IsDeleted(col) || (topk_mode && dead[col])) continue;
+    if (topk_mode && dead[col]) continue;
     if (match_map[col] >= t_abs) {
       JoinableColumn jc;
       jc.column = col;

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/cost_model.h"
 #include "pivot/pivot_selector.h"
@@ -30,7 +29,7 @@ enum SectionKind : uint32_t {
   kSecColMeta = 1,      ///< parsed: column metadata (no vectors)
   kSecPivots = 2,       ///< parsed: PivotSpace image
   kSecGrid = 3,         ///< parsed: HierarchicalGrid image
-  kSecTombstones = 4,   ///< copied: u8 per column
+  kSecTombstones = 4,   ///< checked: u8 per column, always 0
   kSecVectors = 5,      ///< viewed: float[num_vectors * dim]
   kSecMapped = 6,       ///< viewed: double[num_vectors * num_pivots]
   kSecCellOffsets = 7,  ///< viewed: u64[num_cells + 1] CSR offsets
@@ -116,11 +115,9 @@ PexesoIndex PexesoIndex::Build(ColumnCatalog catalog, const Metric* metric,
 
   HierarchicalGrid::Options gopts;
   gopts.levels = levels;
-  gopts.store_leaf_items = true;
   index.grid_.Build(index.mapped_.data(), store.size(), actual_pivots,
                     index.pivots_.AxisExtent(), gopts);
   index.inv_.Build(index.grid_, index.catalog_);
-  index.tombstones_.assign(index.catalog_.num_columns(), 0);
   return index;
 }
 
@@ -135,58 +132,9 @@ void PexesoIndex::Materialize() {
   mapping_.reset();
 }
 
-ColumnId PexesoIndex::AppendColumn(ColumnMeta meta, const float* packed,
-                                   size_t count) {
-  Materialize();  // appends mutate every structure a mapping would share
-  const ColumnId col = catalog_.AddColumn(std::move(meta), packed, count);
-  const uint32_t np = pivots_.num_pivots();
-  const VecId first = catalog_.column(col).first;
-
-  // Pivot-map the new vectors and insert them into the grid chain.
-  std::vector<double> mapped_new(count * np);
-  std::unordered_map<uint32_t, std::vector<VecId>> by_leaf;
-  for (size_t i = 0; i < count; ++i) {
-    const VecId v = first + static_cast<VecId>(i);
-    pivots_.Map(catalog_.store().View(v), mapped_new.data() + i * np);
-    mapped_.insert(mapped_.end(), mapped_new.begin() + i * np,
-                   mapped_new.begin() + (i + 1) * np);
-    const uint32_t leaf =
-        grid_.Insert(mapped_new.data() + i * np, v, /*store_item=*/true);
-    by_leaf[leaf].push_back(v);
-  }
-  inv_.EnsureCells(grid_.LeafCells().size());
-  for (auto& [leaf, vecs] : by_leaf) {
-    inv_.Append(leaf, col, vecs);
-  }
-  tombstones_.push_back(0);
-  return col;
-}
-
-void PexesoIndex::DeleteColumn(ColumnId column) {
-  PEXESO_CHECK(column < tombstones_.size());
-  tombstones_[column] = 1;
-}
-
-size_t PexesoIndex::Compact() {
-  size_t dropped = 0;
-  for (uint8_t t : tombstones_) dropped += t;
-  if (dropped == 0) return 0;
-
-  ColumnCatalog survivors(catalog_.dim());
-  for (ColumnId c = 0; c < catalog_.num_columns(); ++c) {
-    if (tombstones_[c]) continue;
-    const ColumnMeta& meta = catalog_.column(c);
-    survivors.AddColumn(meta, catalog_.store().View(meta.first), meta.count);
-  }
-  PEXESO_CHECK_MSG(survivors.num_columns() > 0,
-                   "compacting away every column is not supported");
-  *this = Build(std::move(survivors), metric_, options_);
-  return dropped;
-}
-
 size_t PexesoIndex::IndexSizeBytes() const {
   return pivots_.MemoryBytes() + mapped_.capacity() * sizeof(double) +
-         grid_.MemoryBytes() + inv_.MemoryBytes() + tombstones_.capacity();
+         grid_.MemoryBytes() + inv_.MemoryBytes();
 }
 
 Status PexesoIndex::Save(const std::string& path) const {
@@ -210,17 +158,10 @@ Status PexesoIndex::Save(const std::string& path) const {
   const VectorStore& store = catalog_.store();
   const uint64_t nvec = store.size();
   const uint32_t dim = store.dim();
+  const uint64_t ncols = catalog_.num_columns();
   const uint64_t ncells = inv_.num_cells();
-  const uint64_t nvecids = inv_.vec_ids_size();
+  const uint64_t nvecids = inv_.vec_ids().size();
   const uint32_t np = pivots_.num_pivots();
-
-  // Flat CSR offsets for the postings sections.
-  std::vector<uint64_t> cell_offsets(ncells + 1, 0);
-  for (uint64_t c = 0; c < ncells; ++c) {
-    cell_offsets[c + 1] =
-        cell_offsets[c] + inv_.PostingsOf(static_cast<uint32_t>(c)).size();
-  }
-  const uint64_t npost = cell_offsets[ncells];
 
   struct Section {
     uint32_t kind;
@@ -231,11 +172,11 @@ Status PexesoIndex::Save(const std::string& path) const {
       {kSecColMeta, colmeta.size(), 0},
       {kSecPivots, pivots_img.size(), 0},
       {kSecGrid, grid_img.size(), 0},
-      {kSecTombstones, tombstones_.size(), 0},
+      {kSecTombstones, ncols, 0},
       {kSecVectors, nvec * dim * sizeof(float), 0},
       {kSecMapped, nvec * np * sizeof(double), 0},
       {kSecCellOffsets, (ncells + 1) * sizeof(uint64_t), 0},
-      {kSecPostings, npost * sizeof(InvertedIndex::Posting), 0},
+      {kSecPostings, inv_.postings().size_bytes(), 0},
       {kSecVecIds, nvecids * sizeof(VecId), 0},
   };
 
@@ -303,7 +244,7 @@ Status PexesoIndex::Save(const std::string& path) const {
         w.WriteBytes(grid_img.data(), grid_img.size());
         break;
       case kSecTombstones:
-        w.WriteBytes(tombstones_.data(), tombstones_.size());
+        pad_to(s.offset + s.length);  // ncols zeros: no column is marked
         break;
       case kSecVectors:
         if (nvec > 0) w.WriteBytes(store.View(0), s.length);
@@ -312,17 +253,13 @@ Status PexesoIndex::Save(const std::string& path) const {
         if (nvec > 0) w.WriteBytes(MappedVec(0), s.length);
         break;
       case kSecCellOffsets:
-        w.WriteBytes(cell_offsets.data(), s.length);
+        w.WriteBytes(inv_.cell_offsets().data(), s.length);
         break;
       case kSecPostings:
-        for (uint64_t c = 0; c < ncells; ++c) {
-          const auto postings = inv_.PostingsOf(static_cast<uint32_t>(c));
-          w.WriteBytes(postings.data(),
-                       postings.size() * sizeof(InvertedIndex::Posting));
-        }
+        w.WriteBytes(inv_.postings().data(), s.length);
         break;
       case kSecVecIds:
-        w.WriteBytes(inv_.vec_ids_data(), s.length);
+        w.WriteBytes(inv_.vec_ids().data(), s.length);
         break;
     }
     PEXESO_CHECK(w.bytes_written() == s.offset + s.length);
@@ -512,11 +449,17 @@ Result<PexesoIndex> PexesoIndex::LoadFlat(const uint8_t* data, uint64_t size,
   if (next_vec != nvec) {
     return Status::Corruption("column extents do not tile the vectors");
   }
+  // The tombstone section is a u8 per column, always written as zeros: a
+  // column leaves a lake through its TombstoneSet, never through the
+  // index. A marked one could only come from a retired in-place delete,
+  // and serving it would bring the dropped column back.
   if (sec_len[kSecTombstones] != ncols) {
     return Status::Corruption("tombstone section length mismatch");
   }
   const uint8_t* tomb = data + sec_off[kSecTombstones];
-  index.tombstones_.assign(tomb, tomb + ncols);
+  if (std::any_of(tomb, tomb + ncols, [](uint8_t t) { return t != 0; })) {
+    return Status::Corruption("tombstone section marks a column");
+  }
 
   // Fixed-shape sections: exact length checks, then zero-copy binds.
   if (sec_len[kSecVectors] != nvec * dim * sizeof(float) ||

@@ -30,7 +30,10 @@ struct PexesoOptions {
 
 /// \brief The offline side of PEXESO: the embedded repository plus every
 /// search structure of Section III (pivot space, mapped vectors, HGRV, and
-/// the inverted index). Owns the catalog it was built over.
+/// the inverted index). Owns the catalog it was built over. A built or
+/// loaded index never changes: columns arrive and leave only through the
+/// live lake (lake/lake_manager.h), which builds new indexes and masks
+/// drops above them.
 class PexesoIndex {
  public:
   PexesoIndex() = default;
@@ -41,24 +44,6 @@ class PexesoIndex {
   /// unit-normalized). `metric` is borrowed and must outlive the index.
   static PexesoIndex Build(ColumnCatalog catalog, const Metric* metric,
                            const PexesoOptions& options);
-
-  /// Appends a new column (Section III-E): pivot-maps its vectors, inserts
-  /// them into the grid chain and the postings lists. Returns the ColumnId.
-  ColumnId AppendColumn(ColumnMeta meta, const float* packed, size_t count);
-
-  /// Logically deletes a column: it is tombstoned and skipped by every
-  /// searcher. Postings stay in place until Compact().
-  void DeleteColumn(ColumnId column);
-
-  /// Rebuilds the index without tombstoned columns, reclaiming their space.
-  /// Column ids are compacted (survivors keep their relative order and their
-  /// ColumnMeta::source_id, which callers should use for stable identity).
-  /// Returns the number of columns dropped.
-  size_t Compact();
-
-  bool IsDeleted(ColumnId column) const {
-    return column < tombstones_.size() && tombstones_[column] != 0;
-  }
 
   const ColumnCatalog& catalog() const { return catalog_; }
   const PivotSpace& pivots() const { return pivots_; }
@@ -91,8 +76,8 @@ class PexesoIndex {
   }
 
   /// Copies every mapped section onto the heap and releases the mapping;
-  /// no-op for heap indexes. Mutators call this, so a mapped snapshot is
-  /// copy-on-write as a whole.
+  /// no-op for heap indexes. A snapshot read from a FIFO is materialized
+  /// before its buffer dies.
   void Materialize();
 
   /// Index footprint (pivots + mapped vectors + grid + inverted index),
@@ -138,7 +123,6 @@ class PexesoIndex {
   const double* mapped_ext_ = nullptr;  ///< non-null => mapped-snapshot view
   HierarchicalGrid grid_;
   InvertedIndex inv_;
-  std::vector<uint8_t> tombstones_;
   const Metric* metric_ = nullptr;
   PexesoOptions options_;
   std::shared_ptr<MappedFile> mapping_;  ///< keeps viewed sections alive

@@ -41,7 +41,6 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   HierarchicalGrid hgq;
   HierarchicalGrid::Options gopts;
   gopts.levels = index_->grid().levels();
-  gopts.store_leaf_items = true;
   hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
             gopts);
 
@@ -86,7 +85,6 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
 
   std::vector<JoinableColumn> out;
   for (ColumnId col = 0; col < num_cols; ++col) {
-    if (index_->IsDeleted(col)) continue;
     if (topk_mode && pruned[col]) continue;
     if (match_map[col] >= t_abs) {
       JoinableColumn jc;

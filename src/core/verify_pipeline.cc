@@ -143,17 +143,14 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   // Per-column stamp of the record being walked: `seen[c] == q` once the
   // (q, c) block exists.
   std::vector<uint32_t> seen(ncols);
-  // Calls on_block(q, c) once per live (q, c) pair and on_range(c, posting)
+  // Calls on_block(q, c) once per (q, c) pair and on_range(c, posting)
   // per nonempty cand posting, in ascending q and, within a pair, in the
-  // order of q's cand_cells. Tombstoned postings stay in place until
-  // Compact(); they emit nothing, so the shard weights skip columns the
-  // verifier would only skip.
+  // order of q's cand_cells.
   const auto walk = [&](auto&& on_block, auto&& on_range) {
     std::fill(seen.begin(), seen.end(), UINT32_MAX);
     for (uint32_t q = 0; q < num_q; ++q) {
       for (uint32_t cell : blocks.cand_cells[q]) {
         for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
-          if (index_->IsDeleted(p.column)) continue;
           if (seen[p.column] != q) {
             seen[p.column] = q;
             on_block(q, p.column);
@@ -327,7 +324,6 @@ Status VerifyPipeline::VerifyShard(const CandidateSet& cands, ColumnId col_lo,
     const size_t be = cands.block_begin[col + 1];
     if (bb == be) continue;
     shard_blocks += be - bb;
-    if (index_->IsDeleted(col)) continue;
 
     // Lemma 7 counts every record with no block in this column as a
     // mismatch (Lemmas 3/4 are exact), so match + the unresolved pairs
@@ -443,7 +439,7 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
   const uint32_t np = index_->pivots().num_pivots();
   const double tau = jq.thresholds.tau;
   const bool use_l1 = jq.ablation.use_lemma1;
-  const VecId* vec_ids = index_->inverted_index().vec_ids_data();
+  const VecId* vec_ids = index_->inverted_index().vec_ids().data();
 
   std::fill(found, found + m, kNoWitness);
 

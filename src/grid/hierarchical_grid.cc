@@ -31,20 +31,17 @@ void HierarchicalGrid::Build(const double* mapped, size_t n,
   num_pivots_ = num_pivots;
   extent_ = extent;
   num_vectors_ = 0;
-  store_leaf_items_ = options.store_leaf_items;
   levels_cells_.assign(levels_, {});
   lookups_.assign(levels_, {});
   leaf_of_.clear();
   leaf_of_.reserve(n);
 
   for (size_t i = 0; i < n; ++i) {
-    Insert(mapped + i * num_pivots_, static_cast<VecId>(i),
-           options.store_leaf_items);
+    Insert(mapped + i * num_pivots_, static_cast<VecId>(i));
   }
 }
 
-uint32_t HierarchicalGrid::Insert(const double* mapped_vec, VecId id,
-                                  bool store_item) {
+uint32_t HierarchicalGrid::Insert(const double* mapped_vec, VecId id) {
   PEXESO_CHECK(levels_ >= 1);
   uint32_t leaf_idx = 0;
   uint32_t child_idx = 0;
@@ -65,7 +62,7 @@ uint32_t HierarchicalGrid::Insert(const double* mapped_vec, VecId id,
     }
     if (l == levels_) {
       leaf_idx = idx;
-      if (store_item) levels_cells_[l - 1][idx].items.push_back(id);
+      levels_cells_[l - 1][idx].items.push_back(id);
     } else if (child_created) {
       // Link the freshly created child into this (possibly existing) parent.
       levels_cells_[l - 1][idx].children.push_back(child_idx);
@@ -113,7 +110,9 @@ void HierarchicalGrid::Serialize(BinaryWriter* w) const {
   w->Write<uint32_t>(num_pivots_);
   w->Write<double>(extent_);
   w->Write<uint64_t>(num_vectors_);
-  w->Write<uint8_t>(store_leaf_items_ ? 1 : 0);
+  // Leaf cells always carry their items. The byte was a flag for leaves
+  // without them; it is written 1, and ignored on read.
+  w->Write<uint8_t>(1);
   for (uint32_t l = 1; l <= levels_; ++l) {
     const auto& cells = levels_cells_[l - 1];
     w->Write<uint64_t>(cells.size());
@@ -133,9 +132,8 @@ Status HierarchicalGrid::Deserialize(BinaryReader* r) {
   uint64_t nv = 0;
   PEXESO_RETURN_NOT_OK(r->Read(&nv));
   num_vectors_ = nv;
-  uint8_t sli = 0;
-  PEXESO_RETURN_NOT_OK(r->Read(&sli));
-  store_leaf_items_ = (sli != 0);
+  uint8_t leaf_items = 0;  // the retired leaf-items flag; ignored
+  PEXESO_RETURN_NOT_OK(r->Read(&leaf_items));
   if (levels_ < 1 || levels_ > 14 || num_pivots_ < 1 ||
       num_pivots_ > kMaxPivots || !std::isfinite(extent_) || extent_ <= 0.0) {
     return Status::Corruption("grid header implausible");

@@ -17,9 +17,9 @@ namespace pexeso {
 ///
 /// Level l in [1..m] divides the pivot space [0, extent]^|P| into 2^(|P|*l)
 /// hyper-cells; only non-empty cells are materialized. Leaf cells (level m)
-/// optionally carry the ids of the vectors they contain: the query grid HGQ
-/// always does (Algorithm 1 iterates query vectors in leaf cells), while for
-/// the repository grid HGRV the per-cell contents live in the inverted index.
+/// carry the ids of the vectors they contain: the query grid HGQ iterates
+/// them (Algorithm 1), and the repository grid HGRV's leaves are what the
+/// inverted index is built from.
 class HierarchicalGrid {
  public:
   /// One materialized cell. Geometry is implicit in (level, coords).
@@ -30,8 +30,7 @@ class HierarchicalGrid {
   };
 
   struct Options {
-    uint32_t levels = 4;          ///< m, number of levels below the root
-    bool store_leaf_items = true; ///< keep vector ids in leaf cells
+    uint32_t levels = 4;  ///< m, number of levels below the root
   };
 
   HierarchicalGrid() = default;
@@ -80,9 +79,10 @@ class HierarchicalGrid {
   /// Grid coordinates of a mapped vector at level l.
   CellCoord CoordsOf(const double* mapped_vec, uint32_t l) const;
 
-  /// Inserts one mapped vector incrementally (column append, Section III-E):
-  /// O(|P| + m) — creates/locates the cell chain and returns the leaf index.
-  uint32_t Insert(const double* mapped_vec, VecId id, bool store_item);
+  /// Inserts one mapped vector with the next id: O(|P| + m) — creates or
+  /// locates the cell chain and returns the leaf index. Build inserts every
+  /// vector this way.
+  uint32_t Insert(const double* mapped_vec, VecId id);
 
   /// Approximate heap footprint in bytes (for the Figure 6b index sizes).
   size_t MemoryBytes() const;
@@ -95,7 +95,6 @@ class HierarchicalGrid {
   uint32_t num_pivots_ = 0;
   double extent_ = 2.0;
   size_t num_vectors_ = 0;
-  bool store_leaf_items_ = true;
   /// levels_cells_[l-1] holds the cells of level l.
   std::vector<std::vector<Cell>> levels_cells_;
   /// Per-level lookup: coords -> index into CellsAtLevel(l); retained after

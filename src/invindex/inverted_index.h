@@ -21,15 +21,12 @@ namespace pexeso {
 /// passes, and the Lemma 7 early termination and the joinable-skip then run
 /// per column (core/verify_pipeline.h).
 ///
-/// Postings lists are growable per cell: appending a column (Section III-E)
-/// appends to the lists of the cells its vectors fall in, in O(1) per cell,
-/// preserving the sorted-by-column invariant because ColumnIds are assigned
-/// in increasing order.
-///
-/// Storage modes: owned (per-cell vectors, growable) or view (BindView
-/// points the index at a CSR image — cell offsets, a flat postings array,
-/// and the vec-id pool — inside an mmapped snapshot). Reads go through
-/// PostingsOf / vec_ids_data() in both modes; mutators materialize first.
+/// One CSR layout, built once and never grown: cell offsets
+/// (num_cells + 1 entries into the postings), a flat postings array and the
+/// vec-id pool the postings point into. Build fills owned arrays; BindView
+/// points the same three spans at a snapshot's mapped sections, so every
+/// read and Save take one path either way. An owned index is not copyable
+/// (its spans point at its own storage); moves keep the spans valid.
 class InvertedIndex {
  public:
   /// Postings of one column within one leaf cell.
@@ -42,6 +39,10 @@ class InvertedIndex {
                 "Posting is a stable on-disk POD");
 
   InvertedIndex() = default;
+  InvertedIndex(const InvertedIndex&) = delete;
+  InvertedIndex& operator=(const InvertedIndex&) = delete;
+  InvertedIndex(InvertedIndex&&) = default;
+  InvertedIndex& operator=(InvertedIndex&&) = default;
 
   /// Builds from a repository grid whose leaf cells carry vector ids.
   void Build(const HierarchicalGrid& grid, const ColumnCatalog& catalog);
@@ -52,77 +53,44 @@ class InvertedIndex {
   /// keeps all three alive (typically via the snapshot's MappedFile) and
   /// has validated monotonicity and posting ranges.
   void BindView(const uint64_t* cell_offsets, size_t num_cells,
-                const InvertedIndex::Posting* postings, const VecId* vec_ids,
-                size_t num_vec_ids) {
-    cells_.clear();
-    vec_ids_.clear();
-    view_offsets_ = cell_offsets;
-    view_postings_ = postings;
-    view_vec_ids_ = vec_ids;
-    view_num_cells_ = num_cells;
-    view_num_vec_ids_ = num_vec_ids;
-  }
-
-  /// True when reads are served from an external CSR image.
-  bool is_view() const { return view_offsets_ != nullptr; }
+                const Posting* postings, const VecId* vec_ids,
+                size_t num_vec_ids);
 
   /// Copies a viewed CSR image into owned storage; no-op when owned.
   void Materialize();
 
-  /// Ensures at least `n` cells exist (new ones start empty).
-  void EnsureCells(size_t n) {
-    Materialize();
-    if (cells_.size() < n) cells_.resize(n);
-  }
-
-  /// Appends the vectors of `column` that fall into `cell`. The column id
-  /// must be >= every column already present in the cell.
-  void Append(uint32_t cell, ColumnId column, std::span<const VecId> vecs);
-
   size_t num_cells() const {
-    return is_view() ? view_num_cells_ : cells_.size();
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
   /// Postings list of leaf cell `cell` (sorted by column id).
   std::span<const Posting> PostingsOf(uint32_t cell) const {
-    if (is_view()) {
-      const uint64_t begin = view_offsets_[cell];
-      const uint64_t end = view_offsets_[cell + 1];
-      return {view_postings_ + begin, static_cast<size_t>(end - begin)};
-    }
-    return {cells_[cell].data(), cells_[cell].size()};
+    return postings_.subspan(offsets_[cell],
+                             offsets_[cell + 1] - offsets_[cell]);
   }
 
-  /// Vector ids referenced by postings (mode-agnostic pointer + count).
-  const VecId* vec_ids_data() const {
-    return is_view() ? view_vec_ids_ : vec_ids_.data();
-  }
-  size_t vec_ids_size() const {
-    return is_view() ? view_num_vec_ids_ : vec_ids_.size();
-  }
+  /// The three CSR arrays, as Save writes them.
+  std::span<const uint64_t> cell_offsets() const { return offsets_; }
+  std::span<const Posting> postings() const { return postings_; }
+  /// Vector ids referenced by postings.
+  std::span<const VecId> vec_ids() const { return vec_ids_; }
 
-  /// Total postings across all cells.
-  size_t num_postings() const {
-    if (is_view()) {
-      return static_cast<size_t>(view_offsets_[view_num_cells_]);
-    }
-    size_t n = 0;
-    for (const auto& c : cells_) n += c.size();
-    return n;
-  }
-
+  /// Heap bytes of owned arrays (0 while viewing a snapshot).
   size_t MemoryBytes() const;
 
  private:
-  std::vector<std::vector<Posting>> cells_;
-  std::vector<VecId> vec_ids_;
+  /// Takes the arrays as owned storage and points the spans at them.
+  void Own(std::vector<uint64_t> offsets, std::vector<Posting> postings,
+           std::vector<VecId> vec_ids);
 
-  // View mode (non-null view_offsets_): CSR image owned by the snapshot.
-  const uint64_t* view_offsets_ = nullptr;
-  const Posting* view_postings_ = nullptr;
-  const VecId* view_vec_ids_ = nullptr;
-  size_t view_num_cells_ = 0;
-  size_t view_num_vec_ids_ = 0;
+  std::span<const uint64_t> offsets_;
+  std::span<const Posting> postings_;
+  std::span<const VecId> vec_ids_;
+
+  // Owned storage behind the spans; empty while viewing a snapshot.
+  std::vector<uint64_t> owned_offsets_;
+  std::vector<Posting> owned_postings_;
+  std::vector<VecId> owned_vec_ids_;
 };
 
 }  // namespace pexeso

@@ -269,89 +269,6 @@ TEST(PexesoSearchTest, BlockingReducesDistanceComputations) {
   EXPECT_LT(stats.distance_computations, naive_stats.distance_computations);
 }
 
-TEST(PexesoIndexTest, AppendColumnIsSearchable) {
-  L2Metric metric;
-  ColumnCatalog catalog = MakeClusteredCatalog(306, 8, 10, 10);
-  VectorStore query = MakeClusteredQuery(306, 8, 12);
-  PexesoOptions opts;
-  opts.num_pivots = 3;
-  opts.levels = 3;
-  PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, opts);
-
-  // Append a copy of the query as a new column: it must be found.
-  ColumnMeta meta;
-  meta.table_name = "appended";
-  const ColumnId col =
-      index.AppendColumn(meta, query.raw().data(), query.size());
-  PexesoSearcher searcher(&index);
-  JoinQuery sopts;
-  sopts.thresholds.tau = 1e-6;
-  sopts.thresholds.t_abs = static_cast<uint32_t>(query.size());
-  auto results = MustSearch(searcher, query, sopts, nullptr);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].column, col);
-}
-
-TEST(PexesoIndexTest, AppendMatchesFreshBuild) {
-  // Index built incrementally must return the same results as batch build.
-  L2Metric metric;
-  ColumnCatalog full = MakeClusteredCatalog(307, 8, 20, 10);
-  VectorStore query = MakeClusteredQuery(307, 8, 15);
-  FractionalThresholds ft{0.07, 0.4};
-  const SearchThresholds th = ft.Resolve(metric, 8, query.size());
-
-  PexesoOptions opts;
-  opts.num_pivots = 3;
-  opts.levels = 4;
-
-  // Batch: all 20 columns.
-  ColumnCatalog batch_catalog = MakeClusteredCatalog(307, 8, 20, 10);
-  PexesoIndex batch = PexesoIndex::Build(std::move(batch_catalog), &metric, opts);
-
-  // Incremental: build over the first 10, append the rest. Pivots are chosen
-  // from the initial half only, so force the same pivots by building the
-  // initial index from the full data's first half.
-  ColumnCatalog half(8);
-  for (ColumnId c = 0; c < 10; ++c) {
-    const auto& m = full.column(c);
-    half.AddColumn(m, full.store().View(m.first), m.count);
-  }
-  PexesoIndex incr = PexesoIndex::Build(std::move(half), &metric, opts);
-  for (ColumnId c = 10; c < 20; ++c) {
-    const auto& m = full.column(c);
-    incr.AppendColumn(m, full.store().View(m.first), m.count);
-  }
-
-  JoinQuery sopts;
-  sopts.thresholds = th;
-  PexesoSearcher s1(&batch), s2(&incr);
-  auto r1 = ResultColumns(MustSearch(s1, query, sopts, nullptr));
-  auto r2 = ResultColumns(MustSearch(s2, query, sopts, nullptr));
-  EXPECT_EQ(r1, r2);  // column ids coincide by construction order
-}
-
-TEST(PexesoIndexTest, DeletedColumnDisappearsFromResults) {
-  L2Metric metric;
-  ColumnCatalog catalog = MakeClusteredCatalog(308, 8, 15, 12);
-  VectorStore query = MakeClusteredQuery(308, 8, 15);
-  FractionalThresholds ft{0.08, 0.3};
-  const SearchThresholds th = ft.Resolve(metric, 8, query.size());
-  PexesoOptions opts;
-  opts.num_pivots = 3;
-  opts.levels = 3;
-  PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, opts);
-  PexesoSearcher searcher(&index);
-  JoinQuery sopts;
-  sopts.thresholds = th;
-  auto before = MustSearch(searcher, query, sopts, nullptr);
-  ASSERT_FALSE(before.empty());
-  const ColumnId victim = before[0].column;
-  index.DeleteColumn(victim);
-  auto after = MustSearch(searcher, query, sopts, nullptr);
-  for (const auto& r : after) EXPECT_NE(r.column, victim);
-  EXPECT_EQ(after.size(), before.size() - 1);
-}
-
 TEST(PexesoIndexTest, SaveLoadRoundTripPreservesResults) {
   L2Metric metric;
   ColumnCatalog catalog = MakeClusteredCatalog(309, 8, 15, 10);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
+#include <type_traits>
 
 #include "invindex/inverted_index.h"
 #include "test_util.h"
@@ -37,7 +39,7 @@ TEST(InvertedIndexTest, CoversEveryVectorExactlyOnce) {
   for (uint32_t cell = 0; cell < b.inv.num_cells(); ++cell) {
     for (const auto& p : b.inv.PostingsOf(cell)) {
       for (uint32_t k = 0; k < p.vec_count; ++k) {
-        const VecId v = b.inv.vec_ids_data()[p.vec_begin + k];
+        const VecId v = b.inv.vec_ids()[p.vec_begin + k];
         EXPECT_TRUE(seen.insert(v).second) << "vector listed twice";
         EXPECT_EQ(b.catalog.ColumnOf(v), p.column);
         // The vector must actually live in this grid cell.
@@ -58,42 +60,27 @@ TEST(InvertedIndexTest, PostingsSortedByColumn) {
   }
 }
 
-TEST(InvertedIndexTest, AppendKeepsSortedInvariant) {
-  auto b = MakeIndex(1002);
-  const uint32_t cell = 0;
-  const size_t before = b.inv.PostingsOf(cell).size();
-  // Append a new highest column id into an existing cell.
-  const ColumnId new_col = static_cast<ColumnId>(b.catalog.num_columns());
-  const VecId vecs[2] = {900, 901};
-  b.inv.Append(cell, new_col, vecs);
-  const auto postings = b.inv.PostingsOf(cell);
-  ASSERT_EQ(postings.size(), before + 1);
-  EXPECT_EQ(postings.back().column, new_col);
-  EXPECT_EQ(postings.back().vec_count, 2u);
-  for (size_t i = 1; i < postings.size(); ++i) {
-    EXPECT_LE(postings[i - 1].column, postings[i].column);
-  }
-}
+// An owned index's spans point at its own arrays, so a copy would read the
+// original's storage: there is none. A move keeps the spans valid.
+static_assert(!std::is_copy_constructible_v<InvertedIndex>);
+static_assert(!std::is_copy_assignable_v<InvertedIndex>);
 
-TEST(InvertedIndexTest, AppendSameColumnCoalesces) {
-  InvertedIndex inv;
-  inv.EnsureCells(1);
-  const VecId first[2] = {1, 2};
-  const VecId second[1] = {3};
-  inv.Append(0, 7, first);
-  inv.Append(0, 7, second);  // contiguous ids: must merge into one posting
-  const auto postings = inv.PostingsOf(0);
-  ASSERT_EQ(postings.size(), 1u);
-  EXPECT_EQ(postings[0].vec_count, 3u);
-}
-
-TEST(InvertedIndexTest, EnsureCellsGrowsOnly) {
-  InvertedIndex inv;
-  inv.EnsureCells(5);
-  EXPECT_EQ(inv.num_cells(), 5u);
-  inv.EnsureCells(3);
-  EXPECT_EQ(inv.num_cells(), 5u);
-  EXPECT_TRUE(inv.PostingsOf(4).empty());
+TEST(InvertedIndexTest, MovedIndexKeepsItsArrays) {
+  auto b = MakeIndex(1003);
+  const std::vector<uint64_t> offsets(b.inv.cell_offsets().begin(),
+                                      b.inv.cell_offsets().end());
+  const std::vector<VecId> vec_ids(b.inv.vec_ids().begin(),
+                                   b.inv.vec_ids().end());
+  InvertedIndex moved(std::move(b.inv));
+  InvertedIndex assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.num_cells(), offsets.size() - 1);
+  EXPECT_TRUE(std::equal(offsets.begin(), offsets.end(),
+                         assigned.cell_offsets().begin(),
+                         assigned.cell_offsets().end()));
+  EXPECT_TRUE(std::equal(vec_ids.begin(), vec_ids.end(),
+                         assigned.vec_ids().begin(), assigned.vec_ids().end()));
+  EXPECT_EQ(assigned.postings().size(), offsets.back());
 }
 
 TEST(InvertedIndexTest, MemoryBytesTracksContent) {

@@ -465,7 +465,6 @@ CandidateSet StageOne(const PexesoIndex& index, const VectorStore& query,
   HierarchicalGrid hgq;
   HierarchicalGrid::Options gopts;
   gopts.levels = index.grid().levels();
-  gopts.store_leaf_items = true;
   hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
             gopts);
   GridBlocker blocker(&index.grid());
@@ -669,18 +668,32 @@ TEST(PipelineTest, Lemma7CountsRecordsWithoutABlock) {
     EXPECT_EQ(stage2_stats.early_joinable, joinable);
   }
 
-  // One column searched alone (every other column tombstoned).
+  // One column verified alone: stage 1's output restricted to its blocks.
+  const std::vector<double> mapped_q =
+      index.pivots().MapAll(query.raw().data(), query.size());
   const auto alone = [&](ColumnId keep, bool use_l7) {
-    PexesoIndex one =
-        PexesoIndex::Build(ColumnCatalog(catalog), &metric, popts);
-    for (ColumnId col = 0; col < catalog.num_columns(); ++col) {
-      if (col != keep) one.DeleteColumn(col);
+    const uint32_t bb = cands.block_begin[keep];
+    const uint32_t be = cands.block_begin[keep + 1];
+    CandidateSet one;
+    one.blocks.assign(cands.blocks.begin() + bb, cands.blocks.begin() + be);
+    one.ranges = cands.ranges;  // blocks keep their range indices
+    one.block_begin.assign(catalog.num_columns() + 1, 0);
+    for (ColumnId col = keep + 1; col <= catalog.num_columns(); ++col) {
+      one.block_begin[col] = be - bb;
     }
+    one.weight.assign(catalog.num_columns(), 0);
+    one.weight[keep] = cands.weight[keep];
+    one.total_weight = cands.weight[keep];
     JoinQuery q1 = jq;
     q1.ablation.use_lemma7 = use_l7;
     SearchStats stats;
-    EXPECT_TRUE(MustSearch(PexesoSearcher(&one), query, q1, &stats).empty());
-    EXPECT_EQ(stats.candidate_blocks, blocks_of[keep]) << "column " << keep;
+    std::vector<uint32_t> match_map(catalog.num_columns(), 0);
+    EXPECT_TRUE(VerifyPipeline(&index)
+                    .VerifyCandidates(one, query, mapped_q, q1, nullptr,
+                                      &match_map, nullptr, nullptr, &stats)
+                    .ok());
+    EXPECT_LT(match_map[keep], kT) << "column " << keep;
+    EXPECT_EQ(one.blocks.size(), blocks_of[keep]) << "column " << keep;
     return stats;
   };
   const SearchStats dropped = alone(short_cols.front(), true);
@@ -749,7 +762,7 @@ uint32_t CellOf(const InvertedIndex& inv, VecId v) {
   for (uint32_t cell = 0; cell < inv.num_cells(); ++cell) {
     for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
       for (uint32_t i = 0; i < p.vec_count; ++i) {
-        if (inv.vec_ids_data()[p.vec_begin + i] == v) return cell;
+        if (inv.vec_ids()[p.vec_begin + i] == v) return cell;
       }
     }
   }
@@ -791,9 +804,9 @@ void ExpectSameCandidates(const CandidateSet& got, const CandidateSet& want,
 
 /// Stage 1's exact output on a hand-written blocking result over a lake
 /// whose cells are known: columns 0, 1 and 3 share the leaf cell of point
-/// A, columns 1 and 2 that of point B, and column 3 is tombstoned. Checks
-/// range order with a repeated cand cell and with the cells in either
-/// order, tombstone skipping, and a mapped snapshot of the same index.
+/// A, columns 1 and 2 that of point B. Checks range order with a repeated
+/// cand cell and with the cells in either order, and a mapped snapshot of
+/// the same index.
 TEST(PipelineTest, CandidateSetHasExactShape) {
   L2Metric metric;
   constexpr uint32_t kDim = 4;
@@ -819,7 +832,6 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
   popts.num_pivots = 2;
   popts.levels = 3;
   PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, popts);
-  index.DeleteColumn(3);
   const InvertedIndex& inv = index.inverted_index();
   const uint32_t a = CellOf(inv, index.catalog().column(0).first);
   const uint32_t b = CellOf(inv, index.catalog().column(2).first);
@@ -832,9 +844,11 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
   blocks.cand_cells = {{a, b, a}, {b, a}, {}, {a}};
 
   const VecIdRange a0 = RangeOf(inv, a, 0), a1 = RangeOf(inv, a, 1);
+  const VecIdRange a3 = RangeOf(inv, a, 3);
   const VecIdRange b1 = RangeOf(inv, b, 1), b2 = RangeOf(inv, b, 2);
   ASSERT_EQ(a0.count, 3u);
   ASSERT_EQ(a1.count, 2u);
+  ASSERT_EQ(a3.count, 2u);
   ASSERT_EQ(b1.count, 2u);
   ASSERT_EQ(b2.count, 3u);
   CandidateSet want;
@@ -846,56 +860,36 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
       {0, 4, 3}, {1, 7, 2}, {3, 9, 1},
       // column 2: q0 and q1 over B
       {0, 10, 1}, {1, 11, 1},
-      // column 3 is tombstoned, column 4 never blocked
+      // column 3: q0 over A twice, q1 and q3 over A; column 4 never blocked
+      {0, 12, 2}, {1, 14, 1}, {3, 15, 1},
   };
-  want.ranges = {a0, a0, a0, a0, a1, b1, a1, b1, a1, a1, b2, b2};
-  want.block_begin = {0, 3, 6, 8, 8, 8};
-  want.weight = {4 * a0.count, 4 * a1.count + 2 * b1.count, 2 * b2.count, 0,
-                 0};
+  want.ranges = {a0, a0, a0, a0, a1, b1, a1, b1, a1, a1, b2, b2,
+                 a3, a3, a3, a3};
+  want.block_begin = {0, 3, 6, 8, 11, 11};
+  want.weight = {4 * a0.count, 4 * a1.count + 2 * b1.count, 2 * b2.count,
+                 4 * a3.count, 0};
   want.total_weight = 4 * a0.count + 4 * a1.count + 2 * b1.count +
-                      2 * b2.count;
+                      2 * b2.count + 4 * a3.count;
 
   SearchStats stats;
   CandidateSet got;
   VerifyPipeline(&index).GenerateCandidates(blocks, 4, 0, &got, &stats);
   ExpectSameCandidates(got, want, "heap index");
-  EXPECT_EQ(stats.candidate_blocks, 8u);
+  EXPECT_EQ(stats.candidate_blocks, 11u);
 
   // The same index served from a mapped snapshot (view-mode postings).
   const std::string path = ::testing::TempDir() + "/pipeline_exact_shape.pxso";
   ASSERT_TRUE(index.Save(path).ok());
   auto loaded = PexesoIndex::Load(path, &metric);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded.value().inverted_index().is_view());
+  ASSERT_TRUE(loaded.value().is_mapped());
   SearchStats view_stats;
   CandidateSet view;
   VerifyPipeline(&loaded.value())
       .GenerateCandidates(blocks, 4, 0, &view, &view_stats);
   ExpectSameCandidates(view, want, "mapped snapshot");
-  EXPECT_EQ(view_stats.candidate_blocks, 8u);
+  EXPECT_EQ(view_stats.candidate_blocks, 11u);
   std::remove(path.c_str());
-}
-
-/// A deleted column's candidate blocks are skipped by every shard layout.
-TEST(PipelineTest, DeletedColumnStaysDeletedUnderSharding) {
-  L2Metric metric;
-  ColumnCatalog catalog = MakeClusteredCatalog(82, 8, 15, 12);
-  VectorStore query = MakeClusteredQuery(82, 8, 15);
-  PexesoOptions popts;
-  popts.num_pivots = 3;
-  popts.levels = 3;
-  PexesoIndex index = PexesoIndex::Build(std::move(catalog), &metric, popts);
-  PexesoSearcher searcher(&index);
-  FractionalThresholds ft{0.08, 0.3};
-  JoinQuery sopts;
-  sopts.thresholds = ft.Resolve(metric, 8, query.size());
-  auto before = MustSearch(searcher, query, sopts, nullptr);
-  ASSERT_FALSE(before.empty());
-  index.DeleteColumn(before[0].column);
-  sopts.intra_query_threads = 4;
-  auto after = MustSearch(searcher, query, sopts, nullptr);
-  for (const auto& r : after) EXPECT_NE(r.column, before[0].column);
-  EXPECT_EQ(after.size(), before.size() - 1);
 }
 
 }  // namespace

@@ -213,7 +213,6 @@ TEST_P(GridTest, EveryVectorLandsInExactlyOneLeaf) {
   HierarchicalGrid grid;
   HierarchicalGrid::Options opts;
   opts.levels = levels;
-  opts.store_leaf_items = true;
   grid.Build(mapped.data(), n, np, 2.0, opts);
 
   size_t total = 0;
@@ -300,7 +299,7 @@ TEST(GridTest, IncrementalInsertMatchesBatchBuild) {
   HierarchicalGrid incr;
   incr.Build(mapped.data(), 1, np, 2.0, opts);
   for (size_t i = 1; i < n; ++i) {
-    incr.Insert(mapped.data() + i * np, static_cast<VecId>(i), true);
+    incr.Insert(mapped.data() + i * np, static_cast<VecId>(i));
   }
   EXPECT_EQ(incr.LeafCells().size(), batch.LeafCells().size());
   for (uint32_t l = 1; l <= static_cast<uint32_t>(levels); ++l) {

@@ -79,6 +79,7 @@ constexpr uint64_t kHdrTable = 58;
 // On-disk section kinds used below.
 constexpr uint32_t kSecColMeta = 1;
 constexpr uint32_t kSecGrid = 3;
+constexpr uint32_t kSecTombstones = 4;
 constexpr uint32_t kSecPostings = 8;
 constexpr uint32_t kSecVecIds = 9;
 
@@ -195,6 +196,9 @@ TEST_F(SnapshotTest, FifoLoadIsMaterialized) {
                          MustSearch(heap_engine, query, MakeJoinQuery(14, 0)));
 }
 
+/// A materialized copy answers as the mapped one did, and saving it again
+/// writes the original file byte for byte: owned and mapped arrays
+/// serialize the same way.
 TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
   auto loaded = PexesoIndex::Load(FlatPath(), metric_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -210,6 +214,11 @@ TEST_F(SnapshotTest, MaterializeDropsTheMapping) {
   PexesoSearcher after(&flat);
   auto owned = MustSearch(after, query, MakeJoinQuery(12, 0));
   ExpectIdenticalResults(reference, owned);
+
+  const std::string resaved = *dir_ + "/materialized.pxso";
+  ASSERT_TRUE(flat.Save(resaved).ok());
+  EXPECT_EQ(ReadFileBytes(resaved), ReadFileBytes(FlatPath()));
+  std::filesystem::remove(resaved);
 }
 
 /// The acceptance matrix: {mapped, materialized heap copy} x {pexeso,
@@ -391,6 +400,7 @@ TEST_F(SnapshotTest, StructuralMutantsAreCorruption) {
   const uint64_t grid_l1_count = SectionOffset(bytes, kSecGrid) + 25;
   const uint64_t cell0_children = grid_l1_count + 8 + sizeof(CellCoord);
   ASSERT_GT(At<uint64_t>(bytes, cell0_children), 0u);
+  const uint64_t tombstones = SectionOffset(bytes, kSecTombstones);
   const uint64_t postings = SectionOffset(bytes, kSecPostings);
   const uint64_t vec_ids = SectionOffset(bytes, kSecVecIds);
 
@@ -435,6 +445,8 @@ TEST_F(SnapshotTest, StructuralMutantsAreCorruption) {
       {"posting outside the vec-id pool",
        put32(postings + 4, static_cast<uint32_t>(nvecids))},
       {"grid arity disagrees with the pivots", grid_arity},
+      {"tombstone section marks column 1",
+       [=](std::string* b) { Put<uint8_t>(b, tombstones + 1, 1); }},
   };
   const std::string mutant = *dir_ + "/structural.pxso";
   for (const Mutant& m : mutants) {

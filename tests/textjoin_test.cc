@@ -33,6 +33,42 @@ TEST(JaccardMatcherTest, ThresholdGatesMatch) {
   EXPECT_TRUE(loose.MatchRecords("mario party", "mario kart"));
 }
 
+TEST(JaccardTokenIndexTest, AcceleratedMatchAnyIsExact) {
+  // Token-index MatchAny must agree with the brute-force default on random
+  // record sets (including token-free records).
+  std::vector<std::vector<std::string>> cols = {
+      {"mario party", "zelda breath wild", "metroid", "...", ""},
+      {"alpha beta", "gamma delta", "beta gamma"},
+  };
+  for (double th : {0.2, 0.5, 0.99}) {
+    JaccardMatcher indexed(th);
+    indexed.PrepareColumns(&cols);
+    for (const std::string& q :
+         {std::string("mario kart"), std::string("zelda"),
+          std::string("beta"), std::string("unknown tokens"),
+          std::string(""), std::string("!!!")}) {
+      for (ColumnId c = 0; c < cols.size(); ++c) {
+        // Brute force over the raw records.
+        bool expected = false;
+        for (const auto& r : cols[c]) {
+          if (JaccardMatcher::Similarity(q, r) >= th) expected = true;
+        }
+        EXPECT_EQ(indexed.MatchAny(q, c), expected)
+            << "q='" << q << "' col=" << c << " th=" << th;
+      }
+    }
+  }
+}
+
+TEST(JaccardTokenIndexTest, ZeroThresholdFallsBackToScan) {
+  // Jaccard >= 0 matches everything; the token filter would wrongly prune,
+  // so the matcher must take the exhaustive path.
+  std::vector<std::vector<std::string>> cols = {{"totally different"}};
+  JaccardMatcher m(0.0);
+  m.PrepareColumns(&cols);
+  EXPECT_TRUE(m.MatchAny("no shared tokens", 0));
+}
+
 TEST(EditMatcherTest, SimilarityAndThreshold) {
   EXPECT_DOUBLE_EQ(EditMatcher::Similarity("abc", "abc"), 1.0);
   EXPECT_NEAR(EditMatcher::Similarity("kitten", "sitting"), 1.0 - 3.0 / 7.0,

@@ -845,11 +845,6 @@ int CmdInfo(const Flags& flags) {
   std::printf("  grid levels m: %u\n", index.grid().levels());
   std::printf("  leaf cells:    %zu\n", index.grid().LeafCells().size());
   std::printf("  index size:    %.2f MB\n", index.IndexSizeBytes() / 1e6);
-  size_t deleted = 0;
-  for (ColumnId c = 0; c < index.catalog().num_columns(); ++c) {
-    if (index.IsDeleted(c)) ++deleted;
-  }
-  std::printf("  tombstoned:    %zu\n", deleted);
   return 0;
 }
 
