@@ -6,6 +6,8 @@
 //               metric. This is the arithmetic-intensity win: a tile
 //               streams each candidate row once per 4-row block instead of
 //               once per (query, candidate) pair.
+//   blocking    per-record descent of HGRV (GridBlocker::Run) over the
+//               large query column below: records/sec, median of 9 rounds.
 //   candidate   stage-1 throughput (postings -> CandidateBlocks): a
 //               two-pass counting scatter by column, linear in the postings
 //               walked. Any per-record merge or sort would show here.
@@ -16,8 +18,9 @@
 //               1-core CI box's ~1.0x reads as what it is.
 //
 // Results go to stdout and BENCH_pipeline.json ("BENCH_pipeline/v2"). The
-// candidate-generation row gates its SearchStats (blocking plus stage 1);
-// every rate and wall time is ungated.
+// blocking row gates its cells_filtered and candidate_pairs, the
+// candidate-generation row its SearchStats (blocking plus stage 1); every
+// rate and wall time is ungated.
 
 #include <algorithm>
 #include <string>
@@ -155,24 +158,37 @@ int PipelineExperiment() {
   JoinQuery sopts;
   sopts.thresholds = ft.Resolve(metric, profile.dim, query.size());
 
-  // -------------------------------------------- stage-1 regression guard
-  const PivotSpace& ps = index.pivots();
+  // ------------------------------------------------------------ blocking
+  // Per-record descent of HGRV; the work counts come from the warm-up round.
   const std::vector<double> mapped_q =
-      ps.MapAll(query.raw().data(), query.size());
-  HierarchicalGrid hgq;
-  HierarchicalGrid::Options gopts;
-  gopts.levels = index.grid().levels();
-  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
-            gopts);
+      index.pivots().MapAll(query.raw().data(), query.size());
+  const uint32_t num_q = static_cast<uint32_t>(query.size());
   GridBlocker blocker(&index.grid());
   SearchStats gen_stats;
-  const BlockResult blocks = blocker.Run(hgq, mapped_q, sopts.thresholds.tau,
-                                         sopts.ablation, &gen_stats);
+  BlockResult blocks;
+  const double block_seconds =
+      MedianRoundSeconds(1, 9, [&](size_t, bool warmup) {
+        SearchStats round_stats;
+        blocks = blocker.Run(mapped_q.data(), num_q, sopts.thresholds.tau,
+                             sopts.ablation, &round_stats);
+        if (warmup) gen_stats = round_stats;
+      })[0];
+  const double records_per_sec =
+      static_cast<double>(num_q) / std::max(block_seconds, 1e-9);
+  std::printf("\nblocking: %u records in %.4fs (%.0f records/s), %zu "
+              "candidate pairs\n",
+              num_q, block_seconds, records_per_sec, blocks.cells.size());
+  json.Row("blocking")
+      .Count("search_cells_filtered", gen_stats.cells_filtered)
+      .Count("search_candidate_pairs", gen_stats.candidate_pairs)
+      .Num("seconds", block_seconds, 6)
+      .Num("records_per_sec", records_per_sec, 0);
+
+  // -------------------------------------------- stage-1 regression guard
   VerifyPipeline pipeline(&index);
   CandidateSet cands;
   const double gen_seconds = TimeIt([&] {
-    pipeline.GenerateCandidates(blocks, static_cast<uint32_t>(query.size()),
-                                0, &cands, &gen_stats);
+    pipeline.GenerateCandidates(blocks, num_q, 0, &cands, &gen_stats);
   });
   const double blocks_per_sec =
       static_cast<double>(cands.blocks.size()) / std::max(gen_seconds, 1e-9);

@@ -37,15 +37,11 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   }
 
   Stopwatch block_watch;
-  const PivotSpace& ps = index_->pivots();
-  std::vector<double> mapped_q = ps.MapAll(query.raw().data(), query.size());
-  HierarchicalGrid hgq;
-  HierarchicalGrid::Options gopts;
-  gopts.levels = index_->grid().levels();
-  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
-            gopts);
+  const std::vector<double> mapped_q =
+      index_->pivots().MapAll(query.raw().data(), query.size());
   GridBlocker blocker(&index_->grid());
-  BlockResult blocks = blocker.Run(hgq, mapped_q, tau, jq.ablation, stats);
+  const BlockResult blocks =
+      blocker.Run(mapped_q.data(), num_q, tau, jq.ablation, stats);
   stats->block_seconds += block_watch.ElapsedSeconds();
 
   // Checkpoint between blocking and verification: an expired query does no
@@ -122,7 +118,7 @@ Status PexesoHSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
     const uint32_t mark = q + 1;
     // Candidate cells: naive verification — distance to every vector in the
     // cell (no Lemma 1, no inverted index, no Lemma 7).
-    for (uint32_t cell : blocks.cand_cells[q]) {
+    for (uint32_t cell : blocks.CellsOf(q)) {
       for (VecId v : leaves[cell].items) {
         const ColumnId col = vec2col[v];
         if (stamp[col] == mark || (joinable[col] && skip_joinable) ||

@@ -1,121 +1,109 @@
 #include "core/blocker.h"
 
+#include <array>
+
 namespace pexeso {
 
-struct GridBlocker::RunState {
-  const HierarchicalGrid* hgq = nullptr;
-  const std::vector<double>* mapped_q = nullptr;
-  double tau = 0.0;
-  const AblationConfig* ablation = nullptr;
-  SearchStats* stats = nullptr;
-  BlockResult* result = nullptr;
-};
-
-BlockResult GridBlocker::Run(const HierarchicalGrid& hgq,
-                             const std::vector<double>& mapped_q, double tau,
-                             const AblationConfig& ablation,
+BlockResult GridBlocker::Run(const double* mapped_q, uint32_t num_q,
+                             double tau, const AblationConfig& ablation,
                              SearchStats* stats) const {
-  PEXESO_CHECK(hgq.levels() == rgrid_->levels());
-  PEXESO_CHECK(hgq.num_pivots() == rgrid_->num_pivots());
+  constexpr uint32_t kMaxLevels = HierarchicalGrid::kMaxLevels;
+  const HierarchicalGrid& g = *rgrid_;
+  const uint32_t np = g.num_pivots();
+  const uint32_t m = g.levels();
+  PEXESO_CHECK(m >= 1 && m <= kMaxLevels);
+  const bool lemma34 = ablation.use_lemma34;
+  std::array<const uint16_t*, kMaxLevels> coords{};
+  std::array<const uint32_t*, kMaxLevels> child_begin{};
+  for (uint32_t l = 1; l <= m; ++l) {
+    coords[l - 1] = g.ViewAtLevel(l).coords.data();
+    child_begin[l - 1] = g.ViewAtLevel(l).child_begin.data();
+  }
+  const uint32_t num_level1 =
+      static_cast<uint32_t>(g.CellsAtLevel(1).size());
+
   BlockResult result;
-  result.cand_cells.assign(hgq.num_vectors(), {});
-
-  RunState rs;
-  rs.hgq = &hgq;
-  rs.mapped_q = &mapped_q;
-  rs.tau = tau;
-  rs.ablation = &ablation;
-  rs.stats = stats;
-  rs.result = &result;
-
-  if (ablation.use_quick_browsing) {
-    QuickBrowse(&rs);
-  }
-  const auto& q_level1 = hgq.CellsAtLevel(1);
-  const auto& r_level1 = rgrid_->CellsAtLevel(1);
-  for (uint32_t cq = 0; cq < q_level1.size(); ++cq) {
-    for (uint32_t cr = 0; cr < r_level1.size(); ++cr) {
-      Block(&rs, 1, cq, cr);
+  result.offsets.reserve(size_t{num_q} + 1);
+  result.offsets.push_back(0);
+  uint64_t filtered = 0;
+  // The record's tau-box as coordinate ranges: level l, axis j passes
+  // lo[(l - 1) * np + j] <= c <= hi[(l - 1) * np + j].
+  std::array<int32_t, kMaxLevels * kMaxPivots> lo{}, hi{};
+  uint32_t skip = UINT32_MAX;  // view index of the quick-browse leaf
+  const auto meets = [&](uint32_t depth, uint32_t i) {
+    if (!lemma34) return true;
+    const uint16_t* c = coords[depth] + size_t{i} * np;
+    const int32_t* l = lo.data() + depth * np;
+    const int32_t* h = hi.data() + depth * np;
+    for (uint32_t j = 0; j < np; ++j) {
+      if (c[j] < l[j] || c[j] > h[j]) {
+        ++filtered;
+        return false;
+      }
     }
-  }
-  return result;
-}
-
-void GridBlocker::QuickBrowse(RunState* rs) const {
-  // Leaf cells of HGQ and HGRV with identical coordinates cover the same
-  // space region, so they can never be separated by Lemma 3/4: feed them to
-  // verification as candidates without any blocking work.
-  for (const auto& lq : rs->hgq->LeafCells()) {
-    const int64_t rcell = rgrid_->FindLeaf(lq.coords);
-    if (rcell < 0) continue;
-    for (VecId q : lq.items) {
-      rs->result->cand_cells[q].push_back(static_cast<uint32_t>(rcell));
-      ++rs->stats->candidate_pairs;
+    return true;
+  };
+  const auto leaf_run = [&](uint32_t begin, uint32_t end) {
+    for (uint32_t i = begin; i < end; ++i) {
+      // Quick browsing already emitted this leaf; it is neither tested
+      // nor emitted again.
+      if (i == skip || !meets(m - 1, i)) continue;
+      result.cells.push_back(g.LeafOfViewLeaf(i));
     }
-  }
-}
+  };
+  struct Frame {
+    uint32_t next, end;  ///< the unvisited rest of one children run
+  };
+  std::array<Frame, kMaxLevels> stack{};
 
-void GridBlocker::BlockLeafPair(RunState* rs, uint32_t cq, uint32_t cr) const {
-  const uint32_t level = rgrid_->levels();
-  const auto& qcell = rs->hgq->CellsAtLevel(level)[cq];
-  const auto& rcell = rgrid_->CellsAtLevel(level)[cr];
-  if (rs->ablation->use_quick_browsing && qcell.coords == rcell.coords) {
-    return;  // already emitted by quick browsing
-  }
-  const uint32_t np = rs->hgq->num_pivots();
-  const double tau = rs->tau;
-  for (VecId q : qcell.items) {
-    const double* mq = rs->mapped_q->data() + static_cast<size_t>(q) * np;
-    if (rs->ablation->use_lemma34) {
-      // Lemma 3: the cell does not intersect SQR(q', tau).
-      bool separated = false;
-      for (uint32_t i = 0; i < np; ++i) {
-        if (rgrid_->CellLower(level, rcell, i) > mq[i] + tau ||
-            rgrid_->CellUpper(level, rcell, i) < mq[i] - tau) {
-          separated = true;
-          break;
+  for (uint32_t q = 0; q < num_q; ++q) {
+    const double* x = mapped_q + size_t{q} * np;
+    if (lemma34) {
+      for (uint32_t l = 1; l <= m; ++l) {
+        for (uint32_t j = 0; j < np; ++j) {
+          const size_t k = size_t{l - 1} * np + j;
+          g.AxisCellRange(l, x[j] - tau, x[j] + tau, &lo[k], &hi[k]);
         }
       }
-      if (separated) {
-        ++rs->stats->cells_filtered;
-        continue;
+    }
+    skip = UINT32_MAX;
+    if (ablation.use_quick_browsing) {
+      // The leaf with the record's own coordinates covers the record, so
+      // Lemmas 3/4 can never separate them: a candidate without a test.
+      const int64_t leaf = g.FindLeaf(g.CoordsOf(x, m));
+      if (leaf >= 0) {
+        result.cells.push_back(static_cast<uint32_t>(leaf));
+        skip = g.ViewLeafOf(static_cast<uint32_t>(leaf));
       }
     }
-    rs->result->cand_cells[q].push_back(cr);
-    ++rs->stats->candidate_pairs;
-  }
-}
-
-void GridBlocker::Block(RunState* rs, uint32_t level, uint32_t cq,
-                        uint32_t cr) const {
-  if (level == rgrid_->levels()) {
-    BlockLeafPair(rs, cq, cr);
-    return;
-  }
-  const auto& qcell = rs->hgq->CellsAtLevel(level)[cq];
-  const auto& rcell = rgrid_->CellsAtLevel(level)[cr];
-  const uint32_t np = rs->hgq->num_pivots();
-  const double tau = rs->tau;
-
-  if (rs->ablation->use_lemma34) {
-    // Lemma 4: boxes further than tau apart in Chebyshev distance over the
-    // pivot space cannot contain matching pairs. This is the box-box form of
-    // SQR(cq.center, tau + cq.length/2) not intersecting cr.
-    for (uint32_t i = 0; i < np; ++i) {
-      if (rgrid_->CellLower(level, rcell, i) >
-              rs->hgq->CellUpper(level, qcell, i) + tau ||
-          rgrid_->CellUpper(level, rcell, i) <
-              rs->hgq->CellLower(level, qcell, i) - tau) {
-        ++rs->stats->cells_filtered;
-        return;
+    if (m == 1) {
+      leaf_run(0, num_level1);
+    } else {
+      uint32_t depth = 0;
+      stack[0] = {0, num_level1};
+      for (;;) {
+        Frame& f = stack[depth];
+        if (f.next == f.end) {
+          if (depth == 0) break;
+          --depth;
+          continue;
+        }
+        const uint32_t i = f.next++;
+        if (!meets(depth, i)) continue;  // prunes the subtree
+        const uint32_t begin = child_begin[depth][i];
+        const uint32_t end = child_begin[depth][i + 1];
+        if (depth + 2 == m) {
+          leaf_run(begin, end);
+        } else {
+          stack[++depth] = {begin, end};
+        }
       }
     }
+    result.offsets.push_back(result.cells.size());
   }
-  for (uint32_t qchild : qcell.children) {
-    for (uint32_t rchild : rcell.children) {
-      Block(rs, level + 1, qchild, rchild);
-    }
-  }
+  stats->candidate_pairs += result.cells.size();
+  stats->cells_filtered += filtered;
+  return result;
 }
 
 }  // namespace pexeso

@@ -33,20 +33,14 @@ Status PexesoSearcher::Execute(const JoinQuery& jq, ResultSink* sink,
   }
 
   Stopwatch block_watch;
-  // Map the query column into the pivot space and build HGQ (same number of
-  // levels as HGRV so leaf cells align, enabling quick browsing).
-  const PivotSpace& ps = index_->pivots();
+  // Map the query column into the pivot space and block each record
+  // against HGRV.
   const std::vector<double> mapped_q =
-      ps.MapAll(query.raw().data(), query.size());
-  HierarchicalGrid hgq;
-  HierarchicalGrid::Options gopts;
-  gopts.levels = index_->grid().levels();
-  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
-            gopts);
-
+      index_->pivots().MapAll(query.raw().data(), query.size());
   GridBlocker blocker(&index_->grid());
-  const BlockResult blocks = blocker.Run(hgq, mapped_q, jq.thresholds.tau,
-                                         jq.ablation, out_stats);
+  const BlockResult blocks = blocker.Run(mapped_q.data(), num_q,
+                                         jq.thresholds.tau, jq.ablation,
+                                         out_stats);
   out_stats->block_seconds += block_watch.ElapsedSeconds();
 
   // The staged verification pipeline: candidate generation (stage 1),

@@ -10,9 +10,9 @@
 
 namespace pexeso {
 
-/// \brief The online side of PEXESO (Algorithm 3): builds HGQ for the query
-/// column, quick-browses co-located leaf cells, blocks with Algorithm 1, and
-/// verifies through the staged VerifyPipeline (candidate generation ->
+/// \brief The online side of PEXESO (Algorithm 3): maps the query column
+/// into the pivot space, blocks each record against HGRV (Algorithm 1 with
+/// quick browsing, core/blocker.h), and verifies through the staged VerifyPipeline (candidate generation ->
 /// column-sharded tiled verification -> deterministic reduction; see
 /// core/verify_pipeline.h). JoinQuery::intra_query_threads parallelizes
 /// the verification of a single huge query column.

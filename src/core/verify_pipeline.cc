@@ -145,11 +145,11 @@ void VerifyPipeline::GenerateCandidates(const BlockResult& blocks,
   std::vector<uint32_t> seen(ncols);
   // Calls on_block(q, c) once per (q, c) pair and on_range(c, posting)
   // per nonempty cand posting, in ascending q and, within a pair, in the
-  // order of q's cand_cells.
+  // order of q's candidate cells.
   const auto walk = [&](auto&& on_block, auto&& on_range) {
     std::fill(seen.begin(), seen.end(), UINT32_MAX);
     for (uint32_t q = 0; q < num_q; ++q) {
-      for (uint32_t cell : blocks.cand_cells[q]) {
+      for (uint32_t cell : blocks.CellsOf(q)) {
         for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
           if (seen[p.column] != q) {
             seen[p.column] = q;

@@ -116,13 +116,13 @@ class VerifyPipeline {
   explicit VerifyPipeline(const PexesoIndex* index) : index_(index) {}
 
   /// Stage 1. `blocks` is the blocking output for `num_q` query records.
-  /// Two passes walk each record's cand cells over the inverted index's
+  /// Two passes walk each record's candidate cells over the inverted index's
   /// postings: the first counts blocks and ranges per column, prefix sums
   /// place them, the second writes each (record, column) block at its
   /// column's cursor. A block's ranges follow the order of the record's
-  /// cand cells. Tombstoned columns emit nothing. A column with fewer than
-  /// `min_blocks` blocks (the searcher passes JoinQuery::Lemma7T(), 0 keeps
-  /// every column) emits nothing either and counts one lemma7_kills: Lemma
+  /// candidate cells. A column with fewer than `min_blocks` blocks (the
+  /// searcher passes JoinQuery::Lemma7T(), 0 keeps every column) emits
+  /// nothing and counts one lemma7_kills: Lemma
   /// 7 counts each record without a block in it as a mismatch, so it
   /// cannot reach T. candidate_blocks counts every block pass 1 found.
   /// Linear in the postings walked; no merge.

@@ -17,9 +17,9 @@ namespace pexeso {
 ///
 /// Level l in [1..m] divides the pivot space [0, extent]^|P| into 2^(|P|*l)
 /// hyper-cells; only non-empty cells are materialized. Leaf cells (level m)
-/// carry the ids of the vectors they contain: the query grid HGQ iterates
-/// them (Algorithm 1), and the repository grid HGRV's leaves are what the
-/// inverted index is built from.
+/// carry the ids of the vectors they contain; the repository grid HGRV's
+/// leaves are what the inverted index is built from. Blocking descends HGRV
+/// once per query record through its descent view (ViewAtLevel).
 class HierarchicalGrid {
  public:
   /// One materialized cell. Geometry is implicit in (level, coords).
@@ -32,11 +32,26 @@ class HierarchicalGrid {
   struct Options {
     uint32_t levels = 4;  ///< m, number of levels below the root
   };
+  /// Most levels a grid may have: coordinates at level 14 fill 14 of a
+  /// CellCoord's 16 bits.
+  static constexpr uint32_t kMaxLevels = 14;
+
+  /// One level of the descent view. The view numbers the cells breadth
+  /// first: level 1 in CellsAtLevel(1) order, and each further level as the
+  /// previous level's children lists, concatenated in view order. View cell
+  /// i of an interior level has its children at [child_begin[i],
+  /// child_begin[i + 1]) of the next level, in Cell::children order, so a
+  /// depth-first walk of the view visits the cells in the order a
+  /// depth-first walk of CellsAtLevel does.
+  struct ViewLevel {
+    std::vector<uint16_t> coords;       ///< cells x num_pivots, row-major
+    std::vector<uint32_t> child_begin;  ///< cells + 1 offsets; empty at leaves
+  };
 
   HierarchicalGrid() = default;
 
   /// Builds the grid over `n` mapped vectors (row-major n x num_pivots
-  /// doubles, coordinates in [0, extent]).
+  /// doubles, coordinates in [0, extent]), inserting them in id order.
   void Build(const double* mapped, size_t n, uint32_t num_pivots,
              double extent, const Options& options);
 
@@ -67,11 +82,13 @@ class HierarchicalGrid {
     return static_cast<double>(c.coords.c[axis] + 1) * CellSide(l);
   }
 
-  /// Leaf cell index containing vector `v` (as assigned during Build).
-  uint32_t LeafOf(VecId v) const {
-    PEXESO_DCHECK(v < leaf_of_.size());
-    return leaf_of_[v];
-  }
+  /// The level-l cell coordinates c in [0, 2^l) whose interval [c * side,
+  /// (c + 1) * side] meets [lower, upper] are exactly lo <= c <= hi: a cell
+  /// with coordinate c fails `CellLower > upper || CellUpper < lower`
+  /// (Lemma 3 on one axis, in the same doubles) iff c is outside [lo, hi].
+  /// lo is in [0, 2^l], hi in [-1, 2^l - 1]; lo > hi when no cell meets it.
+  void AxisCellRange(uint32_t l, double lower, double upper, int32_t* lo,
+                     int32_t* hi) const;
 
   /// Looks up a leaf cell by coordinates; returns -1 if empty/absent.
   int64_t FindLeaf(const CellCoord& coords) const;
@@ -79,29 +96,50 @@ class HierarchicalGrid {
   /// Grid coordinates of a mapped vector at level l.
   CellCoord CoordsOf(const double* mapped_vec, uint32_t l) const;
 
-  /// Inserts one mapped vector with the next id: O(|P| + m) — creates or
-  /// locates the cell chain and returns the leaf index. Build inserts every
-  /// vector this way.
-  uint32_t Insert(const double* mapped_vec, VecId id);
+  /// The descent view of level l (1-based).
+  const ViewLevel& ViewAtLevel(uint32_t l) const {
+    PEXESO_DCHECK(l >= 1 && l <= levels_);
+    return view_[l - 1];
+  }
+  /// LeafCells() index of view leaf `i`, and view index of leaf `leaf`.
+  uint32_t LeafOfViewLeaf(uint32_t i) const { return view_leaf_to_leaf_[i]; }
+  uint32_t ViewLeafOf(uint32_t leaf) const { return leaf_to_view_leaf_[leaf]; }
 
   /// Approximate heap footprint in bytes (for the Figure 6b index sizes).
   size_t MemoryBytes() const;
 
+  /// Writes the grid image: header, every level's cells, then the
+  /// per-vector leaf map, derived from the leaf items.
   void Serialize(BinaryWriter* w) const;
+  /// Reads a grid image. Corruption unless the cells form a tree (every
+  /// cell below level 1 is listed by exactly one parent, whose coordinates
+  /// are its Parent()) and the leaf map agrees with the leaf items; the map
+  /// is checked and dropped.
   Status Deserialize(BinaryReader* r);
 
  private:
+  using CellLookup = std::unordered_map<CellCoord, uint32_t, CellCoordHash>;
+
+  /// Inserts one mapped vector with id `id`: creates or locates the cell
+  /// chain through the per-level `lookups` (coords -> cell index).
+  void Insert(const double* mapped_vec, VecId id,
+              std::vector<CellLookup>* lookups);
+  /// Numbers the cells breadth-first into view_ and the leaf maps. The
+  /// cells must form a tree.
+  void BuildView();
+
   uint32_t levels_ = 0;
   uint32_t num_pivots_ = 0;
   double extent_ = 2.0;
   size_t num_vectors_ = 0;
   /// levels_cells_[l-1] holds the cells of level l.
   std::vector<std::vector<Cell>> levels_cells_;
-  /// Per-level lookup: coords -> index into CellsAtLevel(l); retained after
-  /// Build so that Insert and FindLeaf are O(1) per level.
-  std::vector<std::unordered_map<CellCoord, uint32_t, CellCoordHash>> lookups_;
-  /// Per-vector leaf assignment.
-  std::vector<uint32_t> leaf_of_;
+  /// Leaf coords -> index into LeafCells(), for FindLeaf.
+  CellLookup leaf_lookup_;
+  /// view_[l-1] is the descent view of level l.
+  std::vector<ViewLevel> view_;
+  std::vector<uint32_t> view_leaf_to_leaf_;
+  std::vector<uint32_t> leaf_to_view_leaf_;
 };
 
 }  // namespace pexeso

@@ -43,7 +43,9 @@ struct StatField {
   X(3, uint64_t, lemma1_filtered, "search_lemma1_filtered", kSum)             \
   /* Always 0: Lemma 2 (pivot matching) is deleted; bench_e2e reads it. */    \
   X(4, uint64_t, lemma2_matched, "search_lemma2_matched", kSum)               \
-  /* Cell pairs pruned by Lemmas 3/4 during blocking. */                      \
+  /* (query record, HGRV cell) tests failed during blocking: the cell        \
+     misses the record's tau-box (Lemma 3, the one-record form of Lemma 4),   \
+     and the walk skips its subtree for that record. */                       \
   X(5, uint64_t, cells_filtered, "search_cells_filtered", kSum)               \
   /* Always 0: Lemmas 5/6 (cell matching) are deleted; bench_e2e reads it. */ \
   X(6, uint64_t, cells_matched, "search_cells_matched", kSum)                 \

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -459,21 +460,153 @@ TEST(PipelineTest, UnreachableThresholdIsSafeAtAnyThreadCount) {
 /// floor: every (record, column) block blocking finds.
 CandidateSet StageOne(const PexesoIndex& index, const VectorStore& query,
                       double tau, SearchStats* stats) {
-  const PivotSpace& ps = index.pivots();
   const std::vector<double> mapped_q =
-      ps.MapAll(query.raw().data(), query.size());
-  HierarchicalGrid hgq;
-  HierarchicalGrid::Options gopts;
-  gopts.levels = index.grid().levels();
-  hgq.Build(mapped_q.data(), query.size(), ps.num_pivots(), ps.AxisExtent(),
-            gopts);
+      index.pivots().MapAll(query.raw().data(), query.size());
+  const uint32_t num_q = static_cast<uint32_t>(query.size());
   GridBlocker blocker(&index.grid());
   const BlockResult blocks =
-      blocker.Run(hgq, mapped_q, tau, AblationConfig{}, stats);
+      blocker.Run(mapped_q.data(), num_q, tau, AblationConfig{}, stats);
   CandidateSet cands;
-  VerifyPipeline(&index).GenerateCandidates(
-      blocks, static_cast<uint32_t>(query.size()), 0, &cands, stats);
+  VerifyPipeline(&index).GenerateCandidates(blocks, num_q, 0, &cands, stats);
   return cands;
+}
+
+/// Each record's candidate cells and the candidate-pair count of the
+/// paper's blocking, spelled out as the simultaneous descent over a query
+/// grid HGQ and HGRV (Algorithm 1 with Lemmas 3/4, plus quick browsing).
+struct ReferenceBlocks {
+  std::vector<std::vector<uint32_t>> cells;
+  uint64_t candidate_pairs = 0;
+};
+
+ReferenceBlocks CellPairBlocking(const HierarchicalGrid& rgrid,
+                                 const std::vector<double>& mapped_q,
+                                 double tau, const AblationConfig& ablation) {
+  const uint32_t np = rgrid.num_pivots();
+  const uint32_t m = rgrid.levels();
+  const size_t num_q = mapped_q.size() / np;
+  HierarchicalGrid hgq;
+  HierarchicalGrid::Options gopts;
+  gopts.levels = m;
+  hgq.Build(mapped_q.data(), num_q, np, rgrid.extent(), gopts);
+  ReferenceBlocks out;
+  out.cells.assign(num_q, {});
+  const auto emit = [&](VecId q, uint32_t cell) {
+    out.cells[q].push_back(cell);
+    ++out.candidate_pairs;
+  };
+  if (ablation.use_quick_browsing) {
+    // Leaf cells of HGQ and HGRV with the same coordinates.
+    for (const auto& lq : hgq.LeafCells()) {
+      const int64_t rcell = rgrid.FindLeaf(lq.coords);
+      if (rcell < 0) continue;
+      for (VecId q : lq.items) emit(q, static_cast<uint32_t>(rcell));
+    }
+  }
+  std::function<void(uint32_t, uint32_t, uint32_t)> block =
+      [&](uint32_t l, uint32_t cq, uint32_t cr) {
+        const auto& qcell = hgq.CellsAtLevel(l)[cq];
+        const auto& rcell = rgrid.CellsAtLevel(l)[cr];
+        if (l == m) {
+          if (ablation.use_quick_browsing && qcell.coords == rcell.coords) {
+            return;  // already emitted by quick browsing
+          }
+          for (VecId q : qcell.items) {
+            const double* x = mapped_q.data() + size_t{q} * np;
+            bool separated = false;  // Lemma 3
+            for (uint32_t i = 0; ablation.use_lemma34 && i < np; ++i) {
+              if (rgrid.CellLower(l, rcell, i) > x[i] + tau ||
+                  rgrid.CellUpper(l, rcell, i) < x[i] - tau) {
+                separated = true;
+                break;
+              }
+            }
+            if (!separated) emit(q, cr);
+          }
+          return;
+        }
+        for (uint32_t i = 0; ablation.use_lemma34 && i < np; ++i) {
+          // Lemma 4, the box-box form.
+          if (rgrid.CellLower(l, rcell, i) > hgq.CellUpper(l, qcell, i) + tau ||
+              rgrid.CellUpper(l, rcell, i) < hgq.CellLower(l, qcell, i) - tau) {
+            return;
+          }
+        }
+        for (uint32_t qchild : qcell.children) {
+          for (uint32_t rchild : rcell.children) block(l + 1, qchild, rchild);
+        }
+      };
+  for (uint32_t cq = 0; cq < hgq.CellsAtLevel(1).size(); ++cq) {
+    for (uint32_t cr = 0; cr < rgrid.CellsAtLevel(1).size(); ++cr) {
+      block(1, cq, cr);
+    }
+  }
+  return out;
+}
+
+/// The per-record descent emits, for every record, the cells of the
+/// HGQ x HGRV cell-pair descent in the same order, and the same number of
+/// candidate pairs: over 1-9 pivots, 1-6 levels, three metrics (the L1
+/// extent makes cell bounds rounded products), taus from 0 past the extent,
+/// every ablation switch, and records on a cell boundary and just above the
+/// extent.
+TEST(PipelineTest, BlockingMatchesTheCellPairDescent) {
+  constexpr uint32_t kDim = 12;
+  uint64_t seed = 900;
+  for (const char* metric_name : {"l2", "cosine", "l1"}) {
+    const std::unique_ptr<Metric> metric = MakeMetric(metric_name);
+    for (uint32_t np : {1u, 2u, 5u, 9u}) {
+      for (uint32_t levels = 1; levels <= 6; ++levels) {
+        ++seed;
+        PexesoOptions popts;
+        popts.num_pivots = np;
+        popts.levels = levels;
+        const PexesoIndex index = PexesoIndex::Build(
+            MakeClusteredCatalog(seed, kDim, 12, 10), metric.get(), popts);
+        const HierarchicalGrid& grid = index.grid();
+        const uint32_t gp = grid.num_pivots();
+        const VectorStore query = MakeClusteredQuery(seed, kDim, 24);
+        std::vector<double> mapped_q =
+            index.pivots().MapAll(query.raw().data(), query.size());
+        const double extent = grid.extent();
+        const double leaf_side = grid.CellSide(levels);
+        // A record on leaf-cell boundaries, and one just above the extent.
+        for (uint32_t j = 0; j < gp; ++j) {
+          mapped_q.push_back(((3 * j + 1) % (1u << levels)) * leaf_side);
+        }
+        for (uint32_t j = 0; j < gp; ++j) {
+          mapped_q.push_back(extent * (1.0 + 1e-9));
+        }
+        const uint32_t num_q = static_cast<uint32_t>(mapped_q.size() / gp);
+        for (double tau : {0.0, 0.5 * leaf_side, leaf_side, 1.5 * leaf_side,
+                           extent}) {
+          for (int combo = 0; combo < 4; ++combo) {
+            AblationConfig ablation;
+            ablation.use_lemma34 = (combo & 1) != 0;
+            ablation.use_quick_browsing = (combo & 2) != 0;
+            SCOPED_TRACE(std::string(metric_name) + " np=" +
+                         std::to_string(gp) + " m=" + std::to_string(levels) +
+                         " tau=" + std::to_string(tau) +
+                         " combo=" + std::to_string(combo));
+            const ReferenceBlocks want =
+                CellPairBlocking(grid, mapped_q, tau, ablation);
+            SearchStats stats;
+            const BlockResult got = GridBlocker(&grid).Run(
+                mapped_q.data(), num_q, tau, ablation, &stats);
+            ASSERT_EQ(got.offsets.size(), size_t{num_q} + 1);
+            EXPECT_EQ(got.offsets.back(), got.cells.size());
+            for (uint32_t q = 0; q < num_q; ++q) {
+              const auto cells = got.CellsOf(q);
+              ASSERT_EQ(std::vector<uint32_t>(cells.begin(), cells.end()),
+                        want.cells[q])
+                  << "record " << q;
+            }
+            EXPECT_EQ(stats.candidate_pairs, want.candidate_pairs);
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Structural invariants of stage 1: CSR grouping by column with each
@@ -841,7 +974,8 @@ TEST(PipelineTest, CandidateSetHasExactShape) {
 
   // q0: cand A, B, A (A repeated); q1: cand B, A; q2: nothing; q3: cand A.
   BlockResult blocks;
-  blocks.cand_cells = {{a, b, a}, {b, a}, {}, {a}};
+  blocks.offsets = {0, 3, 5, 5, 6};
+  blocks.cells = {a, b, a, b, a, a};
 
   const VecIdRange a0 = RangeOf(inv, a, 0), a1 = RangeOf(inv, a, 1);
   const VecIdRange a3 = RangeOf(inv, a, 3);

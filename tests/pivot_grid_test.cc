@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <set>
 
 #include "common/rng.h"
@@ -234,12 +237,13 @@ TEST_P(GridTest, LeafCoordsMatchVectorPosition) {
   HierarchicalGrid::Options opts;
   opts.levels = levels;
   grid.Build(mapped.data(), n, np, 2.0, opts);
-  for (size_t i = 0; i < n; ++i) {
-    const auto& leaf = grid.LeafCells()[grid.LeafOf(static_cast<VecId>(i))];
-    for (int j = 0; j < np; ++j) {
-      const double x = mapped[i * np + j];
-      EXPECT_GE(x, grid.CellLower(levels, leaf, j) - 1e-12);
-      EXPECT_LE(x, grid.CellUpper(levels, leaf, j) + 1e-12);
+  for (const auto& leaf : grid.LeafCells()) {
+    for (VecId v : leaf.items) {
+      for (int j = 0; j < np; ++j) {
+        const double x = mapped[v * np + j];
+        EXPECT_GE(x, grid.CellLower(levels, leaf, j) - 1e-12);
+        EXPECT_LE(x, grid.CellUpper(levels, leaf, j) + 1e-12);
+      }
     }
   }
 }
@@ -265,6 +269,87 @@ TEST_P(GridTest, ParentChildCoordsConsistent) {
   }
 }
 
+/// Walks CellsAtLevel depth-first from level 1, appending leaf indices.
+void DepthFirstLeaves(const HierarchicalGrid& grid, uint32_t l, uint32_t cell,
+                      std::vector<uint32_t>* out) {
+  if (l == grid.levels()) {
+    out->push_back(cell);
+    return;
+  }
+  for (uint32_t child : grid.CellsAtLevel(l)[cell].children) {
+    DepthFirstLeaves(grid, l + 1, child, out);
+  }
+}
+
+/// The descent view renumbers every level breadth-first: a permutation of
+/// each level whose children runs are contiguous, carry their cells'
+/// coordinates, and whose depth-first leaf order is CellsAtLevel's.
+void ExpectViewMatchesCells(const HierarchicalGrid& grid) {
+  const uint32_t np = grid.num_pivots();
+  const uint32_t m = grid.levels();
+  std::vector<uint32_t> order(grid.CellsAtLevel(1).size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (uint32_t l = 1; l <= m; ++l) {
+    const auto& cells = grid.CellsAtLevel(l);
+    const auto& view = grid.ViewAtLevel(l);
+    ASSERT_EQ(order.size(), cells.size()) << "level " << l;
+    ASSERT_EQ(view.coords.size(), cells.size() * np);
+    std::set<uint32_t> distinct(order.begin(), order.end());
+    EXPECT_EQ(distinct.size(), cells.size()) << "level " << l;
+    for (size_t i = 0; i < order.size(); ++i) {
+      for (uint32_t j = 0; j < np; ++j) {
+        EXPECT_EQ(view.coords[i * np + j], cells[order[i]].coords.c[j]);
+      }
+    }
+    if (l == m) {
+      for (uint32_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(grid.LeafOfViewLeaf(i), order[i]);
+        EXPECT_EQ(grid.ViewLeafOf(order[i]), i);
+      }
+      break;
+    }
+    ASSERT_EQ(view.child_begin.size(), cells.size() + 1);
+    std::vector<uint32_t> next;
+    for (size_t i = 0; i < order.size(); ++i) {
+      const auto& children = cells[order[i]].children;
+      EXPECT_EQ(view.child_begin[i], next.size());
+      next.insert(next.end(), children.begin(), children.end());
+    }
+    EXPECT_EQ(view.child_begin.back(), next.size());
+    order = next;
+  }
+  // Depth-first over the view, through its own offsets.
+  std::vector<uint32_t> view_leaves;
+  std::vector<uint32_t> want;
+  for (uint32_t c = 0; c < grid.CellsAtLevel(1).size(); ++c) {
+    DepthFirstLeaves(grid, 1, c, &want);
+  }
+  const std::function<void(uint32_t, uint32_t)> walk = [&](uint32_t l,
+                                                           uint32_t i) {
+    if (l == m) {
+      view_leaves.push_back(grid.LeafOfViewLeaf(i));
+      return;
+    }
+    const auto& cb = grid.ViewAtLevel(l).child_begin;
+    for (uint32_t k = cb[i]; k < cb[i + 1]; ++k) walk(l + 1, k);
+  };
+  for (uint32_t i = 0; i < grid.CellsAtLevel(1).size(); ++i) walk(1, i);
+  EXPECT_EQ(view_leaves, want);
+}
+
+TEST_P(GridTest, DescentViewIsBreadthFirstRenumbering) {
+  const auto [np, levels] = GetParam();
+  Rng rng(13);
+  const size_t n = 400;
+  std::vector<double> mapped(n * np);
+  for (auto& x : mapped) x = rng.UniformDouble() * 2.0;
+  HierarchicalGrid grid;
+  HierarchicalGrid::Options opts;
+  opts.levels = levels;
+  grid.Build(mapped.data(), n, np, 2.0, opts);
+  ExpectViewMatchesCells(grid);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, GridTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5),
                                             ::testing::Values(1, 2, 4, 6)));
@@ -284,31 +369,87 @@ TEST(GridTest, FindLeafLocatesExistingCellOnly) {
   EXPECT_EQ(grid.FindLeaf(missing), -1);
 }
 
-TEST(GridTest, IncrementalInsertMatchesBatchBuild) {
+TEST(GridTest, AxisCellRangeMatchesTheDoubleTest) {
+  Rng rng(16);
+  // Extents whose cell bounds are exact (2.0) and rounded products.
+  for (double extent : {2.0, 0.7, 2.0 * std::sqrt(50.0)}) {
+    for (uint32_t l : {1u, 2u, 3u, 4u, 5u, 6u, 8u, 14u}) {
+      HierarchicalGrid grid;
+      HierarchicalGrid::Options opts;
+      opts.levels = l;
+      std::vector<double> one(1, 0.5 * extent);
+      grid.Build(one.data(), 1, 1, extent, opts);
+      const double side = grid.CellSide(l);
+      const int32_t cells = 1 << l;
+      // Random points, points on cell boundaries and outside [0, extent],
+      // and taus that put x +- tau on boundaries.
+      std::vector<double> xs = {0.0, extent, extent * (1 + 1e-12),
+                                extent * 1.25, -0.125 * extent};
+      const int32_t step = std::max(1, cells / 64);
+      for (int32_t c = 0; c <= cells; c += step) xs.push_back(c * side);
+      for (int i = 0; i < 40; ++i) {
+        xs.push_back(rng.UniformDouble() * 1.1 * extent);
+      }
+      const std::vector<double> taus = {
+          0.0, side / 3, side, 1.5 * side, 0.25 * extent, extent,
+          2.5 * extent};
+      for (double x : xs) {
+        for (double tau : taus) {
+          int32_t lo = 0, hi = 0;
+          grid.AxisCellRange(l, x - tau, x + tau, &lo, &hi);
+          ASSERT_GE(lo, 0);
+          ASSERT_LE(lo, cells);
+          ASSERT_GE(hi, -1);
+          ASSERT_LT(hi, cells);
+          for (int32_t c = 0; c < cells; ++c) {
+            const bool separated =
+                static_cast<double>(c) * side > x + tau ||
+                static_cast<double>(c + 1) * side < x - tau;
+            if (separated == (lo <= c && c <= hi)) {
+              ADD_FAILURE() << "extent=" << extent << " l=" << l
+                            << " x=" << x << " tau=" << tau << " c=" << c
+                            << " range [" << lo << ", " << hi << "]";
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GridTest, BuildInsertsInIdOrder) {
   Rng rng(14);
   const int np = 3, levels = 4;
   const size_t n = 200;
   std::vector<double> mapped(n * np);
   for (auto& x : mapped) x = rng.UniformDouble() * 2.0;
 
-  HierarchicalGrid batch;
+  HierarchicalGrid full;
   HierarchicalGrid::Options opts;
   opts.levels = levels;
-  batch.Build(mapped.data(), n, np, 2.0, opts);
-
-  HierarchicalGrid incr;
-  incr.Build(mapped.data(), 1, np, 2.0, opts);
-  for (size_t i = 1; i < n; ++i) {
-    incr.Insert(mapped.data() + i * np, static_cast<VecId>(i));
+  full.Build(mapped.data(), n, np, 2.0, opts);
+  // Each vector sits in the leaf of its own coordinates.
+  for (const auto& leaf : full.LeafCells()) {
+    for (VecId v : leaf.items) {
+      EXPECT_EQ(full.CoordsOf(mapped.data() + v * np, levels), leaf.coords);
+    }
   }
-  EXPECT_EQ(incr.LeafCells().size(), batch.LeafCells().size());
+  // A build over a prefix of the vectors is a prefix of the full build at
+  // every level, and its leaves hold prefixes of the full leaves' items:
+  // later vectors only append cells and items.
+  HierarchicalGrid prefix;
+  prefix.Build(mapped.data(), n / 3, np, 2.0, opts);
   for (uint32_t l = 1; l <= static_cast<uint32_t>(levels); ++l) {
-    EXPECT_EQ(incr.CellsAtLevel(l).size(), batch.CellsAtLevel(l).size());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const auto& bleaf = batch.LeafCells()[batch.LeafOf(i)];
-    const auto& ileaf = incr.LeafCells()[incr.LeafOf(i)];
-    EXPECT_EQ(bleaf.coords, ileaf.coords);
+    const auto& pcells = prefix.CellsAtLevel(l);
+    const auto& fcells = full.CellsAtLevel(l);
+    ASSERT_LE(pcells.size(), fcells.size());
+    for (size_t i = 0; i < pcells.size(); ++i) {
+      EXPECT_EQ(pcells[i].coords, fcells[i].coords);
+      ASSERT_LE(pcells[i].items.size(), fcells[i].items.size());
+      EXPECT_TRUE(std::equal(pcells[i].items.begin(), pcells[i].items.end(),
+                             fcells[i].items.begin()));
+    }
   }
 }
 
@@ -338,6 +479,12 @@ TEST(GridTest, SerializeRoundTrip) {
   EXPECT_EQ(loaded.levels(), grid.levels());
   EXPECT_EQ(loaded.LeafCells().size(), grid.LeafCells().size());
   EXPECT_EQ(loaded.FindLeaf(grid.LeafCells()[0].coords), 0);
+  ExpectViewMatchesCells(loaded);
+  for (uint32_t l = 1; l <= static_cast<uint32_t>(levels); ++l) {
+    EXPECT_EQ(loaded.ViewAtLevel(l).coords, grid.ViewAtLevel(l).coords);
+    EXPECT_EQ(loaded.ViewAtLevel(l).child_begin,
+              grid.ViewAtLevel(l).child_begin);
+  }
   std::remove(path.c_str());
 }
 

@@ -110,6 +110,99 @@ uint64_t SectionOffset(const std::string& bytes, uint32_t kind) {
   return 0;
 }
 
+/// The grid section's cells in the HierarchicalGrid::Serialize layout:
+/// a 25-byte header, per level a u64 cell count and per cell its coords,
+/// children and items vectors (u64 length prefixes), then the leaf map.
+struct GridImage {
+  struct CellImage {
+    CellCoord coords;
+    std::vector<uint32_t> children;
+    std::vector<uint32_t> items;
+  };
+  std::string header;
+  std::vector<std::vector<CellImage>> levels;
+  std::vector<uint32_t> leaf_of;
+};
+
+GridImage ParseGrid(const std::string& bytes) {
+  const uint64_t grid = SectionOffset(bytes, kSecGrid);
+  GridImage g;
+  g.header = bytes.substr(grid, 25);
+  uint64_t off = grid + 25;
+  const auto read_vector = [&](std::vector<uint32_t>* v) {
+    v->resize(At<uint64_t>(bytes, off));
+    off += 8;
+    for (uint32_t& x : *v) {
+      x = At<uint32_t>(bytes, off);
+      off += 4;
+    }
+  };
+  g.levels.resize(At<uint32_t>(bytes, grid));
+  for (auto& level : g.levels) {
+    level.resize(At<uint64_t>(bytes, off));
+    off += 8;
+    for (auto& cell : level) {
+      cell.coords = At<CellCoord>(bytes, off);
+      off += sizeof(CellCoord);
+      read_vector(&cell.children);
+      read_vector(&cell.items);
+    }
+  }
+  read_vector(&g.leaf_of);
+  return g;
+}
+
+std::string WriteGrid(const GridImage& g) {
+  std::string out = g.header;
+  const auto put = [&out](const auto& v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto put_vector = [&](const std::vector<uint32_t>& v) {
+    put(uint64_t{v.size()});
+    for (uint32_t x : v) put(x);
+  };
+  for (const auto& level : g.levels) {
+    put(uint64_t{level.size()});
+    for (const auto& cell : level) {
+      put(cell.coords);
+      put_vector(cell.children);
+      put_vector(cell.items);
+    }
+  }
+  put_vector(g.leaf_of);
+  return out;
+}
+
+/// Points section `kind` at `image`, appended 64-aligned after the last
+/// section; the old bytes stay in the file, unreferenced. The caller
+/// refreshes the checksum footer.
+void RelocateSection(std::string* bytes, uint32_t kind,
+                     const std::string& image) {
+  bytes->resize(bytes->size() - 8);  // the checksum footer
+  bytes->resize((bytes->size() + 63) / 64 * 64, '\0');
+  const uint64_t offset = bytes->size();
+  bytes->append(image);
+  bytes->append(8, '\0');
+  const uint32_t n = At<uint32_t>(*bytes, kHdrNumSections);
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t entry = kHdrTable + 24 * uint64_t{i};
+    if (At<uint32_t>(*bytes, entry) == kind) {
+      Put<uint64_t>(bytes, entry + 8, offset);
+      Put<uint64_t>(bytes, entry + 16, image.size());
+    }
+  }
+}
+
+/// A mutant that rewrites the grid section through `edit`.
+std::function<void(std::string*)> GridEdit(
+    std::function<void(GridImage*)> edit) {
+  return [edit](std::string* b) {
+    GridImage g = ParseGrid(*b);
+    edit(&g);
+    RelocateSection(b, kSecGrid, WriteGrid(g));
+  };
+}
+
 /// One built index saved as a flat snapshot.
 class SnapshotTest : public ::testing::Test {
  protected:
@@ -400,6 +493,10 @@ TEST_F(SnapshotTest, StructuralMutantsAreCorruption) {
   const uint64_t grid_l1_count = SectionOffset(bytes, kSecGrid) + 25;
   const uint64_t cell0_children = grid_l1_count + 8 + sizeof(CellCoord);
   ASSERT_GT(At<uint64_t>(bytes, cell0_children), 0u);
+  const GridImage grid_image = ParseGrid(bytes);
+  ASSERT_GE(grid_image.levels.size(), 2u);
+  ASSERT_GE(grid_image.levels[0].size(), 2u);
+  ASSERT_GE(grid_image.levels.back().size(), 2u);
   const uint64_t tombstones = SectionOffset(bytes, kSecTombstones);
   const uint64_t postings = SectionOffset(bytes, kSecPostings);
   const uint64_t vec_ids = SectionOffset(bytes, kSecVecIds);
@@ -447,8 +544,34 @@ TEST_F(SnapshotTest, StructuralMutantsAreCorruption) {
       {"grid arity disagrees with the pivots", grid_arity},
       {"tombstone section marks column 1",
        [=](std::string* b) { Put<uint8_t>(b, tombstones + 1, 1); }},
+      // The grid's cells must form a tree for the blocker's descent view.
+      {"grid child listed twice", GridEdit([](GridImage* g) {
+         auto& children = g->levels[0][0].children;
+         children.push_back(children.front());
+       })},
+      {"grid orphan cell",
+       GridEdit([](GridImage* g) { g->levels[0][0].children.pop_back(); })},
+      {"grid child under another parent", GridEdit([](GridImage* g) {
+         auto& from = g->levels[0][0].children;
+         g->levels[0][1].children.push_back(from.back());
+         from.pop_back();
+       })},
+      {"grid leaf map disagrees with the leaf items", GridEdit([](GridImage* g) {
+         const uint32_t v = g->levels.back()[0].items.front();
+         g->leaf_of[v] = 1;
+       })},
   };
+  // The relocated grid section alone is no corruption: the mutants below
+  // fail for their edits.
   const std::string mutant = *dir_ + "/structural.pxso";
+  {
+    std::string image = bytes;
+    GridEdit([](GridImage*) {})(&image);
+    RefreshChecksumFooter(&image);
+    WriteFileBytes(mutant, image);
+    auto loaded = PexesoIndex::Load(mutant, metric_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  }
   for (const Mutant& m : mutants) {
     SCOPED_TRACE(m.what);
     std::string image = bytes;

@@ -294,13 +294,16 @@ if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   # core_search_test joins for stage 1's per-column arrays: exactness
   # against the naive searcher under every ablation switch, appended and
   # deleted columns and save/load are every input shape the candidate
-  # scatter's column stamps and cursors index.
+  # scatter's column stamps and cursors index. pivot_grid_test joins for
+  # the grid's descent view: the breadth-first renumbering indexes every
+  # level through children offsets, and Deserialize's tree validation is
+  # what keeps a mangled image from indexing past them.
   cmake --build "$SAN_DIR" -j "$JOBS" \
     --target kernel_test vec_test serve_test common_test pipeline_test \
     topk_test lake_test fault_test net_test snapshot_test shard_test \
-    part_conformance_test core_search_test
+    part_conformance_test core_search_test pivot_grid_test
   ctest --test-dir "$SAN_DIR" --output-on-failure --timeout 600 \
-    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_conformance_test|core_search_test)$'
+    -R '^(kernel_test|vec_test|serve_test|common_test|pipeline_test|topk_test|lake_test|fault_test|net_test|snapshot_test|shard_test|part_conformance_test|core_search_test|pivot_grid_test)$'
 fi
 
 if [[ "${PEXESO_CI_TSAN:-1}" == "1" ]]; then
