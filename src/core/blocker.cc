@@ -1,6 +1,9 @@
 #include "core/blocker.h"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <iterator>
 
 namespace pexeso {
 
@@ -13,6 +16,7 @@ BlockResult GridBlocker::Run(const double* mapped_q, uint32_t num_q,
   const uint32_t m = g.levels();
   PEXESO_CHECK(m >= 1 && m <= kMaxLevels);
   const bool lemma34 = ablation.use_lemma34;
+  const bool wide = np > 8;
   std::array<const uint16_t*, kMaxLevels> coords{};
   std::array<const uint32_t*, kMaxLevels> child_begin{};
   for (uint32_t l = 1; l <= m; ++l) {
@@ -26,22 +30,21 @@ BlockResult GridBlocker::Run(const double* mapped_q, uint32_t num_q,
   result.offsets.reserve(size_t{num_q} + 1);
   result.offsets.push_back(0);
   uint64_t filtered = 0;
-  // The record's tau-box as coordinate ranges: level l, axis j passes
-  // lo[(l - 1) * np + j] <= c <= hi[(l - 1) * np + j].
-  std::array<int32_t, kMaxLevels * kMaxPivots> lo{}, hi{};
+  // The record's tau-box per level; lanes past np always pass.
+  std::array<HierarchicalGrid::LaneBox, kMaxLevels> box;
+  for (HierarchicalGrid::LaneBox& b : box) {
+    std::fill(std::begin(b.lo), std::end(b.lo), INT16_MIN);
+    std::fill(std::begin(b.hi), std::end(b.hi), INT16_MAX);
+  }
   uint32_t skip = UINT32_MAX;  // view index of the quick-browse leaf
   const auto meets = [&](uint32_t depth, uint32_t i) {
-    if (!lemma34) return true;
-    const uint16_t* c = coords[depth] + size_t{i} * np;
-    const int32_t* l = lo.data() + depth * np;
-    const int32_t* h = hi.data() + depth * np;
-    for (uint32_t j = 0; j < np; ++j) {
-      if (c[j] < l[j] || c[j] > h[j]) {
-        ++filtered;
-        return false;
-      }
+    if (!lemma34 ||
+        HierarchicalGrid::CellInBox(coords[depth] + size_t{i} * np,
+                                    box[depth], wide)) {
+      return true;
     }
-    return true;
+    ++filtered;
+    return false;
   };
   const auto leaf_run = [&](uint32_t begin, uint32_t end) {
     for (uint32_t i = begin; i < end; ++i) {
@@ -59,10 +62,13 @@ BlockResult GridBlocker::Run(const double* mapped_q, uint32_t num_q,
   for (uint32_t q = 0; q < num_q; ++q) {
     const double* x = mapped_q + size_t{q} * np;
     if (lemma34) {
-      for (uint32_t l = 1; l <= m; ++l) {
-        for (uint32_t j = 0; j < np; ++j) {
-          const size_t k = size_t{l - 1} * np + j;
-          g.AxisCellRange(l, x[j] - tau, x[j] + tau, &lo[k], &hi[k]);
+      // One leaf-level range per axis; each coarser level shifts it down.
+      for (uint32_t j = 0; j < np; ++j) {
+        int32_t lo = 0, hi = 0;
+        g.AxisCellRange(m, x[j] - tau, x[j] + tau, &lo, &hi);
+        for (uint32_t l = 1; l <= m; ++l) {
+          box[l - 1].lo[j] = static_cast<int16_t>(lo >> (m - l));
+          box[l - 1].hi[j] = static_cast<int16_t>(hi >> (m - l));
         }
       }
     }

@@ -36,11 +36,14 @@ struct BlockResult {
 /// tau-box. With a one-record query cell, Lemma 4's cell-vs-cell test is
 /// Lemma 3's point-vs-cell test, applied at every level: a cell that misses
 /// the box prunes its subtree, and a leaf passes only if it meets the box.
-/// The test runs on integer coordinates: per level and axis,
+/// The test runs on integer coordinates: per axis,
 /// HierarchicalGrid::AxisCellRange turns x - tau and x + tau into the
-/// coordinate range that passes the double test, so every decision equals
-/// it. The output is the one the simultaneous HGQ x HGRV descent of the
-/// paper produces: same cells, same order per record.
+/// leaf-level coordinate range that passes the double test, and each
+/// coarser level's range is that one shifted down by the level gap, so
+/// every decision equals the double test. HierarchicalGrid::CellInBox tests
+/// a cell on all |P| axes in one vector compare. The output is the one the
+/// simultaneous HGQ x HGRV descent of the paper produces: same cells, same
+/// order per record.
 class GridBlocker {
  public:
   /// `rgrid` (HGRV) is borrowed.

@@ -41,22 +41,36 @@ bool SameRanges(const CandidateSet& cands, const CandidateBlock& a,
   return true;
 }
 
-/// Lemma 1 over one mapped query record `mq` and n candidates, candidate c
-/// mapped at mx_of(c): mrow[c] = 0 when some pivot separates the two by
-/// more than tau, 1 otherwise. Every pivot is tested without a branch.
-/// Returns the number filtered.
-template <typename MappedOf>
-uint64_t Lemma1Row(const double* mq, uint32_t np, double tau, size_t n,
-                   MappedOf mx_of, uint8_t* mrow) {
-  uint64_t filtered = 0;
+/// Lemma 1 on one pair: true when some pivot separates the mapped query
+/// record `mq` and the mapped candidate `mx` by more than tau. Every pivot
+/// is tested without a branch.
+bool Lemma1Separates(const double* mq, const double* mx, uint32_t np,
+                     double tau) {
+  bool out = false;
+  for (uint32_t p = 0; p < np; ++p) out |= std::fabs(mq[p] - mx[p]) > tau;
+  return out;
+}
+
+/// Algorithm 2's pairs of one query record `qv` (norm `qn`): walks the
+/// candidates slots[0..n) in order, skips each one `keep(c)` rejects,
+/// computes one distance for every other one, and stops at the first match.
+/// Returns its slot, or kNoSlot; adds the distances computed to *pairs.
+template <typename Keep>
+uint32_t FirstMatchInPlace(const RangePredicate& pred,
+                           const VectorStore& rstore, const float* repo_norms,
+                           const float* qv, double qn, const VecId* slots,
+                           size_t n, Keep keep, uint64_t* pairs) {
   for (size_t c = 0; c < n; ++c) {
-    const double* mx = mx_of(c);
-    bool out = false;
-    for (uint32_t p = 0; p < np; ++p) out |= std::fabs(mq[p] - mx[p]) > tau;
-    mrow[c] = !out;
-    filtered += out;
+    if (!keep(c)) continue;
+    const VecId id = slots[c];
+    const double rn =
+        repo_norms != nullptr ? static_cast<double>(repo_norms[id]) : 1.0;
+    ++*pairs;
+    if (pred.MatchNormed(qv, rstore.View(id), rstore.dim(), qn, rn)) {
+      return static_cast<uint32_t>(c);
+    }
   }
-  return filtered;
+  return kNoSlot;
 }
 
 /// Runs task(i, &stats_i) for i in [0, n) on the query's shared intra-query
@@ -458,83 +472,139 @@ void VerifyPipeline::EvaluateGroup(const CandidateSet& cands,
   const size_t nv = ids.size();
   if (nv == 0) return;
 
-  // Pivot-space pass per row: the Lemma-1 survivor mask. A row with no
-  // survivor is mismatched; every other row goes to the distance stage.
   const double* mapped = index_->MappedVec(0);
   const auto mapped_of = [&](size_t c) {
     return mapped + static_cast<size_t>(ids[c]) * np;
   };
-  auto& mask = scratch->mask;
-  mask.assign(m * nv, 1);
-  auto& rows = scratch->rows;
-  rows.clear();
-  uint64_t filtered = 0;
-  for (size_t r = 0; r < m; ++r) {
-    const double* mq =
-        mapped_q.data() + static_cast<size_t>(group[r].query) * np;
-    if (use_l1) {
-      const uint64_t f =
-          Lemma1Row(mq, np, tau, nv, mapped_of, mask.data() + r * nv);
-      filtered += f;
-      if (f == nv) continue;
+  const RangePredicate pred(*index_->metric(), tau);
+  const VectorStore& rstore = index_->catalog().store();
+  // Algorithm 2's pairs of record q over slots[0..n) that keep(c) accepts;
+  // `pairs` sums the distances of every pair-by-pair route.
+  uint64_t pairs = 0;
+  const auto first_match = [&](uint32_t q, const VecId* slots, size_t n,
+                               auto keep) {
+    const double qn =
+        query_norms != nullptr ? static_cast<double>(query_norms[q]) : 1.0;
+    return FirstMatchInPlace(pred, rstore, repo_norms, query.View(q), qn,
+                             slots, n, keep, &pairs);
+  };
+  if (pred.kernels() == nullptr || m * nv <= kTileRows * kTileRows) {
+    // No more pairs than one dense block, or a metric without kernels:
+    // Algorithm 2 itself, with no mask and no union. Each row walks the
+    // candidates in order, tests Lemma 1 on each pair and computes a
+    // distance only for a survivor, up to its first match.
+    uint64_t filtered = 0;
+    for (size_t r = 0; r < m; ++r) {
+      const uint32_t q = group[r].query;
+      const double* mq = mapped_q.data() + static_cast<size_t>(q) * np;
+      const uint32_t c = first_match(q, ids.data(), nv, [&](size_t c) {
+        if (!use_l1 || !Lemma1Separates(mq, mapped_of(c), np, tau)) {
+          return true;
+        }
+        ++filtered;
+        return false;
+      });
+      if (c != kNoSlot) found[r] = ids[c];
     }
-    rows.push_back(static_cast<uint32_t>(r));
-  }
-  stats->lemma1_filtered += filtered;
-  if (rows.empty()) return;
-
-  // Union of the live rows' survivor sets (never empty: every live row has
-  // a survivor): a dense tile evaluates every union slot for every row
-  // (rows consult only their own mask afterwards), trading a few wasted
-  // slots for dense many-to-many kernel calls; a sub-block sweep reads each
-  // row's own survivors only.
-  auto& uni = scratch->uni;
-  uni.clear();
-  if (use_l1) {
-    auto& um = scratch->union_mask;
-    um.assign(nv, 0);
-    for (uint32_t r : rows) {
-      const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
-      for (size_t c = 0; c < nv; ++c) um[c] |= mrow[c];
-    }
-    for (size_t c = 0; c < nv; ++c) {
-      if (um[c]) uni.push_back(static_cast<uint32_t>(c));
-    }
+    stats->lemma1_filtered += filtered;
   } else {
-    uni.resize(nv);
-    for (size_t c = 0; c < nv; ++c) uni[c] = static_cast<uint32_t>(c);
-  }
-
-  // Vec-tiles over the union; rows that match in one drop out before the
-  // next. Every live row takes part in every vec-tile's sweep.
-  const size_t un = uni.size();
-  auto& live = rows;  // unresolved rows, ascending — shrinks per vec-tile
-  auto& next_live = scratch->next_rows;
-  for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
-    const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
-    auto& slots = scratch->slots;
-    slots.resize(vlen);
-    for (size_t c = 0; c < vlen; ++c) slots[c] = ids[uni[v0 + c]];
-    auto& tile = scratch->tile;
-    tile.resize(live.size());
-    for (size_t t = 0; t < live.size(); ++t) {
-      tile[t] = TileRow{group[live[t]].query,
-                        mask.data() + static_cast<size_t>(live[t]) * nv};
-    }
-    auto& hits = scratch->hits;
-    hits.resize(live.size());
-    SweepTile(tile, slots, uni.data() + v0, query, jq, query_norms,
-              repo_norms, scratch, hits.data(), stats);
-    next_live.clear();
-    for (size_t t = 0; t < live.size(); ++t) {
-      if (hits[t] != kNoSlot) {
-        found[live[t]] = slots[hits[t]];
-      } else {
-        next_live.push_back(live[t]);
+    // Pivot-space pass per row: the Lemma-1 survivor mask. A row with no
+    // survivor is mismatched; every other row goes to the distance stage.
+    auto& mask = scratch->mask;
+    mask.assign(m * nv, 1);
+    auto& rows = scratch->rows;
+    rows.clear();
+    for (size_t r = 0; r < m; ++r) {
+      const double* mq =
+          mapped_q.data() + static_cast<size_t>(group[r].query) * np;
+      bool live = !use_l1;
+      if (use_l1) {
+        uint8_t* mrow = mask.data() + r * nv;
+        for (size_t c = 0; c < nv; ++c) {
+          mrow[c] = !Lemma1Separates(mq, mapped_of(c), np, tau);
+          live |= mrow[c] != 0;
+        }
       }
+      if (live) rows.push_back(static_cast<uint32_t>(r));
     }
-    std::swap(live, next_live);
+
+    // Union of the live rows' survivor sets (never empty: every live row
+    // has a survivor): a dense tile evaluates every union slot for every
+    // row (rows consult only their own mask afterwards), trading a few
+    // wasted slots for dense many-to-many kernel calls.
+    auto& uni = scratch->uni;
+    uni.clear();
+    if (use_l1) {
+      auto& um = scratch->union_mask;
+      um.assign(nv, 0);
+      for (uint32_t r : rows) {
+        const uint8_t* mrow = mask.data() + static_cast<size_t>(r) * nv;
+        for (size_t c = 0; c < nv; ++c) um[c] |= mrow[c];
+      }
+      for (size_t c = 0; c < nv; ++c) {
+        if (um[c]) uni.push_back(static_cast<uint32_t>(c));
+      }
+    } else {
+      uni.resize(nv);
+      for (size_t c = 0; c < nv; ++c) uni[c] = static_cast<uint32_t>(c);
+    }
+
+    // Vec-tiles over the union; rows that match in one drop out before the
+    // next. A vec-tile of no more pairs than one dense block reads each
+    // live row's survivors pair by pair; a larger one runs dense tiles.
+    const size_t un = uni.size();
+    auto& live = rows;  // unresolved rows, ascending — shrinks per vec-tile
+    auto& next_live = scratch->next_rows;
+    for (size_t v0 = 0; v0 < un && !live.empty(); v0 += kTileVecs) {
+      const size_t vlen = std::min<size_t>(kTileVecs, un - v0);
+      auto& slots = scratch->slots;
+      slots.resize(vlen);
+      for (size_t c = 0; c < vlen; ++c) slots[c] = ids[uni[v0 + c]];
+      auto& hits = scratch->hits;
+      hits.resize(live.size());
+      if (live.size() * vlen <= kTileRows * kTileRows) {
+        for (size_t t = 0; t < live.size(); ++t) {
+          const uint8_t* mrow = mask.data() + size_t{live[t]} * nv;
+          hits[t] = first_match(
+              group[live[t]].query, slots.data(), vlen,
+              [&](size_t c) { return mrow[uni[v0 + c]] != 0; });
+        }
+      } else {
+        auto& tile = scratch->tile;
+        tile.resize(live.size());
+        for (size_t t = 0; t < live.size(); ++t) {
+          tile[t] = TileRow{group[live[t]].query,
+                            mask.data() + static_cast<size_t>(live[t]) * nv};
+        }
+        SweepTile(tile, slots, uni.data() + v0, query, jq, query_norms,
+                  repo_norms, scratch, hits.data(), stats);
+      }
+      next_live.clear();
+      for (size_t t = 0; t < live.size(); ++t) {
+        if (hits[t] != kNoSlot) {
+          found[live[t]] = slots[hits[t]];
+        } else {
+          next_live.push_back(live[t]);
+        }
+      }
+      std::swap(live, next_live);
+    }
+
+    // Lemma 1 counts what Algorithm 2 would: the failures among the pairs
+    // a row reaches before its first match, in candidate order.
+    if (use_l1) {
+      uint64_t filtered = 0;
+      for (size_t r = 0; r < m; ++r) {
+        const uint8_t* mrow = mask.data() + r * nv;
+        for (size_t c = 0; c < nv && ids[c] != found[r]; ++c) {
+          filtered += mrow[c] == 0;
+        }
+      }
+      stats->lemma1_filtered += filtered;
+    }
   }
+  stats->distance_computations += pairs;
+  stats->sqrt_free_comparisons += pairs * pred.sqrt_saved();
 }
 
 void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
@@ -555,35 +625,6 @@ void VerifyPipeline::SweepTile(std::span<const TileRow> rows,
 
   const RangePredicate pred(*index_->metric(), tau);
   const KernelSet* ks = pred.kernels();
-  if (ks == nullptr || rows.size() * nslots <= kTileRows * kTileRows) {
-    // No more pairs than one dense block, or a metric without kernels: each
-    // row reads its Lemma-1 survivors in place, in slot order, up to its
-    // first match — the pairs Algorithm 2 computes, with no gather and no
-    // tile. Cmp1Normed equals the tile's cell bit for bit, so the routing
-    // never changes a decision.
-    uint64_t pairs = 0;
-    for (size_t t = 0; t < rows.size(); ++t) {
-      const uint32_t q = rows[t].query;
-      const float* qv = query.View(q);
-      const double qn =
-          query_norms != nullptr ? static_cast<double>(query_norms[q]) : 1.0;
-      for (size_t c = 0; c < nslots; ++c) {
-        if (!survives(t, c)) continue;
-        const VecId id = slots[c];
-        const double rn =
-            repo_norms != nullptr ? static_cast<double>(repo_norms[id]) : 1.0;
-        ++pairs;
-        if (pred.MatchNormed(qv, rstore.View(id), dim, qn, rn)) {
-          first[t] = static_cast<uint32_t>(c);
-          break;
-        }
-      }
-    }
-    stats->distance_computations += pairs;
-    stats->sqrt_free_comparisons += pairs * pred.sqrt_saved();
-    return;
-  }
-
   // One contiguous VecId run is viewed in place; other slot lists gather.
   bool contiguous = true;
   for (size_t c = 1; c < nslots && contiguous; ++c) {

@@ -62,12 +62,16 @@ struct CandidateSet {
 ///   stage 3  deterministic reduction — shards own disjoint match_map
 ///            slices and private stats, merged in shard (= column) order.
 ///
-/// One tile sweep: every group of pairs is resolved through SweepTile —
-/// Lemma-1-masked rows against a slot list. A sweep of no more pairs than
-/// one dense 8x8 block (and every sweep of a metric without kernels) runs
-/// pair by pair in place: each row reads its own survivors up to its first
-/// match, Algorithm 2's pair set. A larger one runs exact float tiles over
-/// every slot. Each row takes its first match in slot order.
+/// One definition of Algorithm 2's pairs: a group of no more pairs than one
+/// dense 8x8 block (and every group of a metric without kernels) runs
+/// pair by pair in place: each row walks the candidates in order, tests
+/// Lemma 1 on each pair and computes a distance for each survivor, up to
+/// its first match. A larger group masks every row with Lemma 1 and sweeps
+/// the union of the survivors in vec-tiles: a vec-tile under one block
+/// takes the same per-row loop over each row's survivors, a larger one
+/// runs exact float tiles over every slot (SweepTile). Each row takes its
+/// first match in candidate order, and on every route Lemma 1 counts the
+/// failures a row reaches before it, as Algorithm 2 does.
 ///
 /// Record mappings are stage 2's witnesses: a query that collects them
 /// passes VerifyCandidates a per-block witness array, and each resolved
@@ -179,8 +183,11 @@ class VerifyPipeline {
                    SearchStats* stats) const;
 
   /// Resolves one group of `m` consecutive pairs of one column sharing an
-  /// identical range list: one gather, the Lemma-1 pivot pass per row, then
-  /// SweepTile over the union of the rows' survivors.
+  /// identical range list: one gather, then, with no more than 8 x 8 pairs
+  /// or no kernels, Algorithm 2 pair by pair (Lemma 1, then the distance, up
+  /// to each row's first match); otherwise the Lemma-1 pivot pass per row
+  /// and vec-tiles over the union of the rows' survivors, each one pair by
+  /// pair when under one block and through SweepTile otherwise.
   void EvaluateGroup(const CandidateSet& cands, const CandidateBlock* group,
                      size_t m,
                      const VectorStore& query,
@@ -195,17 +202,15 @@ class VerifyPipeline {
     const uint8_t* mask;
   };
 
-  /// The one tile routine of verification: checks `rows`
-  /// against `slots` (VecIds of one column; row t checks slot c only when
-  /// rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and writes each
-  /// row's first matching slot, or UINT32_MAX, to first[0..rows.size()).
-  /// With rows x slots <= 8 x 8, or a metric without kernels, each row reads
-  /// its survivors straight from the store in slot order and stops at its
-  /// first match (RangePredicate::MatchNormed, one distance per pair read).
-  /// Otherwise the slots are viewed in place (one contiguous VecId run) or
-  /// gathered, one exact CmpTileNormed tile runs per 8-row block, and each
-  /// row takes its first surviving slot within bound. The kernels give a
-  /// pair the same value on both paths.
+  /// The dense tiles of a Lemma-1-masked vec-tile (a metric with kernels):
+  /// checks `rows` against `slots` (VecIds of one column; row t takes slot
+  /// c only when rows[t].mask[mask_col[c]] marks a Lemma-1 survivor) and
+  /// writes each row's first matching slot, or UINT32_MAX, to
+  /// first[0..rows.size()). The slots are viewed in place (one contiguous
+  /// VecId run) or gathered, one exact CmpTileNormed tile runs per 8-row
+  /// block, and each row takes its first surviving slot within bound. A
+  /// tile cell equals the one-pair kernel's value bit for bit, so the
+  /// pair-by-pair routes take the same decisions.
   void SweepTile(std::span<const TileRow> rows, std::span<const VecId> slots,
                  const uint32_t* mask_col, const VectorStore& query,
                  const JoinQuery& jq,

@@ -89,7 +89,8 @@ void HierarchicalGrid::BuildView() {
   for (uint32_t l = 1; l <= levels_; ++l) {
     const auto& cells = levels_cells_[l - 1];
     ViewLevel& view = view_[l - 1];
-    view.coords.resize(order.size() * num_pivots_);
+    view.coords.resize(order.size() * num_pivots_ + kMaxPivots -
+                       num_pivots_);
     for (size_t i = 0; i < order.size(); ++i) {
       std::memcpy(view.coords.data() + i * num_pivots_,
                   cells[order[i]].coords.c.data(),

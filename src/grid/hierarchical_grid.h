@@ -2,6 +2,7 @@
 #define PEXESO_GRID_HIERARCHICAL_GRID_H_
 
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -43,10 +44,41 @@ class HierarchicalGrid {
   /// child_begin[i + 1]) of the next level, in Cell::children order, so a
   /// depth-first walk of the view visits the cells in the order a
   /// depth-first walk of CellsAtLevel does.
+  ///
+  /// `coords` ends in kMaxPivots - num_pivots zero pads, so CellInBox can
+  /// load kMaxPivots lanes from any cell's row, the last one included.
   struct ViewLevel {
     std::vector<uint16_t> coords;       ///< cells x num_pivots, row-major
     std::vector<uint32_t> child_begin;  ///< cells + 1 offsets; empty at leaves
   };
+
+  /// A query box on one level's cell coordinates: a cell meets it when
+  /// lo[j] <= c[j] <= hi[j] on every axis j. Lanes at or past num_pivots
+  /// hold INT16_MIN and INT16_MAX, so they always pass.
+  struct LaneBox {
+    int16_t lo[kMaxPivots];
+    int16_t hi[kMaxPivots];
+  };
+
+  /// Lemma 3 on every axis of one descent-view cell at once: true when the
+  /// cell whose row starts at `c` (a ViewLevel::coords row) meets `box`.
+  /// `wide` (num_pivots > 8) tests lanes 8..15 too. Each half is one
+  /// compare of eight int16 lanes (coordinates are below 2^14), which GCC's
+  /// vector extensions lower to SSE2 on x86-64 and NEON on AArch64.
+  static bool CellInBox(const uint16_t* c, const LaneBox& box, bool wide) {
+    using I16x8 = int16_t __attribute__((vector_size(16)));
+    const auto half_out = [&](size_t at) {
+      I16x8 v, lo, hi;
+      std::memcpy(&v, c + at, sizeof v);
+      std::memcpy(&lo, box.lo + at, sizeof lo);
+      std::memcpy(&hi, box.hi + at, sizeof hi);
+      const I16x8 out = (v < lo) | (v > hi);
+      uint64_t w[2];
+      std::memcpy(w, &out, sizeof w);
+      return (w[0] | w[1]) != 0;
+    };
+    return !half_out(0) && !(wide && half_out(8));
+  }
 
   HierarchicalGrid() = default;
 
@@ -87,6 +119,12 @@ class HierarchicalGrid {
   /// with coordinate c fails `CellLower > upper || CellUpper < lower`
   /// (Lemma 3 on one axis, in the same doubles) iff c is outside [lo, hi].
   /// lo is in [0, 2^l], hi in [-1, 2^l - 1]; lo > hi when no cell meets it.
+  ///
+  /// A coarser level k < l needs no call of its own: its range is lo >>
+  /// (l - k), hi >> (l - k). Cell c of level k has the bounds of its first
+  /// and last level-l descendants (side halves exactly per level), so it
+  /// meets [lower, upper] exactly when one of them does; the empty ranges
+  /// hi = -1 and lo = 2^l shift to level k's.
   void AxisCellRange(uint32_t l, double lower, double upper, int32_t* lo,
                      int32_t* hi) const;
 

@@ -39,7 +39,8 @@ struct StatField {
      per-pair sqrt that a full distance would have cost. */                   \
   X(2, uint64_t, sqrt_free_comparisons, "search_sqrt_free_comparisons", kSum) \
   /* Vector pairs ruled out by Lemma 1 (pivot filtering) during               \
-     verification. */                                                         \
+     verification, among the pairs a row reaches before its first match in    \
+     its group's candidate order (Algorithm 2's count, on every route). */    \
   X(3, uint64_t, lemma1_filtered, "search_lemma1_filtered", kSum)             \
   /* Always 0: Lemma 2 (pivot matching) is deleted; bench_e2e reads it. */    \
   X(4, uint64_t, lemma2_matched, "search_lemma2_matched", kSum)               \

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -326,9 +327,74 @@ JoinableColumn MapOneColumn(const PexesoIndex& index, const VectorStore& query,
   return JoinableColumn{};
 }
 
-/// A sweep of no more pairs than one dense 8x8 block is resolved pair by
-/// pair: its distance count is exactly the Lemma-1 survivors each record
-/// reads in slot order up to its first match, and it runs no tile.
+/// Algorithm 2 on column `col` of `index`, spelled out with the virtual
+/// Metric::Dist oracle: each record walks the column in VecId order up to
+/// its first match, testing Lemma 1 on each pair it reaches and computing a
+/// distance for each survivor.
+struct Algorithm2Pairs {
+  uint64_t read = 0;              ///< distances computed
+  uint64_t reached_filtered = 0;  ///< Lemma-1 failures before a match
+  uint64_t mask_filtered = 0;     ///< Lemma-1 failures over the whole column
+  uint64_t matched = 0;
+  uint32_t live_rows = 0;         ///< records with a Lemma-1 survivor
+  uint32_t union_size = 0;        ///< vectors that survive for some record
+  std::vector<RecordMatch> want;
+};
+
+Algorithm2Pairs SpellOutAlgorithm2(const PexesoIndex& index,
+                                   const Metric& metric,
+                                   const VectorStore& query, ColumnId col,
+                                   double tau) {
+  const uint32_t np = index.pivots().num_pivots();
+  const std::vector<double> mapped_q =
+      index.pivots().MapAll(query.raw().data(), query.size());
+  const ColumnMeta& meta = index.catalog().column(col);
+  Algorithm2Pairs a;
+  std::vector<bool> in_union(meta.count, false);
+  for (uint32_t q = 0; q < query.size(); ++q) {
+    bool found = false, live = false;
+    for (VecId v = meta.first; v < meta.end(); ++v) {
+      const double* mx = index.MappedVec(v);
+      bool out = false;
+      for (uint32_t p = 0; p < np; ++p) {
+        out |= std::fabs(mapped_q[q * np + p] - mx[p]) > tau;
+      }
+      a.mask_filtered += out;
+      live |= !out;
+      if (!out) in_union[v - meta.first] = true;
+      if (found) continue;  // past the first match: no pair is reached
+      if (out) {
+        ++a.reached_filtered;
+        continue;
+      }
+      ++a.read;
+      if (metric.Dist(query.View(q), index.catalog().store().View(v),
+                      query.dim()) <= tau) {
+        ++a.matched;
+        found = true;
+        a.want.push_back(RecordMatch{q, v});
+      }
+    }
+    a.live_rows += live;
+  }
+  for (bool u : in_union) a.union_size += u;
+  return a;
+}
+
+void ExpectMapping(const JoinableColumn& jc,
+                   const std::vector<RecordMatch>& want,
+                   const std::string& label) {
+  ASSERT_EQ(jc.mapping.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(jc.mapping[i].query_index, want[i].query_index) << label;
+    EXPECT_EQ(jc.mapping[i].target_vec, want[i].target_vec) << label;
+  }
+}
+
+/// A group of no more pairs than one dense 8x8 block is resolved pair by
+/// pair, as Algorithm 2 does: each record tests Lemma 1 on the pairs it
+/// reaches up to its first match and computes a distance for each survivor,
+/// and no tile runs.
 TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
   for (const char* name : {"l2", "l1", "cosine", "l2-kernel-free"}) {
     auto metric = MakeTestMetric(name);
@@ -340,64 +406,96 @@ TEST(PipelineTest, SubBlockSweepCountsExactlyThePairsRead) {
         PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
     const VectorStore& query = lake.query;
     const ColumnMeta& meta = index.catalog().column(0);
-    ASSERT_LE(query.size() * meta.count, 64u);  // one sweep, under a block
+    ASSERT_LE(query.size() * meta.count, 64u);  // one group, under a block
     JoinQuery jq;
     jq.thresholds.tau = 0.12 * metric->MaxUnitDistance(8);
-
-    // The pairs Algorithm 2 computes, spelled out: Lemma 1 masks the
-    // record's candidates (one cluster: the whole column, in one vec-tile),
-    // then the record reads its survivors in VecId order up to its first
-    // match.
     const RangePredicate pred(*metric, jq.thresholds.tau);
-    const uint32_t np = index.pivots().num_pivots();
-    const std::vector<double> mapped_q =
-        index.pivots().MapAll(query.raw().data(), query.size());
-    uint64_t read = 0, filtered = 0, matched = 0;
-    std::vector<RecordMatch> want;
-    for (uint32_t q = 0; q < query.size(); ++q) {
-      bool found = false;
-      for (VecId v = meta.first; v < meta.end(); ++v) {
-        const double* mx = index.MappedVec(v);
-        bool out = false;
-        for (uint32_t p = 0; p < np; ++p) {
-          out |= std::fabs(mapped_q[q * np + p] - mx[p]) > jq.thresholds.tau;
-        }
-        if (out) {
-          ++filtered;
-          continue;
-        }
-        if (found) continue;
-        ++read;
-        if (metric->Dist(query.View(q), index.catalog().store().View(v),
-                         8) <= jq.thresholds.tau) {
-          ++matched;
-          found = true;
-          want.push_back(RecordMatch{q, v});
-        }
-      }
-    }
-    // Not vacuous: Lemma 1 filters, some survivor misses, some matches.
-    ASSERT_GT(filtered, 0u) << name;
-    ASSERT_GT(read, matched) << name;
-    ASSERT_GT(matched, 0u) << name;
+    const Algorithm2Pairs a =
+        SpellOutAlgorithm2(index, *metric, query, 0, jq.thresholds.tau);
+    // Not vacuous: Lemma 1 filters before a match, a survivor misses, some
+    // record matches, and a whole-column mask would count more.
+    ASSERT_GT(a.reached_filtered, 0u) << name;
+    ASSERT_GT(a.mask_filtered, a.reached_filtered) << name;
+    ASSERT_GT(a.read, a.matched) << name;
+    ASSERT_GT(a.matched, 0u) << name;
 
     SearchStats stats;
     const JoinableColumn jc = MapOneColumn(index, query, 0, jq, &stats);
-    EXPECT_EQ(stats.distance_computations, read) << name;
-    EXPECT_EQ(stats.sqrt_free_comparisons, read * pred.sqrt_saved())
+    EXPECT_EQ(stats.distance_computations, a.read) << name;
+    EXPECT_EQ(stats.sqrt_free_comparisons, a.read * pred.sqrt_saved())
         << name;
-    EXPECT_EQ(stats.lemma1_filtered, filtered) << name;
+    EXPECT_EQ(stats.lemma1_filtered, a.reached_filtered) << name;
     EXPECT_EQ(stats.tiles_evaluated, 0u) << name;
-    ASSERT_EQ(jc.mapping.size(), want.size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(jc.mapping[i].query_index, want[i].query_index) << name;
-      EXPECT_EQ(jc.mapping[i].target_vec, want[i].target_vec) << name;
+    ExpectMapping(jc, a.want, name);
+  }
+}
+
+/// A group of more pairs than one dense block that Lemma 1 shrinks to no
+/// more than one: the Lemma-1 mask covers the whole group, and the
+/// survivors take the same per-row loop as a sub-block group, so the
+/// distances are again exactly Algorithm 2's pairs and no tile runs. Lemma 1
+/// tests every pair of the mask but counts, as Algorithm 2 does, only the
+/// failures a record reaches before its first match.
+TEST(PipelineTest, GroupThatLemma1ShrinksToOneBlockReadsPairByPair) {
+  constexpr uint32_t kDim = 8;
+  for (const char* name : {"l2", "l1", "cosine"}) {
+    auto metric = MakeMetric(name);
+    // One column in one leaf cell: a few vectors near the query records
+    // and many that Lemma 1 separates from them.
+    Rng rng(89);
+    std::vector<float> center;
+    testing::RandomUnitVector(&rng, kDim, &center);
+    TestLake lake{ColumnCatalog(kDim), VectorStore(kDim)};
+    std::vector<float> packed;
+    for (uint32_t r = 0; r < 48; ++r) {
+      const auto v = testing::Perturb(&rng, center, r < 8 ? 0.03 : 0.12);
+      packed.insert(packed.end(), v.begin(), v.end());
     }
+    lake.catalog.AddColumn(ColumnMeta{}, packed.data(), 48);
+    for (uint32_t r = 0; r < 2; ++r) {
+      lake.query.Add(testing::Perturb(&rng, center, 0.03));
+    }
+    PexesoOptions popts;
+    popts.num_pivots = 1;
+    popts.levels = 1;
+    PexesoIndex index =
+        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
+    const VectorStore& query = lake.query;
+    JoinQuery jq;
+    jq.thresholds.tau = 0.04 * metric->MaxUnitDistance(kDim);
+    const RangePredicate pred(*metric, jq.thresholds.tau);
+    const Algorithm2Pairs a =
+        SpellOutAlgorithm2(index, *metric, query, 0, jq.thresholds.tau);
+
+    // The group's shape: one posting holds the whole column, so every
+    // record shares one range list; more pairs than a block, fewer than a
+    // block after Lemma 1.
+    const InvertedIndex& inv = index.inverted_index();
+    uint32_t postings = 0;
+    for (uint32_t cell = 0; cell < inv.num_cells(); ++cell) {
+      for (const InvertedIndex::Posting& p : inv.PostingsOf(cell)) {
+        postings += p.column == 0;
+      }
+    }
+    ASSERT_EQ(postings, 1u) << name;
+    ASSERT_GT(query.size() * index.catalog().column(0).count, 64u) << name;
+    ASSERT_LE(a.live_rows * a.union_size, 64u) << name;
+    ASSERT_GT(a.mask_filtered, a.reached_filtered) << name;
+    ASSERT_GT(a.matched, 0u) << name;
+
+    SearchStats stats;
+    const JoinableColumn jc = MapOneColumn(index, query, 0, jq, &stats);
+    EXPECT_EQ(stats.distance_computations, a.read) << name;
+    EXPECT_EQ(stats.sqrt_free_comparisons, a.read * pred.sqrt_saved())
+        << name;
+    EXPECT_EQ(stats.lemma1_filtered, a.reached_filtered) << name;
+    EXPECT_EQ(stats.tiles_evaluated, 0u) << name;
+    ExpectMapping(jc, a.want, name);
   }
 }
 
 /// A record's first witness does not depend on the sweep's shape: the same
-/// records mapped alone (a sub-block sweep, pair by pair) and among enough
+/// records mapped alone (a sub-block group, pair by pair) and among enough
 /// others to fill dense tiles name the same vectors.
 TEST(PipelineTest, FirstWitnessIsTheSameInSubBlockAndDenseSweeps) {
   for (const char* name : {"l2", "l1", "cosine"}) {
@@ -844,12 +942,79 @@ TEST(PipelineTest, Lemma7CountsRecordsWithoutABlock) {
             ran_out.distance_computations + ran_out.lemma1_filtered);
 }
 
+/// Stage 2 of a threshold query spelled out serially as Algorithm 2 over
+/// stage 1's blocks, with the virtual Metric::Dist oracle. Per column, the
+/// blocks run in query order until Lemma 7's bound (match + unresolved
+/// blocks < t) kills it; per block, the record walks its candidates in
+/// posting order, or in VecId order when `ascending` (a mapping query), and
+/// tests Lemma 1 on each pair it reaches, up to its first match.
+struct SerialStage2 {
+  uint64_t filtered = 0;  ///< Lemma-1 failures before a record's match
+  uint64_t reached = 0;   ///< Lemma-1 survivors reached: distances
+  uint64_t pairs = 0;     ///< candidate pairs of the blocks verified
+  uint64_t mask_filtered = 0;  ///< Lemma-1 failures over those pairs
+  std::vector<std::vector<RecordMatch>> want;  ///< per column, query order
+};
+
+SerialStage2 ReplayStage2(const PexesoIndex& index, const Metric& metric,
+                          const VectorStore& query, const CandidateSet& cands,
+                          double tau, uint32_t t, bool ascending) {
+  const uint32_t np = index.pivots().num_pivots();
+  const std::vector<double> mapped_q =
+      index.pivots().MapAll(query.raw().data(), query.size());
+  const std::span<const VecId> vec_ids = index.inverted_index().vec_ids();
+  const size_t ncols = index.catalog().num_columns();
+  SerialStage2 s;
+  s.want.resize(ncols);
+  for (ColumnId col = 0; col < ncols; ++col) {
+    const size_t be = cands.block_begin[col + 1];
+    uint32_t match = 0;
+    for (size_t i = cands.block_begin[col]; match + (be - i) >= t && i < be;
+         ++i) {
+      const CandidateBlock& blk = cands.blocks[i];
+      std::vector<VecId> ids;
+      for (uint32_t r = 0; r < blk.range_count; ++r) {
+        const VecIdRange& range = cands.ranges[blk.range_begin + r];
+        for (uint32_t k = 0; k < range.count; ++k) {
+          ids.push_back(vec_ids[range.begin + k]);
+        }
+      }
+      if (ascending) std::sort(ids.begin(), ids.end());
+      s.pairs += ids.size();
+      const double* mq = mapped_q.data() + static_cast<size_t>(blk.query) * np;
+      bool found = false;
+      for (VecId v : ids) {
+        const double* mx = index.MappedVec(v);
+        bool out = false;
+        for (uint32_t p = 0; p < np; ++p) out |= std::fabs(mq[p] - mx[p]) > tau;
+        s.mask_filtered += out;
+        if (found) continue;  // past the first match: no pair is reached
+        if (out) {
+          ++s.filtered;
+          continue;
+        }
+        ++s.reached;
+        if (metric.Dist(query.View(blk.query),
+                        index.catalog().store().View(v), query.dim()) <= tau) {
+          ++match;
+          found = true;
+          s.want[col].push_back(RecordMatch{blk.query, v});
+        }
+      }
+    }
+  }
+  return s;
+}
+
 /// Mappings are stage 2's witnesses, not a second pass: a threshold query
 /// that collects them runs exactly the blocks an exact-joinability query
-/// runs, so blocking, Lemma 1 and Lemma 7 count the same, and the counts
-/// are the exact ones. Only the distance count may differ: mapping groups
-/// check their candidates in VecId order, so a row can meet its first
-/// match after a different number of pairs.
+/// runs, so blocking and Lemma 7 count the same, and the counts are the
+/// exact ones. Every group of this lake is under one dense block, so both
+/// queries run Algorithm 2 pair by pair: the mapping query's Lemma-1 and
+/// distance counts are Algorithm 2's over those blocks in VecId order (the
+/// exact query's, in posting order), and each mapping is the record's
+/// lowest matching vector. A second pass over the result columns would
+/// raise both counts.
 TEST(PipelineTest, MappingQueryVerifiesWhatAnExactQueryVerifies) {
   L2Metric metric;
   TestLake lake = MakeLemma7Lake(88);
@@ -859,10 +1024,20 @@ TEST(PipelineTest, MappingQueryVerifiesWhatAnExactQueryVerifies) {
   PexesoIndex index =
       PexesoIndex::Build(ColumnCatalog(lake.catalog), &metric, popts);
   PexesoSearcher searcher(&index);
+  constexpr uint32_t kT = 6;
+  const double tau = 0.08 * metric.MaxUnitDistance(lake.catalog.dim());
+  SearchStats gen;
+  const CandidateSet cands = StageOne(index, lake.query, tau, &gen);
+  const SerialStage2 by_vec =
+      ReplayStage2(index, metric, lake.query, cands, tau, kT, true);
+  const SerialStage2 by_posting =
+      ReplayStage2(index, metric, lake.query, cands, tau, kT, false);
+  // Not vacuous: the two orders reach different pairs.
+  ASSERT_NE(by_vec.filtered, by_posting.filtered);
   for (size_t threads : {1, 8}) {
     JoinQuery mapped;
-    mapped.thresholds.tau = 0.08 * metric.MaxUnitDistance(lake.catalog.dim());
-    mapped.thresholds.t_abs = 6;
+    mapped.thresholds.tau = tau;
+    mapped.thresholds.t_abs = kT;
     mapped.collect_mappings = true;
     mapped.intra_query_threads = threads;
     JoinQuery exact = mapped;
@@ -877,16 +1052,57 @@ TEST(PipelineTest, MappingQueryVerifiesWhatAnExactQueryVerifies) {
     ASSERT_EQ(Columns(with), Columns(without)) << at;
     for (size_t i = 0; i < with.size(); ++i) {
       EXPECT_EQ(with[i].match_count, without[i].match_count) << at;
-      EXPECT_EQ(with[i].mapping.size(), with[i].match_count) << at;
+      ExpectMapping(with[i], by_vec.want[with[i].column],
+                    at + " column " + std::to_string(with[i].column));
     }
     // Not vacuous: Lemma 1 filters, Lemma 7 kills, columns reach T.
     ASSERT_GT(exact_stats.lemma1_filtered, 0u) << at;
     ASSERT_GT(exact_stats.lemma7_kills, 0u) << at;
     ASSERT_GT(exact_stats.early_joinable, 0u) << at;
-    EXPECT_EQ(map_stats.lemma1_filtered, exact_stats.lemma1_filtered) << at;
+    ASSERT_EQ(map_stats.tiles_evaluated, 0u) << at;
+    ASSERT_EQ(exact_stats.tiles_evaluated, 0u) << at;
     EXPECT_EQ(map_stats.candidate_blocks, exact_stats.candidate_blocks) << at;
     EXPECT_EQ(map_stats.lemma7_kills, exact_stats.lemma7_kills) << at;
     EXPECT_EQ(map_stats.early_joinable, exact_stats.early_joinable) << at;
+    EXPECT_EQ(map_stats.lemma1_filtered, by_vec.filtered) << at;
+    EXPECT_EQ(exact_stats.lemma1_filtered, by_posting.filtered) << at;
+    EXPECT_EQ(map_stats.distance_computations, by_vec.reached) << at;
+    EXPECT_EQ(exact_stats.distance_computations, by_posting.reached) << at;
+  }
+}
+
+/// A group of more pairs than one dense block masks every pair with Lemma 1
+/// and runs dense tiles, which may compute pairs past a record's first
+/// match but never a pair outside the group. Lemma 1 still counts what
+/// Algorithm 2 counts: the failures a record reaches before its first
+/// match, not every failure of the mask.
+TEST(PipelineTest, DenseGroupCountsTheLemma1FailuresARecordReaches) {
+  for (const char* name : {"l2", "l1", "cosine"}) {
+    auto metric = MakeTestMetric(name);
+    TestLake lake = MakeOneClusterLake(86, 8, {40}, 12, 0.08);
+    PexesoOptions popts;
+    popts.num_pivots = 3;
+    popts.levels = 3;
+    PexesoIndex index =
+        PexesoIndex::Build(std::move(lake.catalog), metric.get(), popts);
+    JoinQuery jq;
+    jq.thresholds.tau = 0.1 * metric->MaxUnitDistance(8);
+    SearchStats gen;
+    const CandidateSet cands =
+        StageOne(index, lake.query, jq.thresholds.tau, &gen);
+    const SerialStage2 a = ReplayStage2(index, *metric, lake.query, cands,
+                                        jq.thresholds.tau, jq.Lemma7T(), true);
+    // Not vacuous: a whole-mask count would count more.
+    ASSERT_GT(a.filtered, 0u) << name;
+    ASSERT_GT(a.mask_filtered, a.filtered) << name;
+
+    SearchStats stats;
+    const JoinableColumn jc = MapOneColumn(index, lake.query, 0, jq, &stats);
+    ASSERT_GT(stats.tiles_evaluated, 0u) << name;
+    EXPECT_EQ(stats.lemma1_filtered, a.filtered) << name;
+    EXPECT_GE(stats.distance_computations, a.reached) << name;
+    EXPECT_LE(stats.distance_computations, a.pairs) << name;
+    ExpectMapping(jc, a.want[0], name);
   }
 }
 

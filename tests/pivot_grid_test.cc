@@ -293,7 +293,7 @@ void ExpectViewMatchesCells(const HierarchicalGrid& grid) {
     const auto& cells = grid.CellsAtLevel(l);
     const auto& view = grid.ViewAtLevel(l);
     ASSERT_EQ(order.size(), cells.size()) << "level " << l;
-    ASSERT_EQ(view.coords.size(), cells.size() * np);
+    ASSERT_EQ(view.coords.size(), cells.size() * np + kMaxPivots - np);
     std::set<uint32_t> distinct(order.begin(), order.end());
     EXPECT_EQ(distinct.size(), cells.size()) << "level " << l;
     for (size_t i = 0; i < order.size(); ++i) {
@@ -373,7 +373,7 @@ TEST(GridTest, AxisCellRangeMatchesTheDoubleTest) {
   Rng rng(16);
   // Extents whose cell bounds are exact (2.0) and rounded products.
   for (double extent : {2.0, 0.7, 2.0 * std::sqrt(50.0)}) {
-    for (uint32_t l : {1u, 2u, 3u, 4u, 5u, 6u, 8u, 14u}) {
+    for (uint32_t l = 1; l <= HierarchicalGrid::kMaxLevels; ++l) {
       HierarchicalGrid grid;
       HierarchicalGrid::Options opts;
       opts.levels = l;
@@ -409,6 +409,96 @@ TEST(GridTest, AxisCellRangeMatchesTheDoubleTest) {
               ADD_FAILURE() << "extent=" << extent << " l=" << l
                             << " x=" << x << " tau=" << tau << " c=" << c
                             << " range [" << lo << ", " << hi << "]";
+              return;
+            }
+          }
+          // Every coarser level's range is this one shifted down, the
+          // empty ranges included: blocking derives them that way.
+          for (uint32_t k = 1; k < l; ++k) {
+            int32_t klo = 0, khi = 0;
+            grid.AxisCellRange(k, x - tau, x + tau, &klo, &khi);
+            if ((lo >> (l - k)) != klo || (hi >> (l - k)) != khi) {
+              ADD_FAILURE() << "extent=" << extent << " l=" << l
+                            << " k=" << k << " x=" << x << " tau=" << tau
+                            << " shifted [" << (lo >> (l - k)) << ", "
+                            << (hi >> (l - k)) << "] vs [" << klo << ", "
+                            << khi << "]";
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The vector cell test decides every (cell, box) pair as Lemma 3 on each
+/// axis does, at every |P| the grid supports: on random boxes, on bounds
+/// equal to a coordinate, 0 and 2^l - 1, on empty axis ranges (lo > hi),
+/// and on the view's last cell, whose load reads the tail padding.
+TEST(GridTest, CellInBoxMatchesTheScalarTest) {
+  Rng rng(31);
+  for (uint32_t np = 1; np <= kMaxPivots; ++np) {
+    for (uint32_t levels : {1u, 3u, HierarchicalGrid::kMaxLevels}) {
+      // Random points plus the two corners, so coordinates 0 and 2^l - 1
+      // occur on every axis.
+      const size_t n = 40;
+      std::vector<double> mapped(n * np);
+      for (auto& x : mapped) x = rng.UniformDouble() * 2.0;
+      for (uint32_t j = 0; j < np; ++j) {
+        mapped[j] = 0.0;
+        mapped[np + j] = 2.0;
+      }
+      HierarchicalGrid grid;
+      HierarchicalGrid::Options opts;
+      opts.levels = levels;
+      grid.Build(mapped.data(), n, np, 2.0, opts);
+      for (uint32_t l = 1; l <= levels; ++l) {
+        const int32_t last = (1 << l) - 1;
+        const auto& view = grid.ViewAtLevel(l);
+        const size_t cells = grid.CellsAtLevel(l).size();
+        for (size_t i = 0; i < cells; ++i) {
+          const uint16_t* c = view.coords.data() + i * np;
+          for (int trial = 0; trial < 24; ++trial) {
+            HierarchicalGrid::LaneBox box;
+            std::fill(std::begin(box.lo), std::end(box.lo), INT16_MIN);
+            std::fill(std::begin(box.hi), std::end(box.hi), INT16_MAX);
+            bool meets = true;  // the scalar Lemma-3 test
+            for (uint32_t j = 0; j < np; ++j) {
+              int32_t lo = 0, hi = last;
+              // Mostly passing axes, so whole-box passes occur too.
+              switch (rng.UniformInt(0, 9)) {
+                case 0:  // random, possibly empty
+                  lo = static_cast<int32_t>(rng.UniformInt(0, last + 1));
+                  hi = static_cast<int32_t>(rng.UniformInt(-1, last));
+                  break;
+                case 1:  // the empty ranges AxisCellRange returns
+                  lo = rng.Bernoulli(0.5) ? last + 1 : 0;
+                  hi = lo == 0 ? -1 : last;
+                  break;
+                case 2:  // lo > hi around the coordinate
+                  lo = c[j] + 1;
+                  hi = c[j];
+                  break;
+                case 3:  // just above the coordinate
+                  lo = c[j] + 1;
+                  break;
+                case 4:  // just below the coordinate
+                  hi = c[j] - 1;
+                  break;
+                case 5:  // exactly the coordinate
+                  lo = hi = c[j];
+                  break;
+                default:  // the whole axis
+                  break;
+              }
+              box.lo[j] = static_cast<int16_t>(lo);
+              box.hi[j] = static_cast<int16_t>(hi);
+              meets = meets && lo <= c[j] && c[j] <= hi;
+            }
+            if (HierarchicalGrid::CellInBox(c, box, np > 8) != meets) {
+              ADD_FAILURE() << "np=" << np << " l=" << l << " cell " << i
+                            << " of " << cells << ": scalar test " << meets;
               return;
             }
           }

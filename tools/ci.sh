@@ -7,12 +7,17 @@
 # runs the whole ctest suite, then regenerates the BENCH_*.json baselines
 # and gates their work counts against the committed copies.
 #
-# Pass 2: Debug with Address+UB sanitizers, sanitizer-friendly flags
+# Pass 2: Release with PEXESO_NATIVE_ARCH on (-march=native): the kernel
+# suite, whose tiles must still equal the one-pair kernel bit for bit, and
+# the grid and pipeline suites, whose vector cell test lowers differently
+# when the host's wider vector units are on.
+#
+# Pass 3: Debug with Address+UB sanitizers, sanitizer-friendly flags
 # (frame pointers, no march tuning). The kernels must be correct under
 # both, so the kernel/vector suites rerun here; set PEXESO_CI_SANITIZE=0
 # to skip the pass (e.g. on toolchains without libasan).
 #
-# Pass 3: Debug with ThreadSanitizer over the concurrency-heavy suites —
+# Pass 4: Debug with ThreadSanitizer over the concurrency-heavy suites —
 # the staged verification pipeline (column shards on TaskGroups), the
 # batch runner (batch-major x intra-query composition) and the serving
 # layer. Set PEXESO_CI_TSAN=0 to skip (e.g. toolchains without libtsan).
@@ -261,6 +266,15 @@ echo "shard smoke: OK ($(wc -l < "$SMOKE_DIR/sharded.txt") result lines byte-ide
 # queries of wire-openloop included. Builds its own Release tree under
 # .bench_build/ and exits non-zero on any wrong answer.
 bash bench_e2e/run_e2e.sh --smoke
+
+NATIVE_DIR="${NATIVE_BUILD_DIR:-build-native}"
+cmake -B "$NATIVE_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=Release \
+  -DPEXESO_NATIVE_ARCH=ON
+cmake --build "$NATIVE_DIR" -j "$JOBS" \
+  --target kernel_test pivot_grid_test pipeline_test
+ctest --test-dir "$NATIVE_DIR" --output-on-failure \
+  -R '^(kernel_test|pivot_grid_test|pipeline_test)$'
 
 if [[ "${PEXESO_CI_SANITIZE:-1}" == "1" ]]; then
   SAN_DIR="${SAN_BUILD_DIR:-build-asan}"
